@@ -22,12 +22,12 @@ from .autgroup import (
     sem_array,
     _semiregular_pool,
 )
-from .families import FamilyInstance, petersen
+from .families import FamilyInstance
 from .graph import Graph, bits, remove_intra_orbit_edges
 from .hamlift import (
     ENUM_LIMIT,
     HamCycle,
-    _ham_cycle_gen,
+    _plain_cycles,
     canonical_cycle,
     check_hamcycle,
     find_hamcycle,
@@ -118,26 +118,17 @@ def hamilton_compression(
 
     lift mode sweeps the divisors of n descending, running the symmetric
     search on every cyclic semiregular subgroup of that order; the first hit
-    is the answer. exhaustive mode maximises over all enumerated cycles.
+    is the answer. exhaustive mode is the maximum of the Ham array.
     """
     n = g.n
     if mode == "exhaustive":
-        best: CompressionCertificate | None = None
-        exhausted = True
-        for count, cycle in enumerate(_ham_cycle_gen(g)):
-            if count >= limit:
-                exhausted = False
-                break
-            k = _kappa_of_cycle(g, cycle)
-            if best is None or k > best.k or (k == best.k and cycle < best.cycle):
-                best = CompressionCertificate(
-                    cycle, k, n // k, rotation_witness(cycle, n // k)
-                )
-        if best is None:
-            return KappaResult(0, None, exhausted, mode)
-        return KappaResult(best.k, best, exhausted, mode)
+        arr = ham_array(g, limit)
+        kappa = arr.values[-1]
+        return KappaResult(kappa, arr.certificates.get(kappa), arr.exact, mode)
     if mode != "lift":
         raise ValueError(f"unknown mode {mode!r}")
+    if n < 3:
+        return KappaResult(0, None, True, mode)
     if group is None:
         group = automorphism_group(g, cap)
     note = "lower bound only on the k>=2 sweep" if group.capped else ""
@@ -173,7 +164,7 @@ def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
     certs: dict[int, CompressionCertificate] = {}
     n = g.n
     exhausted = True
-    for count, cycle in enumerate(_ham_cycle_gen(g)):
+    for count, cycle in enumerate(_plain_cycles(g)):
         if count >= limit:
             exhausted = False
             break
@@ -252,44 +243,18 @@ def lcf_to_graph(word) -> Graph:
 # --- closed-form predictors --------------------------------------------------
 
 
-def find_isomorphism(g1: Graph, g2: Graph) -> Perm | None:
-    """Backtracking isomorphism search, ordered by degree; for small graphs."""
-    if g1.n != g2.n or g1.m != g2.m or sorted(g1.degrees()) != sorted(g2.degrees()):
-        return None
-    n = g1.n
-    deg1, deg2 = g1.degrees(), g2.degrees()
-    verts = sorted(range(n), key=lambda v: (-deg1[v], v))
-    image = [-1] * n
-    used = [False] * n
-
-    def assign(pos: int) -> bool:
-        if pos == n:
-            return True
-        v = verts[pos]
-        for w in range(n):
-            if used[w] or deg2[w] != deg1[v]:
-                continue
-            ok = True
-            for u in verts[:pos]:
-                if g1.has_edge(v, u) != g2.has_edge(w, image[u]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                if assign(pos + 1):
-                    return True
-                used[w] = False
-                image[v] = -1
-        return False
-
-    return tuple(image) if assign(0) else None
-
-
 def is_petersen(g: Graph) -> bool:
-    if g.n != 10 or g.m != 15 or any(d != 3 for d in g.degrees()):
+    """Petersen is the unique cubic graph on 10 vertices with girth 5: no
+    triangle and no two vertices with two common neighbours."""
+    if g.n != 10 or any(d != 3 for d in g.degrees()):
         return False
-    return find_isomorphism(g, petersen().graph) is not None
+    rows = g.rows
+    for u in range(10):
+        for v in range(u + 1, 10):
+            common = (rows[u] & rows[v]).bit_count()
+            if common > 1 or (common and rows[u] >> v & 1):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ records that the representative of A is adjacent to the s-th power image of
 the representative of B. A Hamilton cycle of the quotient whose net voltage
 generates Z_k lifts to a Hamilton cycle of the source graph on which the
 automorphism acts as a rotation.
+
+One search serves both uses: _hamilton_cycles, a non-recursive depth-first
+generator over bitset adjacency rows, yields the Hamilton cycles through
+vertex 0. Plain enumeration keeps one direction of each; the quotient
+search runs it on the orbit support rows and stops at the first cycle
+whose voltages can be chosen to generate Z_k.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ ENUM_LIMIT = 10**7
 
 def check_hamcycle(g: Graph, seq) -> None:
     seq = tuple(seq)
+    if len(seq) < 3:
+        raise ValueError("a Hamilton cycle needs at least 3 vertices")
     if len(seq) != g.n or sorted(seq) != list(range(g.n)):
         raise ValueError("sequence does not visit every vertex exactly once")
     for i, u in enumerate(seq):
@@ -204,41 +212,15 @@ def _quotient_ham_search(qg: QuotientGraph):
                     return [0, 1], [s0, (-s1) % k]
         return None
     support = [0] * q
-    for (a, b), _ in avail.items():
+    for a, b in avail:
         if a != b:
             support[a] |= 1 << b
-    full = (1 << q) - 1
-    path = [0]
-
-    def extend(head: int, visited: int):
-        if len(path) == q:
-            if support[head] & 1:
-                volt_sets = [
-                    avail[(path[i], path[(i + 1) % q])] for i in range(q)
-                ]
-                choice = _voltage_choice(volt_sets, k)
-                if choice is not None:
-                    return list(path), choice
-            return None
-        rest = full & ~visited
-        # every unvisited orbit needs two links into the open region
-        live = rest | (1 << head) | 1
-        probe = rest
-        while probe:
-            bit = probe & -probe
-            probe ^= bit
-            if (support[bit.bit_length() - 1] & live).bit_count() < 2:
-                return None
-        cand = support[head] & rest
-        for b in bits(cand):
-            path.append(b)
-            found = extend(b, visited | (1 << b))
-            if found is not None:
-                return found
-            path.pop()
-        return None
-
-    return extend(0, 1)
+    for path in _hamilton_cycles(support):
+        volt_sets = [avail[(path[i], path[(i + 1) % q])] for i in range(q)]
+        choice = _voltage_choice(volt_sets, k)
+        if choice is not None:
+            return list(path), choice
+    return None
 
 
 def find_symmetric_hamcycle(g: Graph, a: Perm) -> HamCycle | None:
@@ -248,7 +230,7 @@ def find_symmetric_hamcycle(g: Graph, a: Perm) -> HamCycle | None:
     its net voltage generates Z_k, then lifts.
     """
     qg = quotient_with_voltages(g, a)
-    found = _quotient_ham_search(qg)
+    found = _quotient_ham_search(qg) if g.n >= 3 else None
     if found is None:
         return None
     cycle = lift(qg, *found)
@@ -256,60 +238,78 @@ def find_symmetric_hamcycle(g: Graph, a: Perm) -> HamCycle | None:
     return cycle
 
 
-def _ham_cycle_gen(g: Graph):
-    """All Hamilton cycles, one canonical representative each.
-
-    Cycles start at vertex 0 with the direction fixed by second < last;
-    pruning: forced-degree and connectivity of the open region.
-    """
-    n = g.n
-    if n < 3 or not g.is_connected():
-        return
-    rows = g.rows
-    full = (1 << n) - 1
-    path = [0]
-
-    def extend(head: int, visited: int):
-        if len(path) == n:
-            if rows[0] >> head & 1 and path[1] < path[-1]:
-                yield tuple(path)
-            return
-        rest = full & ~visited
-        live = rest | (1 << head) | 1
-        probe = rest
-        while probe:
-            bit = probe & -probe
-            probe ^= bit
-            if (rows[bit.bit_length() - 1] & live).bit_count() < 2:
-                return
-        region = rest | (1 << head)
-        comp = 1 << head
-        frontier = comp
+def _open_region_ok(rows, head: int, rest: int) -> bool:
+    """Whether a path ending at head can still close through the open
+    vertices rest: each keeps two links among rest, head and vertex 0, and
+    rest plus head is connected."""
+    live = rest | 1 << head | 1
+    probe = rest
+    while probe:
+        bit = probe & -probe
+        probe ^= bit
+        if (rows[bit.bit_length() - 1] & live).bit_count() < 2:
+            return False
+    region = rest | 1 << head
+    comp = frontier = 1 << head
+    while frontier:
+        nxt = 0
         while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= rows[v] & region
-            frontier = nxt & ~comp
-            comp |= frontier
-        if comp != region:
-            return
-        for v in bits(rows[head] & rest):
-            path.append(v)
-            yield from extend(v, visited | (1 << v))
-            path.pop()
+            bit = frontier & -frontier
+            frontier ^= bit
+            nxt |= rows[bit.bit_length() - 1]
+        frontier = nxt & region & ~comp
+        comp |= frontier
+    return comp == region
 
-    yield from extend(0, 1)
+
+def _hamilton_cycles(rows):
+    """Every Hamilton cycle through vertex 0 of the graph with bitset
+    adjacency rows, once in each direction, as a vertex tuple from 0.
+
+    Depth-first with an explicit stack, neighbours in ascending order; a
+    branch is cut as soon as _open_region_ok fails, which at the root is
+    the connectivity of the whole graph.
+    """
+    n = len(rows)
+    rest = (1 << n) - 2
+    if n < 3 or not _open_region_ok(rows, 0, rest):
+        return
+    path = [0]
+    todo = [rows[0] & rest]  # untried successors of path[i]
+    while todo:
+        cand = todo[-1]
+        if not cand:
+            todo.pop()
+            rest |= 1 << path.pop()
+            continue
+        bit = cand & -cand
+        todo[-1] = cand ^ bit
+        head = bit.bit_length() - 1
+        rest ^= bit
+        if not rest:
+            if rows[head] & 1:
+                yield (*path, head)
+        elif _open_region_ok(rows, head, rest):
+            path.append(head)
+            todo.append(rows[head] & rest)
+            continue
+        rest |= bit
+
+
+def _plain_cycles(g: Graph):
+    """Hamilton cycles of g, one of the two directions each: second < last."""
+    return (c for c in _hamilton_cycles(g.rows) if c[1] < c[-1])
 
 
 def find_hamcycle(g: Graph) -> HamCycle | None:
-    return next(_ham_cycle_gen(g), None)
+    return next(_plain_cycles(g), None)
 
 
 def enumerate_hamcycles(g: Graph, limit: int = ENUM_LIMIT) -> tuple[list[HamCycle], bool]:
     """All Hamilton cycles up to rotation/reflection; exhaustive flag is False
     when the limit cut the enumeration short."""
     out: list[HamCycle] = []
-    for cycle in _ham_cycle_gen(g):
+    for cycle in _plain_cycles(g):
         if len(out) >= limit:
             return out, False
         out.append(cycle)

@@ -89,6 +89,28 @@ def test_kappa_certificate_replays(tmp_path, capsys):
     assert cycle_compression(g, tuple(cert["cycle"])).k == cert["kappa"] == 3
 
 
+def test_kappa_k2_is_zero(tmp_path, capsys):
+    path = tmp_path / "k2.txt"
+    path.write_text("2 1\n0 1\n")
+    for mode in ("lift", "exhaustive"):
+        code, out = run_cli(capsys, "kappa", str(path), "--mode", mode)
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["kappa"] == 0 and rep["certificate"] is None
+
+
+def test_ham_long_cycle(tmp_path, capsys):
+    from conftest import graph_cycle
+    from hamcompress import emit_edgelist
+
+    n = 1100
+    path = tmp_path / "c1100.txt"
+    path.write_text(emit_edgelist(graph_cycle(n)))
+    code, out = run_cli(capsys, "ham", str(path))
+    assert code == 0
+    assert json.loads(out)["ham"] == [n]
+
+
 def test_lcf_command(tmp_path, capsys):
     from hamcompress import emit_edgelist, generalized_petersen
 

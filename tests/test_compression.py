@@ -3,6 +3,7 @@ import pytest
 from conftest import graph_cycle, graph_k4
 from hamcompress import (
     FamilyInstance,
+    Graph,
     cayley_p3,
     circulant,
     cycle_compression,
@@ -88,6 +89,18 @@ def test_kappa_modes_agree_small():
         assert lift_res.kappa == exh_res.kappa
 
 
+def test_kappa_fewer_than_three_vertices_is_zero():
+    k2 = Graph.build(2, [(0, 1)])
+    for g in (Graph.build(0, []), Graph.build(1, []), Graph.build(2, []), k2):
+        for mode in ("lift", "exhaustive"):
+            res = hamilton_compression(g, mode)
+            assert (res.kappa, res.certificate, res.exact) == (0, None, True), (g.n, mode)
+
+
+def test_exhaustive_kappa_long_cycle():
+    assert hamilton_compression(graph_cycle(1100), "exhaustive").kappa == 1100
+
+
 def test_kappa_capped_is_flagged():
     res = hamilton_compression(petersen().graph.complement(), "lift", cap=10)
     assert res.note
@@ -171,6 +184,9 @@ def test_is_petersen():
     assert is_petersen(y_qp(2, 5, 2).graph)
     assert not is_petersen(generalized_petersen(5, 1).graph)
     assert not is_petersen(graph_k4())
+    pet = petersen().graph
+    relabel = (3, 7, 0, 9, 1, 5, 8, 2, 6, 4)
+    assert is_petersen(Graph.build(10, [(relabel[u], relabel[v]) for u, v in pet.edges()]))
 
 
 def test_predict_metapq_cases():

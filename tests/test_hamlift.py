@@ -164,6 +164,21 @@ def test_find_hamcycle():
     assert find_hamcycle(Graph.build(2, [(0, 1)])) is None
 
 
+def test_fewer_than_three_vertices_have_no_hamilton_cycle():
+    for n, edges, seq in ((0, [], ()), (1, [], (0,)), (2, [(0, 1)], (0, 1))):
+        with pytest.raises(ValueError):
+            check_hamcycle(Graph.build(n, edges), seq)
+    assert find_symmetric_hamcycle(Graph.build(2, [(0, 1)]), (1, 0)) is None
+
+
+def test_long_cycle_needs_no_recursion():
+    n = 1100
+    g = graph_cycle(n)
+    cycle = find_hamcycle(g)
+    assert cycle is not None
+    check_hamcycle(g, cycle)
+
+
 def test_enumerate_k4():
     cycles, exact = enumerate_hamcycles(graph_k4())
     assert exact

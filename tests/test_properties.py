@@ -9,6 +9,8 @@ quotient/lift pair can be checked against ground truth.
 import math
 import random
 
+import pytest
+
 from conftest import acts_as_rotation, cycle_edges
 from hamcompress import (
     Graph,
@@ -73,6 +75,16 @@ def _random_voltage_cover(rng: random.Random):
     return g, deck, k, q, cyc, volts
 
 
+def _check_lifted(g: Graph, cycle) -> None:
+    """check_hamcycle on a lifted cycle; the closed walk lifted onto a
+    2-vertex cover (k = 2, q = 1) is not a Hamilton cycle and is rejected."""
+    if g.n < 3:
+        with pytest.raises(ValueError):
+            check_hamcycle(g, cycle)
+    else:
+        check_hamcycle(g, cycle)
+
+
 def test_lift_soundness_1000_random_covers():
     rng = random.Random(2 * 3 * 5 * 7)
     lifted = 0
@@ -86,7 +98,7 @@ def test_lift_soundness_1000_random_covers():
             a, b = cyc[i], cyc[(i + 1) % q]
             assert volts[i] in avail[(a, b)]
         cycle = lift(qg, cyc, volts)
-        check_hamcycle(g, cycle)
+        _check_lifted(g, cycle)
         lifted += 1
         # the deck transformation acts on the lifted cycle as a rotation
         edges = cycle_edges(cycle)
@@ -99,7 +111,7 @@ def test_lift_soundness_1000_random_covers():
         assert sum(rev_volts) % k == (-net) % k
         if q != 2:
             rev_cycle = lift(qg, rev_cyc, rev_volts)
-            check_hamcycle(g, rev_cycle)
+            _check_lifted(g, rev_cycle)
     assert lifted == 1000
 
 
@@ -221,3 +233,22 @@ def test_modes_agree_on_midsize_cubic_graphs():
         exh_res = hamilton_compression(g, "exhaustive")
         assert exh_res.exact
         assert lift_res.kappa == exh_res.kappa == expected, (n, r)
+
+
+def test_atlas_census():
+    """Every graph of networkx's atlas (all 1253 graphs on at most 7
+    vertices): lift and exhaustive compression agree, and |Aut| equals the
+    number of self-isomorphisms VF2 finds."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    for index, h in enumerate(atlas):
+        g = Graph.build(h.number_of_nodes(), h.edges())
+        lift_res = hamilton_compression(g, "lift")
+        exh_res = hamilton_compression(g, "exhaustive")
+        assert lift_res.exact and exh_res.exact, index
+        assert lift_res.kappa == exh_res.kappa, index
+        isos = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+        assert automorphism_group(g).order == isos, index
