@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 from .graph import Graph, bits
 from .numth import is_prime
@@ -28,6 +28,7 @@ from .perm import (
     is_fixed_point_free,
     is_semiregular,
     order,
+    power,
 )
 
 DEFAULT_CAP = 1 << 20
@@ -180,6 +181,27 @@ def _semiregular_pool(group: GroupData) -> list[Perm]:
     return sorted(pool)
 
 
+def cyclic_semiregular_reps(group: GroupData) -> dict[int, list[Perm]]:
+    """One generator per cyclic semiregular subgroup of order >= 2, keyed by
+    order: the least generator of each subgroup, ascending.
+
+    One pass over the sorted pool: an element not yet claimed that is
+    semiregular of order k is the least generator of its subgroup, and claims
+    that subgroup's other generators a^e, gcd(e, k) = 1.
+    """
+    reps: dict[int, list[Perm]] = {}
+    claimed: set[Perm] = set()
+    for a in _semiregular_pool(group):
+        if a in claimed:
+            continue
+        k = order(a)
+        if k < 2 or not is_semiregular(a, k):
+            continue
+        reps.setdefault(k, []).append(a)
+        claimed.update(power(a, e) for e in range(2, k) if gcd(e, k) == 1)
+    return reps
+
+
 @dataclass(frozen=True)
 class SemArray:
     """Ascending orders of semiregular automorphisms, with one witness each.
@@ -191,15 +213,12 @@ class SemArray:
 
 
 def sem_array(g: Graph, cap: int = DEFAULT_CAP, group: GroupData | None = None) -> SemArray:
+    """Witness per order: the least semiregular element of that order."""
     if group is None:
         group = automorphism_group(g, cap)
-    found: dict[int, Perm] = {1: identity(g.n)}
-    for a in _semiregular_pool(group):
-        k = order(a)
-        if k not in found and is_semiregular(a, k):
-            found[k] = a
-    values = tuple(sorted(found))
-    return SemArray(values, found, exact=not group.capped)
+    found = {1: identity(g.n)}
+    found.update((k, gens[0]) for k, gens in cyclic_semiregular_reps(group).items())
+    return SemArray(tuple(sorted(found)), found, exact=not group.capped)
 
 
 @dataclass(frozen=True)
@@ -209,36 +228,24 @@ class RegularSubgroup:
     tag: str | None  # "cyclic" / "dihedral" for order 2p, else None
 
 
-def _closure(base: frozenset[Perm], extra: Perm, bound: int) -> frozenset[Perm] | None:
-    """Subgroup generated by base | {extra}; None once it exceeds bound."""
+def _closure(base: frozenset[Perm], extra: Perm, n: int) -> frozenset[Perm] | None:
+    """Subgroup generated by the subgroup base and extra; None as soon as a
+    non-identity element fixes a point or the size exceeds n."""
     elems = set(base)
     elems.add(extra)
-    frontier = list(elems)
+    frontier = [extra]
     while frontier:
         nxt = []
         for a in frontier:
             for b in list(elems):
                 for c in (compose(a, b), compose(b, a)):
                     if c not in elems:
+                        if len(elems) == n or not is_fixed_point_free(c):
+                            return None
                         elems.add(c)
                         nxt.append(c)
-                        if len(elems) > bound:
-                            return None
         frontier = nxt
     return frozenset(elems)
-
-
-def _transitive(elems, n: int) -> bool:
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for a in elems:
-            w = a[v]
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == n
 
 
 def regular_subgroups(
@@ -247,9 +254,11 @@ def regular_subgroups(
     """All order-n subgroups acting regularly on g, or None when the group
     enumeration was capped (status unknown).
 
-    Search: depth-first closure over fixed-point-free elements, seeded by the
-    fixed-point-free elements of prime order dividing n; every intermediate
-    subgroup must divide n and stay fixed-point-free outside the identity.
+    Search from vertex 0: a regular subgroup has exactly one element sending
+    0 to each vertex. Depth-first from {id}; at a subgroup H, branch over the
+    fixed-point-free x with x(0) = v, v the least vertex outside H's orbit of
+    0, and close H with x. A closure whose non-identity elements are all
+    fixed-point-free acts semiregularly, so reaching size n means regular.
     """
     if group is None:
         group = automorphism_group(g, cap)
@@ -258,34 +267,25 @@ def regular_subgroups(
     n = g.n
     if n == 0:
         return []
-    id_p = identity(n)
-    fpf = [a for a in group.elements if a != id_p and is_fixed_point_free(a)]
-    seeds = [a for a in fpf if n % order(a) == 0 and is_prime(order(a))]
+    by_image: dict[int, list[Perm]] = {}
+    for a in group.elements:
+        if is_fixed_point_free(a):
+            by_image.setdefault(a[0], []).append(a)
     found: set[frozenset[Perm]] = set()
     seen: set[frozenset[Perm]] = set()
-
-    def admissible(h: frozenset[Perm]) -> bool:
-        return n % len(h) == 0 and all(p == id_p or is_fixed_point_free(p) for p in h)
-
-    def grow(h: frozenset[Perm]) -> None:
-        if h in seen:
-            return
-        seen.add(h)
+    stack = [frozenset({identity(n)})]
+    while stack:
+        h = stack.pop()
         if len(h) == n:
-            if _transitive(h, n):
-                found.add(h)
-            return
-        for x in fpf:
-            if x in h:
-                continue
+            found.add(h)
+            continue
+        orbit = {a[0] for a in h}
+        v = next(w for w in range(n) if w not in orbit)
+        for x in by_image.get(v, ()):
             k = _closure(h, x, n)
-            if k is not None and k not in seen and admissible(k):
-                grow(k)
-
-    for seed in seeds:
-        h = _closure(frozenset({id_p}), seed, n)
-        if h is not None and admissible(h):
-            grow(h)
+            if k is not None and k not in seen:
+                seen.add(k)
+                stack.append(k)
 
     out = []
     for h in sorted(found, key=lambda s: sorted(s)):

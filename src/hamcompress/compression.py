@@ -17,10 +17,10 @@ from .autgroup import (
     DEFAULT_CAP,
     GroupData,
     automorphism_group,
+    cyclic_semiregular_reps,
     is_automorphism,
     regular_subgroups,
     sem_array,
-    _semiregular_pool,
 )
 from .families import FamilyInstance
 from .graph import Graph, bits, remove_intra_orbit_edges
@@ -34,7 +34,7 @@ from .hamlift import (
     find_symmetric_hamcycle,
 )
 from .numth import divisors, factorize, is_prime
-from .perm import Perm, is_semiregular, order, power
+from .perm import Perm, is_semiregular, order
 
 
 @dataclass(frozen=True)
@@ -92,21 +92,6 @@ class KappaResult:
     note: str = ""
 
 
-def _cyclic_semiregular_reps(group: GroupData, n: int) -> dict[int, list[Perm]]:
-    """One representative generator per cyclic semiregular subgroup, keyed by
-    order; deduplicated by subgroup element-set identity."""
-    reps: dict[int, dict[frozenset[Perm], Perm]] = {}
-    for a in _semiregular_pool(group):
-        k = order(a)
-        if k < 2 or not is_semiregular(a, k):
-            continue
-        subgroup = frozenset(power(a, e) for e in range(1, k + 1))
-        bucket = reps.setdefault(k, {})
-        if subgroup not in bucket or a < bucket[subgroup]:
-            bucket[subgroup] = a
-    return {k: sorted(bucket.values()) for k, bucket in reps.items()}
-
-
 def hamilton_compression(
     g: Graph,
     mode: str = "lift",
@@ -132,7 +117,7 @@ def hamilton_compression(
     if group is None:
         group = automorphism_group(g, cap)
     note = "lower bound only on the k>=2 sweep" if group.capped else ""
-    reps = _cyclic_semiregular_reps(group, n)
+    reps = cyclic_semiregular_reps(group)
     for k in sorted((d for d in divisors(n) if d >= 2), reverse=True):
         for a in reps.get(k, []):
             cycle = find_symmetric_hamcycle(g, a)
@@ -284,17 +269,13 @@ def predict_kappa_metapq(
         raise ValueError("instance rotation is not semiregular of order p")
     if is_petersen(g):
         return MetaPqPrediction(0, "petersen")
-    tilde = remove_intra_orbit_edges(g, rho)
-    if not tilde.is_connected():
-        verdict = regular_subgroups(g, cap, group=group)
-        if verdict is None:
-            return MetaPqPrediction(None, "unknown")
-        if verdict:
-            return MetaPqPrediction(q, "disconnected-cayley")
-        return MetaPqPrediction(1, "disconnected-noncayley")
     subs = regular_subgroups(g, cap, group=group)
     if subs is None:
         return MetaPqPrediction(None, "unknown")
+    if not remove_intra_orbit_edges(g, rho).is_connected():
+        if subs:
+            return MetaPqPrediction(q, "disconnected-cayley")
+        return MetaPqPrediction(1, "disconnected-noncayley")
     tags = {s.tag for s in subs}
     if q == 2 and "cyclic" in tags and "dihedral" in tags:
         return MetaPqPrediction(2 * p, "connected-bicayley")

@@ -14,7 +14,12 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .autgroup import automorphism_group, is_automorphism, sem_array
+from .autgroup import (
+    automorphism_group,
+    cyclic_semiregular_reps,
+    is_automorphism,
+    sem_array,
+)
 from .compression import (
     cycle_compression,
     double_edge_positions,
@@ -329,14 +334,14 @@ def verify_prop42(budget: Budget | None = None) -> list[VerificationRecord]:
     for variant in ("heisenberg", "modular"):
         def compute(variant=variant):
             inst = cayley_p3(3, variant)
-            group = automorphism_group(inst.graph)
             cycle = find_symmetric_hamcycle(inst.graph, inst.rho)
             note = "central-rotation quotient lifts"
             if cycle is None:
                 # the central quotient need not carry a liftable cycle; any
                 # order-3 cyclic semiregular subgroup certifies the bound
                 note = "central-rotation quotient has no liftable cycle; k=3 sweep used"
-                for a in _order3_semiregular(group, inst.graph.n):
+                group = automorphism_group(inst.graph)
+                for a in cyclic_semiregular_reps(group).get(3, []):
                     cycle = find_symmetric_hamcycle(inst.graph, a)
                     if cycle is not None:
                         break
@@ -348,12 +353,6 @@ def verify_prop42(budget: Budget | None = None) -> list[VerificationRecord]:
         records.append(_timed("prop42", {"p": 3, "variant": variant},
                               {"lower_bound": 3}, compute, budget))
     return records
-
-
-def _order3_semiregular(group, n: int):
-    from .compression import _cyclic_semiregular_reps
-
-    return _cyclic_semiregular_reps(group, n).get(3, [])
 
 
 def verify_circulant(budget: Budget | None = None) -> list[VerificationRecord]:

@@ -21,7 +21,8 @@ from hamcompress import (
     sem_array,
     y_qp,
 )
-from hamcompress.compression import _cyclic_semiregular_reps, _kappa_of_cycle
+from hamcompress.autgroup import cyclic_semiregular_reps
+from hamcompress.compression import _kappa_of_cycle
 from hamcompress.verify import (
     DISCREPANCY,
     PASS,
@@ -96,7 +97,7 @@ def test_c05_trivial_compression_instance():
     cycles, exact = enumerate_hamcycles(g)
     max_kappa = max(_kappa_of_cycle(g, c) for c in cycles)
     group = automorphism_group(g)
-    reps = _cyclic_semiregular_reps(group, g.n)
+    reps = cyclic_semiregular_reps(group)
     sweep_hits = [
         (k, a) for k, gens in reps.items() if k >= 2
         for a in gens if find_symmetric_hamcycle(g, a) is not None

@@ -18,6 +18,7 @@ from hamcompress import (
     x_mnr,
     y_qp,
 )
+from hamcompress.autgroup import cyclic_semiregular_reps
 from hamcompress.graph import Graph
 
 
@@ -135,6 +136,14 @@ def test_sem_array_capped_is_partial():
     assert 1 in res.values
 
 
+def test_cyclic_semiregular_reps_one_least_generator_per_subgroup():
+    """Aut(C15) is D15, whose reflections fix a vertex: the cyclic
+    semiregular subgroups are the rotation groups of orders 3, 5 and 15, and
+    the least generator of each is the rotation by 15/k."""
+    reps = cyclic_semiregular_reps(automorphism_group(graph_cycle(15)))
+    assert reps == {k: [tuple((v + 15 // k) % 15 for v in range(15))] for k in (3, 5, 15)}
+
+
 def test_regular_subgroups_prism():
     subs = regular_subgroups(x_mnr(2, 5, 4).graph)
     tags = sorted(s.tag for s in subs)
@@ -158,6 +167,27 @@ def test_regular_subgroups_x372():
     assert subs  # Cayley graph of the nonabelian group of order 21
     assert all(s.order == 21 for s in subs)
     assert is_cayley(x_mnr(3, 7, 2).graph) == "yes"
+
+
+def test_regular_subgroups_trivial_graphs():
+    """K1 is Cay({e}, {}): the trivial group acts regularly on it. The
+    0-vertex graph has no regular subgroup."""
+    k1 = Graph.build(1, [])
+    assert [(s.order, s.elements) for s in regular_subgroups(k1)] == [(1, ((0,),))]
+    assert is_cayley(k1) == "yes"
+    assert regular_subgroups(Graph.build(0, [])) == []
+
+
+def test_regular_subgroups_skip_intransitive_order_n_subgroups():
+    """On 8 vertices, K4 plus four isolated vertices and two disjoint K4s
+    have subgroups of order 8 with fixed points; none may be returned."""
+    k4 = list(itertools.combinations(range(4), 2))
+    k4_plus_4k1 = Graph.build(8, k4)
+    assert regular_subgroups(k4_plus_4k1) == []
+    assert is_cayley(k4_plus_4k1) == "no"
+    subs = regular_subgroups(Graph.build(8, k4 + [(u + 4, v + 4) for u, v in k4]))
+    assert subs
+    assert all(len({a[0] for a in s.elements}) == 8 for s in subs)
 
 
 def test_is_cayley_examples():

@@ -21,13 +21,15 @@ from hamcompress import (
     find_symmetric_hamcycle,
     ham_array,
     hamilton_compression,
+    is_cayley,
     is_semiregular,
     lift,
     order,
     quotient_with_voltages,
+    regular_subgroups,
     sem_array,
 )
-from hamcompress.compression import _cyclic_semiregular_reps
+from hamcompress.autgroup import cyclic_semiregular_reps
 from hamcompress.hamlift import project_cycle
 
 
@@ -135,7 +137,7 @@ def test_symmetric_search_completeness_small(corpus):
         grp = automorphism_group(g)
         cycles, exact = enumerate_hamcycles(g)
         assert exact, name
-        reps = _cyclic_semiregular_reps(grp, g.n)
+        reps = cyclic_semiregular_reps(grp)
         for k, gens in sorted(reps.items()):
             for a in gens:
                 found = find_symmetric_hamcycle(g, a)
@@ -237,18 +239,31 @@ def test_modes_agree_on_midsize_cubic_graphs():
 
 def test_atlas_census():
     """Every graph of networkx's atlas (all 1253 graphs on at most 7
-    vertices): lift and exhaustive compression agree, and |Aut| equals the
-    number of self-isomorphisms VF2 finds."""
+    vertices): lift and exhaustive compression agree, |Aut| equals the
+    number of self-isomorphisms VF2 finds, and the graph is Cayley exactly
+    when Aut moves 0 to every vertex (every vertex-transitive graph on fewer
+    than 10 vertices is Cayley)."""
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
     atlas = nx.graph_atlas_g()
     assert len(atlas) == 1253
+    # K_n: sum of n!/(n |Aut H|) over the groups H of order n
+    complete_regular = {4: 4, 5: 6, 6: 80}
+    counts = {}
     for index, h in enumerate(atlas):
-        g = Graph.build(h.number_of_nodes(), h.edges())
+        n = h.number_of_nodes()
+        g = Graph.build(n, h.edges())
         lift_res = hamilton_compression(g, "lift")
         exh_res = hamilton_compression(g, "exhaustive")
         assert lift_res.exact and exh_res.exact, index
         assert lift_res.kappa == exh_res.kappa, index
         isos = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
-        assert automorphism_group(g).order == isos, index
+        group = automorphism_group(g)
+        assert group.order == isos, index
+        if n:
+            transitive = len({a[0] for a in group.elements}) == n
+            assert (is_cayley(g, group=group) == "yes") == transitive, index
+        if n in complete_regular and h.number_of_edges() == n * (n - 1) // 2:
+            counts[n] = len(regular_subgroups(g, group=group))
+    assert counts == complete_regular
