@@ -225,7 +225,9 @@ def sem_array(g: Graph, cap: int = DEFAULT_CAP, group: GroupData | None = None) 
 class RegularSubgroup:
     order: int
     elements: tuple[Perm, ...]
-    tag: str | None  # "cyclic" / "dihedral" for order 2p, else None
+    # "cyclic" when some element has order n; else "dihedral" when n = 2p,
+    # p an odd prime (the non-cyclic group of that order); else None
+    tag: str | None
 
 
 def _closure(base: frozenset[Perm], extra: Perm, n: int) -> frozenset[Perm] | None:

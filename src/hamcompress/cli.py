@@ -43,6 +43,8 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+CLAIM_OPTIONS = ("k", "p_max", "q", "p", "t", "large")
+
 
 def _say(args, message: str) -> None:
     if not args.quiet:
@@ -228,9 +230,8 @@ def cmd_lcf(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = verify_mod.Budget(time_budget=args.time_budget, max_vertices=args.max_vertices)
-    records = verify_mod.run_claim(
-        args.claim, budget=budget, k=args.k, p_max=args.p_max,
-        q=args.q, p=args.p, t=args.t, large=args.large)
+    options = {name: getattr(args, name) for name in CLAIM_OPTIONS if hasattr(args, name)}
+    records = verify_mod.run_claim(args.claim, budget=budget, **options)
     payload = {
         "schema": 1,
         "claim": args.claim,
@@ -307,15 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("graph")
     l.set_defaults(func=cmd_lcf)
 
-    v = sub.add_parser("verify", parents=[common], help="run a named verification claim")
+    # claim options default to absent, so a claim gets only the options given
+    # and keeps its own defaults
+    v = sub.add_parser("verify", parents=[common], help="run a named verification claim",
+                       argument_default=argparse.SUPPRESS)
     v.add_argument("--claim", required=True, choices=sorted(verify_mod.CLAIMS))
     v.add_argument("--k", type=int, help="thm22: restrict to one compression value")
     v.add_argument("--p-max", dest="p_max", type=int, help="thm22: prime search limit")
-    v.add_argument("--q", type=int)
-    v.add_argument("--p", type=int)
-    v.add_argument("--t", type=int)
+    v.add_argument("--q", type=int, help="thm31")
+    v.add_argument("--p", type=int, help="thm31")
+    v.add_argument("--t", type=int, help="thm31")
     v.add_argument("--large", action="store_true",
-                   help="allow instances beyond 40 vertices (e.g. the 57-vertex member)")
+                   help="thm31: allow instances beyond 40 vertices (e.g. the 57-vertex member)")
     v.add_argument("--time-budget", type=float, default=verify_mod.DEFAULT_TIME_BUDGET,
                    help="seconds allowed per instance")
     v.add_argument("--max-vertices", type=int, default=verify_mod.DEFAULT_MAX_VERTICES)

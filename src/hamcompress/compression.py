@@ -2,8 +2,8 @@
 
 The compression factor of a Hamilton cycle is n divided by the least
 positive position-shift along the cycle that is an automorphism of the
-graph; the shifts that work always form a subgroup of Z_n, which is checked
-at runtime. The graph invariant is the maximum over all Hamilton cycles,
+graph; the shifts that work form a subgroup of Z_n, so only the divisors of
+n are tried. The graph invariant is the maximum over all Hamilton cycles,
 computed either by a descending divisor sweep over cyclic semiregular
 subgroups (lift mode) or by exhaustive cycle enumeration.
 """
@@ -56,31 +56,22 @@ def rotation_witness(cycle: HamCycle, shift: int) -> Perm:
     return tuple(img)
 
 
+def _least_shift(g: Graph, cycle: HamCycle) -> int:
+    """Least position shift whose rotation along the cycle is an automorphism
+    of g. The working shifts form a subgroup of Z_n, so the least one divides
+    n; the shift n (the identity) always works."""
+    n = len(cycle)
+    return next(
+        (s for s in divisors(n)[:-1] if is_automorphism(g, rotation_witness(cycle, s))), n
+    )
+
+
 def cycle_compression(g: Graph, cycle) -> CompressionCertificate:
     """Exact compression factor of one Hamilton cycle of g."""
     check_hamcycle(g, cycle)
     cycle = canonical_cycle(cycle)
-    n = g.n
-    working = [
-        s for s in range(1, n + 1) if is_automorphism(g, rotation_witness(cycle, s))
-    ]
-    s_min = working[0]
-    if working != list(range(s_min, n + 1, s_min)) or n % s_min:
-        raise AssertionError("working shifts do not form a subgroup of Z_n")
-    k = n // s_min
-    if __debug__:
-        by_div = max(n // s for s in divisors(n) if s in set(working))
-        assert by_div == k, "divisor sweep disagrees with minimal shift"
-    return CompressionCertificate(cycle, k, s_min, rotation_witness(cycle, s_min))
-
-
-def _kappa_of_cycle(g: Graph, cycle: HamCycle) -> int:
-    """Fast path: least working divisor shift (the set of shifts is a subgroup)."""
-    n = g.n
-    for s in divisors(n):
-        if is_automorphism(g, rotation_witness(cycle, s)):
-            return n // s
-    return 1
+    shift = _least_shift(g, cycle)
+    return CompressionCertificate(cycle, g.n // shift, shift, rotation_witness(cycle, shift))
 
 
 @dataclass(frozen=True)
@@ -153,11 +144,10 @@ def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
         if count >= limit:
             exhausted = False
             break
-        k = _kappa_of_cycle(g, cycle)
+        shift = _least_shift(g, cycle)
+        k = n // shift
         if k not in certs or cycle < certs[k].cycle:
-            certs[k] = CompressionCertificate(
-                cycle, k, n // k, rotation_witness(cycle, n // k)
-            )
+            certs[k] = CompressionCertificate(cycle, k, shift, rotation_witness(cycle, shift))
     if not certs:
         return HamArray(exhausted, (0,), {})
     return HamArray(exhausted, tuple(sorted(certs)), certs)

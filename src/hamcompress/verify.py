@@ -1,11 +1,18 @@
 """Named verification claims reproduced at desk scale.
 
-Each claim runner builds concrete instances, computes the invariant from
-scratch, compares against the predicted value, and emits one record per
-instance. Documented edge cases (the Petersen member of the yqp family, the
-relaxed even-prism hypothesis, the connected-case ambiguity for 2p-vertex
-graphs) are reported with status "discrepancy-recorded" rather than pass or
-fail: the harness verifies, it does not adjudicate.
+CLAIMS maps each claim name to a generator that takes the claim's options,
+defaults in its own signature, and yields one (params, predicted, vertices,
+run) per instance, in the claim's own order. `predicted` is what a skipped
+instance's record shows; run() builds the instance, computes the invariant
+from scratch and returns (predicted, computed, status, note). run_claim is
+the one runner: it skips instances over max_vertices, times run(), marks a
+run over time_budget unknown and builds the records. An option the claim
+does not take is a ValueError.
+
+Documented edge cases (the Petersen member of the yqp family, the relaxed
+even-prism hypothesis, the connected-case ambiguity for 2p-vertex graphs)
+are reported with status "discrepancy-recorded" rather than pass or fail:
+the harness verifies, it does not adjudicate.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
+from . import families
 from .autgroup import (
     automorphism_group,
     cyclic_semiregular_reps,
@@ -29,18 +37,6 @@ from .compression import (
     predict_kappa_circulant,
     predict_kappa_metapq,
 )
-from .families import (
-    FamilyInstance,
-    cayley_p3,
-    circulant,
-    generalized_petersen,
-    grid_sigma,
-    metacirculant_triple_2p,
-    petersen,
-    x_mnr,
-    y_qp,
-    z_qp,
-)
 from .hamlift import find_symmetric_hamcycle, quotient_with_voltages
 from .numth import element_of_order, primes_in_ap
 from .perm import order, power
@@ -52,8 +48,6 @@ PASS = "pass"
 FAIL = "fail"
 DISCREPANCY = "discrepancy-recorded"
 UNKNOWN = "unknown"
-
-CLAIMS = ("petersen", "thm22", "thm31", "thm43", "prop21", "prop42", "circulant")
 
 
 @dataclass
@@ -83,257 +77,183 @@ class Budget:
     time_budget: float = DEFAULT_TIME_BUDGET
     max_vertices: int = DEFAULT_MAX_VERTICES
 
-    def skip(self, n_vertices: int) -> bool:
-        return n_vertices > self.max_vertices
+
+def _equals(params, predicted, vertices, compute):
+    """An instance whose check is compute() == predicted."""
+    def run():
+        computed = compute()
+        return predicted, computed, PASS if computed == predicted else FAIL, ""
+    return params, predicted, vertices, run
 
 
-def _timed(claim, params, predicted, compute, budget: Budget, note="") -> VerificationRecord:
-    start = time.monotonic()
-    computed, status, extra = compute()
-    elapsed = time.monotonic() - start
-    if elapsed > budget.time_budget:
-        status = UNKNOWN
-        extra = (extra + "; " if extra else "") + f"time budget {budget.time_budget}s exceeded"
-    return VerificationRecord(
-        claim, params, predicted, computed, status,
-        elapsed, "; ".join(x for x in (note, extra) if x),
-    )
-
-
-def _eq_status(predicted, computed) -> str:
-    return PASS if predicted == computed else FAIL
-
-
-def _bound_status(bound, computed) -> str:
-    return PASS if computed >= bound else FAIL
-
-
-def verify_petersen(budget: Budget | None = None) -> list[VerificationRecord]:
-    budget = budget or Budget()
-    records = []
-    pet = petersen().graph
+def petersen():
+    pet = families.petersen().graph
     comp = pet.complement()
-
-    def kappa_pet():
-        res = hamilton_compression(pet, "lift")
-        return res.kappa, _eq_status(0, res.kappa), ""
-
-    records.append(_timed("petersen", {"graph": "petersen", "invariant": "kappa"},
-                          0, kappa_pet, budget))
-
-    def sem_pet():
-        res = sem_array(pet)
-        return list(res.values), _eq_status([1, 5], list(res.values)), ""
-
-    records.append(_timed("petersen", {"graph": "petersen", "invariant": "sem"},
-                          [1, 5], sem_pet, budget))
-
-    def ham_pet():
-        res = ham_array(pet)
-        return list(res.values), _eq_status([0], list(res.values)), ""
-
-    records.append(_timed("petersen", {"graph": "petersen", "invariant": "ham"},
-                          [0], ham_pet, budget))
+    yield _equals({"graph": "petersen", "invariant": "kappa"}, 0, 10,
+                  lambda: hamilton_compression(pet, "lift").kappa)
+    yield _equals({"graph": "petersen", "invariant": "sem"}, [1, 5], 10,
+                  lambda: list(sem_array(pet).values))
+    yield _equals({"graph": "petersen", "invariant": "ham"}, [0], 10,
+                  lambda: list(ham_array(pet).values))
 
     def kappa_comp():
         res = hamilton_compression(comp, "exhaustive")
-        status = PASS if res.kappa == 5 and res.exact else FAIL
-        return res.kappa, status, ""
+        return 5, res.kappa, PASS if res.kappa == 5 and res.exact else FAIL, ""
 
-    records.append(_timed("petersen", {"graph": "petersen-complement", "invariant": "kappa"},
-                          5, kappa_comp, budget))
+    yield {"graph": "petersen-complement", "invariant": "kappa"}, 5, 10, kappa_comp
 
     def arrays_comp():
         ham = ham_array(comp)
         sem = sem_array(comp)
         agree = ham.exact and sem.exact and ham.values == sem.values == (1, 5)
-        return {"ham": list(ham.values), "sem": list(sem.values)}, (PASS if agree else FAIL), ""
+        return ({"ham": [1, 5], "sem": [1, 5]}, {"ham": list(ham.values), "sem": list(sem.values)},
+                PASS if agree else FAIL, "")
 
-    records.append(_timed("petersen", {"graph": "petersen-complement", "invariant": "ham=sem"},
-                          {"ham": [1, 5], "sem": [1, 5]}, arrays_comp, budget))
-    return records
+    yield ({"graph": "petersen-complement", "invariant": "ham=sem"},
+           {"ham": [1, 5], "sem": [1, 5]}, 10, arrays_comp)
 
 
-def verify_thm22(
-    k_values=(2, 3, 4, 5, 6), p_max: int = 50, budget: Budget | None = None
-) -> list[VerificationRecord]:
+def thm22(k=None, p_max=50):
     """Prescribed compression: the 2m-generator family on k*p vertices attains
-    exactly k for every prime p = 1 (mod k)."""
-    budget = budget or Budget()
-    records = []
-    for k in k_values:
-        for p in primes_in_ap(1, k, p_max):
-            params = {"k": k, "p": p}
-            if budget.skip(k * p):
-                records.append(VerificationRecord(
-                    "thm22", params, k, None, UNKNOWN, 0.0, "over max-vertices budget"))
-                continue
-            r = element_of_order(k, p)
-            params["r"] = r
+    exactly k for every prime p = 1 (mod k), k in 2..6 unless k is given."""
+    for m in (2, 3, 4, 5, 6) if k is None else (k,):
+        for p in primes_in_ap(1, m, p_max):
+            params = {"k": m, "p": p}
 
-            def compute(k=k, p=p, r=r):
-                inst = x_mnr(k, p, r)
-                res = hamilton_compression(inst.graph, "lift")
-                return res.kappa, _eq_status(k, res.kappa), ""
+            def compute(m=m, p=p, params=params):
+                params["r"] = r = element_of_order(m, p)
+                return hamilton_compression(families.x_mnr(m, p, r).graph, "lift").kappa
 
-            records.append(_timed("thm22", params, k, compute, budget))
-    return records
+            yield _equals(params, m, m * p, compute)
 
 
-def verify_prop21(budget: Budget | None = None) -> list[VerificationRecord]:
+def prop21():
     """Lower bounds from the twisted quotient, plus the double-arc positions."""
-    budget = budget or Budget()
-    records = []
+    def bound(m, n, r, lower, note=""):
+        def run():
+            kappa = hamilton_compression(families.x_mnr(m, n, r).graph, "lift").kappa
+            return {"lower_bound": lower}, kappa, PASS if kappa >= lower else FAIL, note
+        return run
+
     for n in (5, 7, 9, 11):
-        def compute(n=n):
-            inst = x_mnr(2, n, n - 1)
-            res = hamilton_compression(inst.graph, "lift")
-            return res.kappa, _bound_status(2, res.kappa), ""
-
-        records.append(_timed("prop21", {"case": "odd-prism", "n": n},
-                              {"lower_bound": 2}, compute, budget))
+        yield {"case": "odd-prism", "n": n}, {"lower_bound": 2}, 2 * n, bound(2, n, n - 1, 2)
     for n in (4, 6, 8):
-        def compute(n=n):
-            inst = x_mnr(2, n, n - 1)
-            res = hamilton_compression(inst.graph, "lift")
-            return res.kappa, _bound_status(n // 2, res.kappa), ""
-
-        records.append(_timed("prop21", {"case": "even-prism", "n": n},
-                              {"lower_bound": n // 2}, compute, budget,
-                              note="hypothesis relaxed: r-1 not a unit for even n"))
+        yield ({"case": "even-prism", "n": n}, {"lower_bound": n // 2}, 2 * n,
+               bound(2, n, n - 1, n // 2, "hypothesis relaxed: r-1 not a unit for even n"))
     for m, n, r in ((3, 7, 2), (3, 13, 3), (4, 5, 2), (4, 13, 5), (6, 7, 3)):
-        def compute(m=m, n=n, r=r):
-            inst = x_mnr(m, n, r)
-            res = hamilton_compression(inst.graph, "lift")
-            if res.kappa < m:
-                return res.kappa, FAIL, ""
+        def run(m=m, n=n, r=r):
+            inst = families.x_mnr(m, n, r)
+            kappa = hamilton_compression(inst.graph, "lift").kappa
+            lower = {"lower_bound": m}
+            if kappa < m:
+                return lower, kappa, FAIL, ""
             # cross-check the double-arc positions against the quotient
-            qg = quotient_with_voltages(inst.graph, grid_sigma(m, n, r))
+            qg = quotient_with_voltages(inst.graph, families.grid_sigma(m, n, r))
             counts = Counter((a, b) for (a, b, _s) in qg.arcs)
             doubled = sorted(pair for pair, cnt in counts.items() if cnt > 1)
             expected = sorted(
                 tuple(sorted((j, (j + 1) % n))) for j in double_edge_positions(m, n, r)
             )
             if doubled != expected:
-                return res.kappa, FAIL, f"double arcs at {doubled}, predicted {expected}"
-            return res.kappa, PASS, f"double arcs verified at {expected}"
+                return lower, kappa, FAIL, f"double arcs at {doubled}, predicted {expected}"
+            return lower, kappa, PASS, f"double arcs verified at {expected}"
 
-        records.append(_timed("prop21", {"case": "twist-bound", "m": m, "n": n, "r": r},
-                              {"lower_bound": m}, compute, budget))
-    return records
+        yield {"case": "twist-bound", "m": m, "n": n, "r": r}, {"lower_bound": m}, m * n, run
 
 
-def verify_thm31(
-    q: int = 2, p: int = 13, t: int = 2, large: bool = False, budget: Budget | None = None
-) -> list[VerificationRecord]:
+def thm31(q=2, p=13, t=2, large=False):
     """Trivial compression of the non-Cayley families; the 10-vertex member
     is the Petersen graph and is recorded as a documented discrepancy."""
-    budget = budget or Budget()
+    params = {"q": q, "p": p, "t": t}
     if q * p > 40 and not large:
-        return [VerificationRecord(
-            "thm31", {"q": q, "p": p, "t": t}, 1, None, UNKNOWN, 0.0,
-            "instance gated behind --large")]
-    records = []
-    for family, build in (("yqp", y_qp), ("zqp", z_qp)):
+        yield params, 1, q * p, lambda: (1, None, UNKNOWN, "instance gated behind --large")
+        return
+    for family, build in (("yqp", families.y_qp), ("zqp", families.z_qp)):
         if family == "zqp" and t == 2:
             continue  # identical graph when t = 2
 
-        def compute(build=build):
-            inst = build(q, p, t)
-            g = inst.graph
+        def run(build=build):
+            g = build(q, p, t).graph
             if is_petersen(g):
                 res = hamilton_compression(g, "lift")
-                return res.kappa, DISCREPANCY, "instance is the Petersen graph (kappa 0)"
+                return 1, res.kappa, DISCREPANCY, "instance is the Petersen graph (kappa 0)"
             if all(d == 3 for d in g.degrees()) and g.n <= 30:
                 res = hamilton_compression(g, "exhaustive")
-                lift_res = hamilton_compression(g, "lift")
-                if lift_res.kappa != res.kappa:
-                    return res.kappa, FAIL, "lift and exhaustive modes disagree"
+                if hamilton_compression(g, "lift").kappa != res.kappa:
+                    return 1, res.kappa, FAIL, "lift and exhaustive modes disagree"
                 note = "exhaustive enumeration plus empty symmetric sweep"
             else:
                 res = hamilton_compression(g, "lift")
                 note = "lift-mode sweep"
-            return res.kappa, _eq_status(1, res.kappa), note
+            return 1, res.kappa, PASS if res.kappa == 1 else FAIL, note
 
-        records.append(_timed("thm31", {"family": family, "q": q, "p": p, "t": t},
-                              1, compute, budget))
-    return records
+        yield {"family": family, **params}, 1, q * p, run
 
 
-def _thm43_corpus() -> list[tuple[str, FamilyInstance]]:
-    pet = petersen()
+def _thm43_corpus() -> list[tuple[str, families.FamilyInstance]]:
+    pet = families.petersen()
     comp_graph = pet.graph.complement()
-    complement_inst = FamilyInstance(
+    complement_inst = families.FamilyInstance(
         comp_graph, pet.labeling, pet.rho, pet.sigma,
         {"family": "petersen-complement", "q": 2, "p": 5},
     )
     if not is_automorphism(comp_graph, pet.rho):
         raise AssertionError("rotation lost under complement")
+    gp, triple = families.generalized_petersen, families.metacirculant_triple_2p
     return [
         ("petersen", pet),
         ("petersen-complement", complement_inst),
-        ("prism-5", generalized_petersen(5, 1)),
-        ("prism-7", generalized_petersen(7, 1)),
-        ("prism-11", generalized_petersen(11, 1)),
-        ("gp-13-5", generalized_petersen(13, 5)),
-        ("gp-17-4", generalized_petersen(17, 4)),
-        ("xmnr-3-7-2", x_mnr(3, 7, 2)),
-        ("triple-5-sym", metacirculant_triple_2p(5, {1, 4}, {1, 4}, {0, 1, 4})),
-        ("triple-7-sym", metacirculant_triple_2p(7, {1, 6}, {1, 6}, {0, 1, 6})),
-        ("triple-5-skew", metacirculant_triple_2p(5, {1, 4}, {2, 3}, {1, 2, 3, 4})),
+        ("prism-5", gp(5, 1)),
+        ("prism-7", gp(7, 1)),
+        ("prism-11", gp(11, 1)),
+        ("gp-13-5", gp(13, 5)),
+        ("gp-17-4", gp(17, 4)),
+        ("xmnr-3-7-2", families.x_mnr(3, 7, 2)),
+        ("triple-5-sym", triple(5, {1, 4}, {1, 4}, {0, 1, 4})),
+        ("triple-7-sym", triple(7, {1, 6}, {1, 6}, {0, 1, 6})),
+        ("triple-5-skew", triple(5, {1, 4}, {2, 3}, {1, 2, 3, 4})),
     ]
 
 
-def verify_thm43(budget: Budget | None = None) -> list[VerificationRecord]:
+THM43_NOTE = ("connectivity split taken on the subgraph left after deleting "
+              "the order-p rotation's orbit edges")
+
+
+def thm43():
     """Predicted vs exhaustively computed compression over a corpus of
     order-pq metacirculants; the connected-case split is cross-checked, with
     disagreement there recorded, not failed."""
-    budget = budget or Budget()
-    records = []
     for name, inst in _thm43_corpus():
         params = {"graph": name, "q": inst.labeling.m, "p": inst.labeling.n,
                   "vertices": inst.graph.n}
-        if budget.skip(inst.graph.n):
-            records.append(VerificationRecord(
-                "thm43", params, None, None, UNKNOWN, 0.0, "over max-vertices budget"))
-            continue
-        holder: dict = {}
 
-        def compute(inst=inst, holder=holder):
-            group = automorphism_group(inst.graph)
-            pred = predict_kappa_metapq(inst, group=group)
-            holder["predicted"] = pred.kappa
-            holder["case"] = pred.case
+        def run(inst=inst, params=params):
+            pred = predict_kappa_metapq(inst)
+            params["case"] = pred.case
             res = hamilton_compression(inst.graph, "exhaustive")
             if not res.exact:
-                return res.kappa, UNKNOWN, "enumeration limit reached"
-            if pred.kappa is None:
-                return res.kappa, UNKNOWN, "prediction unknown (capped group)"
-            if pred.kappa == res.kappa:
-                return res.kappa, PASS, f"case {pred.case}"
-            if pred.case in ("connected-bicayley", "connected-default"):
-                return res.kappa, DISCREPANCY, (
+                status, note = UNKNOWN, "enumeration limit reached"
+            elif pred.kappa is None:
+                status, note = UNKNOWN, "prediction unknown (capped group)"
+            elif pred.kappa == res.kappa:
+                status, note = PASS, f"case {pred.case}"
+            elif pred.case in ("connected-bicayley", "connected-default"):
+                status, note = DISCREPANCY, (
                     f"predicted {pred.kappa} via {pred.case}; the connected-case "
                     "split is recorded rather than asserted")
-            return res.kappa, FAIL, f"predicted {pred.kappa} via {pred.case}"
+            else:
+                status, note = FAIL, f"predicted {pred.kappa} via {pred.case}"
+            return pred.kappa, res.kappa, status, f"{THM43_NOTE}; {note}"
 
-        rec = _timed("thm43", params, None, compute, budget,
-                     note="connectivity split taken on the subgraph left after "
-                          "deleting the order-p rotation's orbit edges")
-        rec.predicted = holder.get("predicted")
-        rec.params["case"] = holder.get("case")
-        records.append(rec)
-    return records
+        yield params, None, inst.graph.n, run
 
 
-def verify_prop42(budget: Budget | None = None) -> list[VerificationRecord]:
+def prop42():
     """Cubic lower bound p for Cayley graphs of the non-abelian order-p^3
     groups: the symmetric search at the central rotation must succeed."""
-    budget = budget or Budget()
-    records = []
     for variant in ("heisenberg", "modular"):
-        def compute(variant=variant):
-            inst = cayley_p3(3, variant)
+        def run(variant=variant):
+            inst = families.cayley_p3(3, variant)
             cycle = find_symmetric_hamcycle(inst.graph, inst.rho)
             note = "central-rotation quotient lifts"
             if cycle is None:
@@ -346,39 +266,70 @@ def verify_prop42(budget: Budget | None = None) -> list[VerificationRecord]:
                     if cycle is not None:
                         break
             if cycle is None:
-                return 0, FAIL, "no rotation-symmetric Hamilton cycle at k=3"
-            cert = cycle_compression(inst.graph, cycle)
-            return cert.k, _bound_status(3, cert.k), note
+                return {"lower_bound": 3}, 0, FAIL, "no rotation-symmetric Hamilton cycle at k=3"
+            k = cycle_compression(inst.graph, cycle).k
+            return {"lower_bound": 3}, k, PASS if k >= 3 else FAIL, note
 
-        records.append(_timed("prop42", {"p": 3, "variant": variant},
-                              {"lower_bound": 3}, compute, budget))
-    return records
+        yield {"p": 3, "variant": variant}, {"lower_bound": 3}, 27, run
 
 
-def verify_circulant(budget: Budget | None = None) -> list[VerificationRecord]:
-    budget = budget or Budget()
-    records = []
+def circulant():
     for conn, expected in (({1, 14}, 15), ({3, 12, 5, 10}, 1)):
-        def compute(conn=conn, expected=expected):
+        def run(conn=conn, expected=expected):
             predicted = predict_kappa_circulant(15, conn)
-            inst = circulant(15, conn)
-            res = hamilton_compression(inst.graph, "lift")
+            kappa = hamilton_compression(families.circulant(15, conn).graph, "lift").kappa
             if predicted != expected:
-                return res.kappa, FAIL, f"rule predicts {predicted}, expected {expected}"
-            return res.kappa, _eq_status(predicted, res.kappa), ""
+                return expected, kappa, FAIL, f"rule predicts {predicted}, expected {expected}"
+            return expected, kappa, PASS if kappa == predicted else FAIL, ""
 
-        records.append(_timed("circulant", {"n": 15, "connection": sorted(conn)},
-                              expected, compute, budget))
+        yield {"n": 15, "connection": sorted(conn)}, expected, 15, run
+
+
+CLAIMS = {
+    "petersen": petersen,
+    "thm22": thm22,
+    "thm31": thm31,
+    "thm43": thm43,
+    "prop21": prop21,
+    "prop42": prop42,
+    "circulant": circulant,
+}
+
+
+def run_claim(claim: str, budget: Budget | None = None, **options) -> list[VerificationRecord]:
+    """Records of one claim's instances, in the claim's own order."""
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}; choose from {sorted(CLAIMS)}")
+    budget = budget or Budget()
+    try:
+        cases = CLAIMS[claim](**options)
+    except TypeError as exc:  # a generator binds its options at the call
+        raise ValueError(f"claim {claim!r}: {exc}") from None
+    records = []
+    for params, predicted, vertices, run in cases:
+        if vertices > budget.max_vertices:
+            records.append(VerificationRecord(
+                claim, params, predicted, None, UNKNOWN, 0.0, "over max-vertices budget"))
+            continue
+        start = time.monotonic()
+        predicted, computed, status, note = run()
+        elapsed = time.monotonic() - start
+        if elapsed > budget.time_budget:
+            status = UNKNOWN
+            over = f"time budget {budget.time_budget}s exceeded"
+            note = f"{note}; {over}" if note else over
+        records.append(VerificationRecord(
+            claim, params, predicted, computed, status, elapsed, note))
     return records
 
 
 def probe_zsigma(q: int, p: int, t: int) -> dict:
     """Whether the twisted rotation and its powers preserve the edges of the
     sparser family member; recorded, never asserted."""
-    inst = z_qp(q, p, t)
+    inst = families.z_qp(q, p, t)
     g = inst.graph
     r = inst.params["r"]
-    sigma = grid_sigma(q, p, r)
+    sigma = families.grid_sigma(q, p, r)
     perm_order = order(sigma)
     powers = []
     for d in range(1, perm_order + 1):
@@ -396,26 +347,3 @@ def probe_zsigma(q: int, p: int, t: int) -> dict:
         "sigma_is_automorphism": bool(powers and powers[0]["automorphism"]),
         "powers": powers,
     }
-
-
-_RUNNERS = {
-    "petersen": lambda budget, **kw: verify_petersen(budget),
-    "thm22": lambda budget, **kw: verify_thm22(
-        k_values=(kw["k"],) if kw.get("k") else (2, 3, 4, 5, 6),
-        p_max=kw.get("p_max") or 50, budget=budget),
-    "thm31": lambda budget, **kw: verify_thm31(
-        q=kw.get("q") or 2, p=kw.get("p") or 13, t=kw.get("t") or 2,
-        large=kw.get("large", False), budget=budget),
-    "thm43": lambda budget, **kw: verify_thm43(budget),
-    "prop21": lambda budget, **kw: verify_prop21(budget),
-    "prop42": lambda budget, **kw: verify_prop42(budget),
-    "circulant": lambda budget, **kw: verify_circulant(budget),
-}
-
-
-def run_claim(claim: str, budget: Budget | None = None, **kw) -> list[VerificationRecord]:
-    if claim not in _RUNNERS:
-        raise ValueError(f"unknown claim {claim!r}; choose from {sorted(_RUNNERS)}")
-    records = _RUNNERS[claim](budget or Budget(), **kw)
-    records.sort(key=lambda r: (r.claim, sorted(r.params.items(), key=str).__repr__()))
-    return records

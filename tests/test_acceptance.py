@@ -22,15 +22,7 @@ from hamcompress import (
     y_qp,
 )
 from hamcompress.autgroup import cyclic_semiregular_reps
-from hamcompress.compression import _kappa_of_cycle
-from hamcompress.verify import (
-    DISCREPANCY,
-    PASS,
-    verify_prop21,
-    verify_prop42,
-    verify_thm22,
-    verify_thm43,
-)
+from hamcompress.verify import DISCREPANCY, PASS, run_claim
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -66,7 +58,7 @@ def test_c02_petersen_complement():
 
 def test_c03_prescribed_compression_sweep():
     start = time.monotonic()
-    records = verify_thm22(k_values=(2, 3, 4, 5, 6), p_max=50)
+    records = run_claim("thm22")
     elapsed = time.monotonic() - start
     bad = [r for r in records if r.status != PASS]
     ok = not bad and len(records) >= 30 and elapsed < 600.0
@@ -77,7 +69,7 @@ def test_c03_prescribed_compression_sweep():
 
 def test_c04_twist_lower_bounds():
     start = time.monotonic()
-    records = verify_prop21()
+    records = run_claim("prop21")
     elapsed = time.monotonic() - start
     bad = [r for r in records if r.status != PASS]
     odd = [r for r in records if r.params.get("case") == "odd-prism"]
@@ -95,7 +87,7 @@ def test_c05_trivial_compression_instance():
     inst = y_qp(2, 13, 2)
     g = inst.graph
     cycles, exact = enumerate_hamcycles(g)
-    max_kappa = max(_kappa_of_cycle(g, c) for c in cycles)
+    max_kappa = max(cycle_compression(g, c).k for c in cycles)
     group = automorphism_group(g)
     reps = cyclic_semiregular_reps(group)
     sweep_hits = [
@@ -116,7 +108,7 @@ def test_c05_trivial_compression_instance():
 
 def test_c06_order_pq_cross_check():
     start = time.monotonic()
-    records = verify_thm43()
+    records = run_claim("thm43")
     elapsed = time.monotonic() - start
     bad = [r for r in records if r.status not in (PASS, DISCREPANCY)]
     cases = {r.params.get("case") for r in records}
@@ -136,7 +128,7 @@ def test_c07_order_27_cayley_bound():
     results = {}
     for variant in ("heisenberg", "modular"):
         start = time.monotonic()
-        records = verify_prop42()
+        records = run_claim("prop42")
         elapsed = time.monotonic() - start
         rec = next(r for r in records if r.params["variant"] == variant)
         results[variant] = (rec.status, rec.computed, elapsed)

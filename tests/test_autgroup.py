@@ -190,6 +190,18 @@ def test_regular_subgroups_skip_intransitive_order_n_subgroups():
     assert all(len({a[0] for a in s.elements}) == 8 for s in subs)
 
 
+def test_regular_subgroup_tags():
+    """"cyclic" when some element has order n; else "dihedral" when n = 2p,
+    p an odd prime; else None."""
+    def tags(g):
+        return sorted((s.tag for s in regular_subgroups(g)), key=str)
+
+    assert tags(graph_k4()) == [None, "cyclic", "cyclic", "cyclic"]
+    assert tags(graph_cycle(15)) == ["cyclic"]
+    k6 = Graph.build(6, list(itertools.combinations(range(6), 2)))
+    assert tags(k6) == ["cyclic"] * 60 + ["dihedral"] * 20
+
+
 def test_is_cayley_examples():
     assert is_cayley(x_mnr(4, 5, 2).graph) == "yes"
     assert is_cayley(y_qp(2, 13, 2).graph) == "no"

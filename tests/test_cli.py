@@ -150,12 +150,11 @@ def test_verify_thm31_petersen_member_discrepancy(capsys):
 
 def test_verify_failure_exit_1(capsys, monkeypatch):
     from hamcompress import verify as verify_mod
-    from hamcompress.verify import VerificationRecord
 
-    def fake_runner(budget, **kw):
-        return [VerificationRecord("circulant", {"n": 15}, 15, 1, "fail", 0.0)]
+    def fake_cases():
+        yield {"n": 15}, 15, 15, lambda: (15, 1, "fail", "")
 
-    monkeypatch.setitem(verify_mod._RUNNERS, "circulant", fake_runner)
+    monkeypatch.setitem(verify_mod.CLAIMS, "circulant", fake_cases)
     code, out = run_cli(capsys, "verify", "--claim", "circulant")
     assert code == 1
     assert json.loads(out)["counts"]["fail"] == 1
@@ -167,6 +166,18 @@ def test_verify_budget_exit_3(capsys):
     assert code == 3
     rep = json.loads(out)
     assert all(r["status"] == "unknown" for r in rep["records"])
+
+
+def test_verify_max_vertices_applies_to_every_claim(capsys):
+    code, out = run_cli(capsys, "verify", "--claim", "prop42", "--max-vertices", "20")
+    assert code == 3
+    rep = json.loads(out)
+    assert [r["status"] for r in rep["records"]] == ["unknown", "unknown"]
+
+
+def test_verify_option_the_claim_does_not_take_exit_2(capsys):
+    code, out = run_cli(capsys, "verify", "--claim", "circulant", "--k", "3")
+    assert code == 2 and out == ""
 
 
 def test_probe_zsigma(capsys):

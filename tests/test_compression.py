@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import graph_cycle, graph_k4
+from conftest import graph_cycle, graph_k4, small_corpus
 from hamcompress import (
     FamilyInstance,
     Graph,
@@ -29,6 +29,7 @@ from hamcompress import (
     x_mnr,
     y_qp,
 )
+from hamcompress.compression import rotation_witness
 
 
 def test_cycle_compression_cycle_graph():
@@ -48,6 +49,26 @@ def test_cycle_compression_k4():
         assert cert.k == 4  # every rotation of K4 is an automorphism
     with pytest.raises(ValueError):
         cycle_compression(g, (0, 1, 2))
+
+
+def test_cycle_compression_matches_full_shift_scan():
+    """Oracle over the corpus: scan all n shifts of each cycle, check that the
+    working ones form a subgroup of Z_n, and that its generator is the
+    certificate's shift."""
+    seen_k = set()
+    for name, g in small_corpus():
+        cycles = enumerate_hamcycles(g, limit=50)[0]
+        cycles += [cert.cycle for cert in ham_array(g).certificates.values()]
+        for cycle in cycles:
+            n = g.n
+            working = [s for s in range(1, n + 1)
+                       if is_automorphism(g, rotation_witness(cycle, s))]
+            s_min = working[0]
+            assert n % s_min == 0 and working == list(range(s_min, n + 1, s_min)), name
+            cert = cycle_compression(g, cycle)
+            assert (cert.shift, cert.k) == (s_min, n // s_min), name
+            seen_k.add(cert.k)
+    assert {1, 2, 4, 5, 15} <= seen_k
 
 
 def test_certificate_shape():

@@ -7,14 +7,11 @@ from hamcompress.verify import (
     UNKNOWN,
     probe_zsigma,
     run_claim,
-    verify_petersen,
-    verify_thm22,
-    verify_thm31,
 )
 
 
 def test_petersen_claim_all_pass():
-    records = verify_petersen()
+    records = run_claim("petersen")
     assert len(records) == 5
     assert all(r.status == PASS for r in records)
     kappa_rec = next(r for r in records
@@ -23,7 +20,7 @@ def test_petersen_claim_all_pass():
 
 
 def test_thm22_single_k_instances():
-    records = verify_thm22(k_values=(3,), p_max=50)
+    records = run_claim("thm22", k=3, p_max=50)
     assert [(r.params["k"], r.params["p"]) for r in records] == [
         (3, 7), (3, 13), (3, 19), (3, 31), (3, 37), (3, 43)
     ]
@@ -31,21 +28,51 @@ def test_thm22_single_k_instances():
 
 
 def test_thm31_default_and_petersen_member():
-    recs = verify_thm31(q=2, p=13, t=2)
+    recs = run_claim("thm31", q=2, p=13, t=2)
     assert len(recs) == 1 and recs[0].status == PASS and recs[0].computed == 1
-    recs = verify_thm31(q=2, p=5, t=2)
+    recs = run_claim("thm31", q=2, p=5, t=2)
     assert recs[0].status == DISCREPANCY and recs[0].computed == 0
 
 
 def test_thm31_large_gate():
-    recs = verify_thm31(q=3, p=19, t=2, large=False)
+    recs = run_claim("thm31", q=3, p=19, t=2, large=False)
     assert recs[0].status == UNKNOWN and "large" in recs[0].note
 
 
 def test_max_vertices_budget_marks_unknown():
-    records = verify_thm22(k_values=(6,), p_max=50,
-                           budget=Budget(max_vertices=40))
+    records = run_claim("thm22", Budget(max_vertices=40), k=6, p_max=50)
     assert records and all(r.status == UNKNOWN for r in records)
+
+
+def test_skipped_record_keeps_its_prediction():
+    rec = run_claim("thm22", Budget(max_vertices=40), k=6)[0]
+    assert (rec.params, rec.predicted, rec.computed, rec.seconds, rec.note) == (
+        {"k": 6, "p": 7}, 6, None, 0.0, "over max-vertices budget")
+
+
+def test_max_vertices_applies_to_every_claim():
+    records = run_claim("prop42", Budget(max_vertices=20))
+    assert [(r.params["variant"], r.status) for r in records] == [
+        ("heisenberg", UNKNOWN), ("modular", UNKNOWN)
+    ]
+    for claim in ("petersen", "thm31", "prop21", "circulant"):
+        assert all(r.status == UNKNOWN and r.computed is None
+                   for r in run_claim(claim, Budget(max_vertices=1))), claim
+
+
+def test_records_in_claim_order():
+    """k, then p, ascending: not the string order, which puts p = 13 before 7."""
+    records = run_claim("thm22", Budget(max_vertices=0))
+    pairs = [(r.params["k"], r.params["p"]) for r in records]
+    assert pairs[:3] == [(2, 3), (2, 5), (2, 7)]
+    assert pairs == sorted(pairs) and len(pairs) == 35
+
+
+def test_option_the_claim_does_not_take_is_an_input_error():
+    with pytest.raises(ValueError, match="circulant"):
+        run_claim("circulant", k=3)
+    with pytest.raises(ValueError, match="thm22"):
+        run_claim("thm22", q=2)
 
 
 def test_records_serialise():
