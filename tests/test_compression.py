@@ -57,10 +57,9 @@ def test_cycle_compression_matches_full_shift_scan():
     certificate's shift."""
     seen_k = set()
     for name, g in small_corpus():
-        cycles = enumerate_hamcycles(g, limit=50)[0]
-        cycles += [cert.cycle for cert in ham_array(g).certificates.values()]
-        for cycle in cycles:
-            n = g.n
+        n = g.n
+        ham_certs = list(ham_array(g).certificates.values())
+        for cycle in enumerate_hamcycles(g, limit=50)[0] + [c.cycle for c in ham_certs]:
             working = [s for s in range(1, n + 1)
                        if is_automorphism(g, rotation_witness(cycle, s))]
             s_min = working[0]
@@ -68,6 +67,8 @@ def test_cycle_compression_matches_full_shift_scan():
             cert = cycle_compression(g, cycle)
             assert (cert.shift, cert.k) == (s_min, n // s_min), name
             seen_k.add(cert.k)
+        for cert in ham_certs:
+            assert cycle_compression(g, cert.cycle) == cert, name
     assert {1, 2, 4, 5, 15} <= seen_k
 
 
