@@ -5,8 +5,10 @@ vertices it computes, level by level, the orbit of the base vertex under the
 pointwise stabilizer of the earlier ones, with a witness automorphism per
 orbit member. The group order is the product of the orbit sizes
 (orbit-stabilizer), which stays exact even when the full element list is not
-enumerated. Candidate images are pruned by iterated neighbourhood-colour
-refinement run simultaneously on the source and target side.
+enumerated. One search step, `_search_one`, finds every witness: it
+individualizes a source and a target vertex, refines both colourings jointly
+and recurses on the first non-singleton cell. The element cap is set only on
+`automorphism_group`; functions that read a group take it as `group=`.
 
 Determinism: refinement assigns colours from sorted signature keys, the base
 vertex is always the least vertex of the first non-singleton cell, and
@@ -53,64 +55,57 @@ def _refine(rows: tuple[int, ...], col_a: list[int], col_b: list[int]):
 
     Cells are split by (own colour, sorted multiset of neighbour colours);
     fresh colour ids come from the sorted signature keys of the source side,
-    so aligned cells keep matching ids. Returns (col_a, col_b, ncolours), or
-    None when the signature multisets diverge, i.e. no automorphism can map
-    the source cells onto the target cells.
+    so aligned cells keep matching ids. Returns (col_a, col_b) as new lists,
+    or None when the signature multisets diverge, i.e. no automorphism can
+    map the source cells onto the target cells.
     """
     n = len(col_a)
-    same = col_b is col_a
     ncol = len(set(col_a))
     while True:
         sig_a = [None] * n
+        sig_b = [None] * n
         for v in range(n):
-            nb = sorted(col_a[w] for w in bits(rows[v]))
-            sig_a[v] = (col_a[v], tuple(nb))
-        if same:
-            sig_b = sig_a
-        else:
-            sig_b = [None] * n
-            for v in range(n):
-                nb = sorted(col_b[w] for w in bits(rows[v]))
-                sig_b[v] = (col_b[v], tuple(nb))
-            if Counter(sig_a) != Counter(sig_b):
-                return None
+            nbrs = list(bits(rows[v]))
+            sig_a[v] = (col_a[v], tuple(sorted([col_a[w] for w in nbrs])))
+            sig_b[v] = (col_b[v], tuple(sorted([col_b[w] for w in nbrs])))
+        if Counter(sig_a) != Counter(sig_b):
+            return None
         remap = {key: i for i, key in enumerate(sorted(set(sig_a)))}
         col_a = [remap[s] for s in sig_a]
-        col_b = col_a if same else [remap[s] for s in sig_b]
+        col_b = [remap[s] for s in sig_b]
         if len(remap) == ncol:
-            return col_a, col_b, ncol
+            return col_a, col_b
         ncol = len(remap)
 
 
-def _cells(col: list[int], ncol: int) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in range(ncol)]
-    for v, c in enumerate(col):
-        out[c].append(v)
-    return out
+def _first_cell(col_a: list[int], col_b: list[int]) -> tuple[int, list[int]] | None:
+    """Least source vertex and ascending target vertices of the lowest colour
+    held by two or more vertices; None when col_a is discrete."""
+    c = min((c for c, size in Counter(col_a).items() if size > 1), default=None)
+    if c is None:
+        return None
+    return col_a.index(c), [w for w, cw in enumerate(col_b) if cw == c]
 
 
-def _search_one(g: Graph, col_a: list[int], col_b: list[int]) -> Perm | None:
-    """First automorphism compatible with the coloured alignment, or None."""
+def _search_one(g: Graph, col_a: list[int], col_b: list[int], v: int, t: int) -> Perm | None:
+    """The first automorphism sending v to t that respects the aligned
+    colourings col_a -> col_b, or None; v and t get the fresh colour n."""
+    n = g.n
+    col_a = list(col_a)
+    col_b = list(col_b)
+    col_a[v] = col_b[t] = n
     refined = _refine(g.rows, col_a, col_b)
     if refined is None:
         return None
-    col_a, col_b, ncol = refined
-    cells_a = _cells(col_a, ncol)
-    cells_b = _cells(col_b, ncol)
-    split = next((c for c in range(ncol) if len(cells_a[c]) > 1), None)
+    col_a, col_b = refined
+    split = _first_cell(col_a, col_b)
     if split is None:
-        img = [0] * g.n
-        for c in range(ncol):
-            img[cells_a[c][0]] = cells_b[c][0]
-        p = tuple(img)
+        vertex_b = {c: w for w, c in enumerate(col_b)}
+        p = tuple(vertex_b[c] for c in col_a)
         return p if is_automorphism(g, p) else None
-    v = cells_a[split][0]
-    for t in cells_b[split]:
-        ca = list(col_a)
-        cb = list(col_b)
-        ca[v] = ncol
-        cb[t] = ncol
-        found = _search_one(g, ca, cb)
+    u, targets = split
+    for w in targets:
+        found = _search_one(g, col_a, col_b, u, w)
         if found is not None:
             return found
     return None
@@ -128,32 +123,22 @@ class GroupData:
 
 
 def automorphism_group(g: Graph, cap: int = DEFAULT_CAP) -> GroupData:
+    """Aut(g); the element list is left out (capped) above cap elements."""
     if cap < 1:
         raise ValueError("cap must be positive")
     n = g.n
-    if n == 0:
-        return GroupData((), ((),), 1, False)
-    col = [0] * n
+    col, _ = _refine(g.rows, [0] * n, [0] * n)
     levels: list[dict[int, Perm]] = []
-    while True:
-        col, _, ncol = _refine(g.rows, col, col)
-        cells = _cells(col, ncol)
-        split = next((c for c in range(ncol) if len(cells[c]) > 1), None)
-        if split is None:
-            break
-        base = cells[split][0]
+    while (split := _first_cell(col, col)) is not None:
+        base, cell = split
         transversal: dict[int, Perm] = {base: identity(n)}
-        for t in cells[split][1:]:
-            ca = list(col)
-            cb = list(col)
-            ca[base] = ncol
-            cb[t] = ncol
-            witness = _search_one(g, ca, cb)
+        for t in cell[1:]:
+            witness = _search_one(g, col, col, base, t)
             if witness is not None:
                 transversal[t] = witness
         levels.append(transversal)
-        col = list(col)
-        col[base] = ncol  # fix the base point and descend to its stabilizer
+        col[base] = n  # fix the base point and descend to its stabilizer
+        col, _ = _refine(g.rows, col, col)
     grp_order = prod(len(t) for t in levels)
     generators = tuple(
         p for t in levels for p in t.values() if any(p[i] != i for i in range(n))
@@ -212,10 +197,10 @@ class SemArray:
     exact: bool
 
 
-def sem_array(g: Graph, cap: int = DEFAULT_CAP, group: GroupData | None = None) -> SemArray:
+def sem_array(g: Graph, group: GroupData | None = None) -> SemArray:
     """Witness per order: the least semiregular element of that order."""
     if group is None:
-        group = automorphism_group(g, cap)
+        group = automorphism_group(g)
     found = {1: identity(g.n)}
     found.update((k, gens[0]) for k, gens in cyclic_semiregular_reps(group).items())
     return SemArray(tuple(sorted(found)), found, exact=not group.capped)
@@ -250,9 +235,7 @@ def _closure(base: frozenset[Perm], extra: Perm, n: int) -> frozenset[Perm] | No
     return frozenset(elems)
 
 
-def regular_subgroups(
-    g: Graph, cap: int = DEFAULT_CAP, group: GroupData | None = None
-) -> list[RegularSubgroup] | None:
+def regular_subgroups(g: Graph, group: GroupData | None = None) -> list[RegularSubgroup] | None:
     """All order-n subgroups acting regularly on g, or None when the group
     enumeration was capped (status unknown).
 
@@ -263,7 +246,7 @@ def regular_subgroups(
     fixed-point-free acts semiregularly, so reaching size n means regular.
     """
     if group is None:
-        group = automorphism_group(g, cap)
+        group = automorphism_group(g)
     if group.capped:
         return None
     n = g.n
@@ -300,9 +283,9 @@ def regular_subgroups(
     return out
 
 
-def is_cayley(g: Graph, cap: int = DEFAULT_CAP, group: GroupData | None = None) -> str:
+def is_cayley(g: Graph, group: GroupData | None = None) -> str:
     """"yes" / "no" / "unknown": does some subgroup act regularly on g?"""
-    subs = regular_subgroups(g, cap, group=group)
+    subs = regular_subgroups(g, group=group)
     if subs is None:
         return "unknown"
     return "yes" if subs else "no"

@@ -16,6 +16,7 @@ from . import verify as verify_mod
 from .autgroup import automorphism_group, group_report, sem_array
 from .compression import (
     CompressionCertificate,
+    check_cubic,
     cycle_compression,
     format_lcf,
     ham_array,
@@ -24,6 +25,7 @@ from .compression import (
     lcf_compressed,
 )
 from .families import (
+    P3_DEFAULT_CONNECTION,
     FamilyInstance,
     cayley_p3,
     circulant,
@@ -36,6 +38,7 @@ from .families import (
     z_qp,
 )
 from .graph import emit_edgelist, parse_edgelist
+from .hamlift import ENUM_LIMIT
 from .perm import format_perm
 
 EXIT_OK = 0
@@ -108,7 +111,7 @@ def _build_instance(args) -> FamilyInstance:
             _parse_int_set(args.spokes))
     if fam == "cayleyp3":
         _require(args, "p")
-        conn = tuple(args.connection.split(",")) if args.connection else ("a", "A", "b", "B")
+        conn = tuple(args.connection.split(",")) if args.connection else P3_DEFAULT_CONNECTION
         return cayley_p3(args.p, args.variant, conn)
     if fam == "orbit":
         _require(args, "m", "n", "r", "neighbors")
@@ -207,6 +210,7 @@ def cmd_ham(args) -> int:
 
 def cmd_lcf(args) -> int:
     g = _load_graph(args.graph)
+    check_cubic(g)
     res = hamilton_compression(g, "lift")
     if res.certificate is None:
         _say(args, "graph has no Hamilton cycle; no LCF word")
@@ -292,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("kappa", parents=[common], help="Hamilton compression of a graph file")
     k.add_argument("graph")
     k.add_argument("--mode", choices=["lift", "exhaustive"], default="lift")
-    k.add_argument("--limit", type=int, default=10**7)
+    k.add_argument("--limit", type=int, default=ENUM_LIMIT)
     k.set_defaults(func=cmd_kappa)
 
     s = sub.add_parser("sem", parents=[common], help="semiregularity array of a graph file")
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("ham", parents=[common], help="compression array over all Hamilton cycles")
     h.add_argument("graph")
-    h.add_argument("--limit", type=int, default=10**7)
+    h.add_argument("--limit", type=int, default=ENUM_LIMIT)
     h.set_defaults(func=cmd_ham)
 
     l = sub.add_parser("lcf", parents=[common], help="LCF word of a cubic graph along its best cycle")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .autgroup import (
-    DEFAULT_CAP,
     GroupData,
     automorphism_group,
     cyclic_semiregular_reps,
@@ -86,7 +85,6 @@ class KappaResult:
 def hamilton_compression(
     g: Graph,
     mode: str = "lift",
-    cap: int = DEFAULT_CAP,
     limit: int = ENUM_LIMIT,
     group: GroupData | None = None,
 ) -> KappaResult:
@@ -106,7 +104,7 @@ def hamilton_compression(
     if n < 3:
         return KappaResult(0, None, True, mode)
     if group is None:
-        group = automorphism_group(g, cap)
+        group = automorphism_group(g)
     note = "lower bound only on the k>=2 sweep" if group.capped else ""
     reps = cyclic_semiregular_reps(group)
     for k in sorted((d for d in divisors(n) if d >= 2), reverse=True):
@@ -153,12 +151,10 @@ def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
     return HamArray(exhausted, tuple(sorted(certs)), certs)
 
 
-def is_ubiquitously_compressible(
-    g: Graph, cap: int = DEFAULT_CAP, limit: int = ENUM_LIMIT
-) -> bool | None:
+def is_ubiquitously_compressible(g: Graph, limit: int = ENUM_LIMIT) -> bool | None:
     """Ham(g) == Sem(g), or None when either side is inexact."""
     ham = ham_array(g, limit)
-    sem = sem_array(g, cap)
+    sem = sem_array(g)
     if not ham.exact or not sem.exact:
         return None
     return ham.values == sem.values
@@ -167,11 +163,16 @@ def is_ubiquitously_compressible(
 # --- LCF notation for cubic hamiltonian graphs ------------------------------
 
 
+def check_cubic(g: Graph) -> None:
+    """Raise ValueError unless every vertex of g has degree 3."""
+    if any(d != 3 for d in g.degrees()):
+        raise ValueError("LCF notation requires a cubic graph")
+
+
 def lcf(g: Graph, cycle) -> tuple[int, ...]:
     """Chord offsets d_i along a Hamilton cycle of a cubic graph, normalised
     into (-n/2, n/2]; entries avoid {0, +-1} by simplicity."""
-    if any(d != 3 for d in g.degrees()):
-        raise ValueError("LCF notation requires a cubic graph")
+    check_cubic(g)
     check_hamcycle(g, cycle)
     cycle = tuple(cycle)
     n = g.n
@@ -239,9 +240,7 @@ class MetaPqPrediction:
     #            connected-bicayley / connected-default / unknown
 
 
-def predict_kappa_metapq(
-    inst: FamilyInstance, cap: int = DEFAULT_CAP, group: GroupData | None = None
-) -> MetaPqPrediction:
+def predict_kappa_metapq(inst: FamilyInstance, group: GroupData | None = None) -> MetaPqPrediction:
     """Predicted Hamilton compression of a (q,p)-metacirculant, q < p primes.
 
     Decision tree: the Petersen graph is 0; otherwise split on whether
@@ -259,7 +258,7 @@ def predict_kappa_metapq(
         raise ValueError("instance rotation is not semiregular of order p")
     if is_petersen(g):
         return MetaPqPrediction(0, "petersen")
-    subs = regular_subgroups(g, cap, group=group)
+    subs = regular_subgroups(g, group=group)
     if subs is None:
         return MetaPqPrediction(None, "unknown")
     if not remove_intra_orbit_edges(g, rho).is_connected():

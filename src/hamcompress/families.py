@@ -29,9 +29,6 @@ class GridLabeling:
     def vid(self, i: int, j: int) -> int:
         return (i % self.m) * self.n + (j % self.n)
 
-    def coords(self, v: int) -> tuple[int, int]:
-        return divmod(v, self.n)
-
 
 def grid_rho(m: int, n: int) -> Perm:
     """v_i^j -> v_i^{j+1}."""

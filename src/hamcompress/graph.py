@@ -51,9 +51,6 @@ class Graph:
     def neighbors(self, u: int):
         return bits(self.rows[u])
 
-    def degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
-
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 

@@ -77,10 +77,6 @@ class QuotientGraph:
     def num_orbits(self) -> int:
         return len(self.orbit_lists)
 
-    @property
-    def reps(self) -> tuple[int, ...]:
-        return tuple(orb[0] for orb in self.orbit_lists)
-
     def directed_voltages(self) -> dict[tuple[int, int], list[int]]:
         """Voltages per ordered orbit pair; reversing an arc negates it."""
         out: dict[tuple[int, int], set[int]] = {}

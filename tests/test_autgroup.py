@@ -18,7 +18,7 @@ from hamcompress import (
     x_mnr,
     y_qp,
 )
-from hamcompress.autgroup import cyclic_semiregular_reps
+from hamcompress.autgroup import GroupData, cyclic_semiregular_reps
 from hamcompress.graph import Graph
 
 
@@ -93,6 +93,20 @@ def test_x372_sylow_7():
     assert sum(1 for a in grp.elements if order(a) == 7) == 6
 
 
+def test_groups_of_graphs_on_at_most_two_vertices():
+    assert automorphism_group(Graph.build(0, [])) == GroupData((), ((),), 1, False)
+    assert automorphism_group(Graph.build(1, [])) == GroupData((), ((0,),), 1, False)
+    k2 = Graph.build(2, [(0, 1)])
+    assert automorphism_group(k2) == GroupData(((1, 0),), ((0, 1), (1, 0)), 2, False)
+
+
+def test_generators_are_first_witnesses_in_ascending_target_order():
+    """Per stabilizer level, targets ascend and each witness is the first
+    automorphism the search reaches, so the generators of C5 are fixed."""
+    assert automorphism_group(graph_cycle(5)).generators == (
+        (1, 2, 3, 4, 0), (2, 1, 0, 4, 3), (3, 4, 0, 1, 2), (4, 0, 1, 2, 3), (0, 4, 3, 2, 1))
+
+
 def test_capped_group_keeps_exact_order():
     pet = petersen().graph
     grp = automorphism_group(pet, cap=10)
@@ -131,7 +145,8 @@ def test_sem_array_witnesses_are_semiregular():
 
 
 def test_sem_array_capped_is_partial():
-    res = sem_array(petersen().graph, cap=10)
+    pet = petersen().graph
+    res = sem_array(pet, group=automorphism_group(pet, cap=10))
     assert not res.exact
     assert 1 in res.values
 
@@ -205,7 +220,8 @@ def test_regular_subgroup_tags():
 def test_is_cayley_examples():
     assert is_cayley(x_mnr(4, 5, 2).graph) == "yes"
     assert is_cayley(y_qp(2, 13, 2).graph) == "no"
-    assert is_cayley(petersen().graph, cap=10) == "unknown"
+    pet = petersen().graph
+    assert is_cayley(pet, group=automorphism_group(pet, cap=10)) == "unknown"
 
 
 def test_vertex_transitive_instances_have_order_divisible_by_n():

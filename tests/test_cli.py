@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +126,15 @@ def test_lcf_command(tmp_path, capsys):
     assert rep["lcf"] == rep["block"] * rep["repeat"]
 
 
+def test_lcf_non_cubic_exit_2(tmp_path, capsys):
+    from hamcompress import Graph, emit_edgelist
+
+    path = tmp_path / "star.txt"
+    path.write_text(emit_edgelist(Graph.build(4, [(0, 1), (0, 2), (0, 3)])))
+    code, out = run_cli(capsys, "lcf", str(path))
+    assert code == 2 and out == ""
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("2 1\n0 0\n")
@@ -222,3 +234,18 @@ def test_construct_missing_params_exit_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "--n" in err and "--r" in err
+
+
+def test_runtime_imports_only_the_standard_library():
+    """The package, its CLI and verify load no module from outside the
+    standard library, with site-packages and the environment switched off."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import hamcompress, hamcompress.cli, hamcompress.verify\n"
+        "print(*sorted({name.split('.')[0] for name in sys.modules}))\n"
+    )
+    run = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script],
+                         capture_output=True, text=True, check=True, timeout=60)
+    loaded = set(run.stdout.split()) - {"__main__"}
+    assert loaded - set(sys.stdlib_module_names) == {"hamcompress"}

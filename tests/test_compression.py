@@ -4,6 +4,7 @@ from conftest import graph_cycle, graph_k4, small_corpus
 from hamcompress import (
     FamilyInstance,
     Graph,
+    automorphism_group,
     cayley_p3,
     circulant,
     cycle_compression,
@@ -124,7 +125,8 @@ def test_exhaustive_kappa_long_cycle():
 
 
 def test_kappa_capped_is_flagged():
-    res = hamilton_compression(petersen().graph.complement(), "lift", cap=10)
+    comp = petersen().graph.complement()
+    res = hamilton_compression(comp, "lift", group=automorphism_group(comp, cap=10))
     assert res.note
     assert not res.exact
 
