@@ -10,6 +10,13 @@ individualizes a source and a target vertex, refines both colourings jointly
 and recurses on the first non-singleton cell. The element cap is set only on
 `automorphism_group`; functions that read a group take it as `group=`.
 
+Orbit pruning (McKay & Piperno 2014): each witness is kept as the
+transversal entry of its target, and the transversal is closed under the
+level's witnesses (a new point u = s[w] gets compose(s, transversal[w])), so
+a target already in it is not searched. `generators` is every non-identity
+transversal entry, level by level, in the order added; capped groups read
+their semiregular pool from them.
+
 Determinism: refinement assigns colours from sorted signature keys, the base
 vertex is always the least vertex of the first non-singleton cell, and
 candidate targets are tried in ascending order.
@@ -132,10 +139,22 @@ def automorphism_group(g: Graph, cap: int = DEFAULT_CAP) -> GroupData:
     while (split := _first_cell(col, col)) is not None:
         base, cell = split
         transversal: dict[int, Perm] = {base: identity(n)}
+        witnesses: list[Perm] = []
         for t in cell[1:]:
+            if t in transversal:
+                continue  # already reached by the closure: same orbit
             witness = _search_one(g, col, col, base, t)
-            if witness is not None:
-                transversal[t] = witness
+            if witness is None:
+                continue
+            witnesses.append(witness)
+            transversal[t] = witness
+            known = list(transversal)
+            for w in known:  # close the orbit under this level's witnesses
+                for s in witnesses:
+                    u = s[w]
+                    if u not in transversal:
+                        transversal[u] = compose(s, transversal[w])
+                        known.append(u)
         levels.append(transversal)
         col[base] = n  # fix the base point and descend to its stabilizer
         col, _ = _refine(g.rows, col, col)

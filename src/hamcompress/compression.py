@@ -135,6 +135,8 @@ class HamArray:
 
 
 def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
+    if limit < 1:
+        raise ValueError("limit must be positive")
     certs: dict[int, CompressionCertificate] = {}
     n = g.n
     exhausted = True

@@ -100,11 +100,13 @@ def test_groups_of_graphs_on_at_most_two_vertices():
     assert automorphism_group(k2) == GroupData(((1, 0),), ((0, 1), (1, 0)), 2, False)
 
 
-def test_generators_are_first_witnesses_in_ascending_target_order():
-    """Per stabilizer level, targets ascend and each witness is the first
-    automorphism the search reaches, so the generators of C5 are fixed."""
+def test_generators_are_transversal_entries_in_order_added():
+    """Per stabilizer level, targets ascend; a searched witness is kept at
+    its target and the orbit closure under the level's witnesses fills the
+    rest, so C5's rotation (1 2 3 4 0) yields its powers and the one
+    reflection fixing 0 closes level 1: the generators of C5 are fixed."""
     assert automorphism_group(graph_cycle(5)).generators == (
-        (1, 2, 3, 4, 0), (2, 1, 0, 4, 3), (3, 4, 0, 1, 2), (4, 0, 1, 2, 3), (0, 4, 3, 2, 1))
+        (1, 2, 3, 4, 0), (2, 3, 4, 0, 1), (3, 4, 0, 1, 2), (4, 0, 1, 2, 3), (0, 4, 3, 2, 1))
 
 
 def test_capped_group_keeps_exact_order():
@@ -142,6 +144,26 @@ def test_sem_array_witnesses_are_semiregular():
             assert order(wit) == k
             assert is_semiregular(wit, k)
             assert is_automorphism(g, wit)
+
+
+def test_sem_array_capped_default_cap_sees_every_order():
+    """Above the default cap the Sem array is read from the cyclic subgroups
+    of the generators. With every transversal entry kept as a generator it
+    still finds each semiregular order on K7,7, 4K4 and 3K5; keeping only
+    the searched witnesses would lose 7 and 14, 8 and 16, and 5 and 15."""
+    def disjoint_complete(copies, size):
+        return Graph.build(copies * size, [
+            (c * size + u, c * size + v)
+            for c in range(copies) for u, v in itertools.combinations(range(size), 2)])
+
+    k77 = Graph.build(14, [(u, 7 + v) for u in range(7) for v in range(7)])
+    for g, values in ((k77, (1, 2, 7, 14)),
+                      (disjoint_complete(4, 4), (1, 2, 4, 8, 16)),
+                      (disjoint_complete(3, 5), (1, 3, 5, 15))):
+        grp = automorphism_group(g)
+        assert grp.capped
+        res = sem_array(g, group=grp)
+        assert res.values == values and not res.exact
 
 
 def test_sem_array_capped_is_partial():

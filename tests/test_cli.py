@@ -79,6 +79,20 @@ def test_ham_complement_exact(tmp_path, capsys):
     assert rep["ham"] == [1, 5] and rep["exact"] is True
 
 
+@pytest.mark.parametrize("argv", [["ham"], ["kappa", "--mode", "exhaustive"]])
+def test_limit_below_one_exit_2(tmp_path, capsys, argv):
+    """A limit of 0 enumerates nothing; on the hamiltonian complement of
+    Petersen that must not read as Ham = [0] or kappa = 0."""
+    from hamcompress import emit_edgelist
+
+    path = tmp_path / "comp.txt"
+    path.write_text(emit_edgelist(petersen().graph.complement()))
+    code = cli.main([argv[0], str(path), *argv[1:], "--limit", "0", "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "limit must be positive" in captured.err
+
+
 def test_kappa_certificate_replays(tmp_path, capsys):
     from hamcompress import cycle_compression, emit_edgelist, x_mnr
 
