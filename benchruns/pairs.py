@@ -3,13 +3,14 @@
 Usage, from the repository root:
 
     python3 benchruns/pairs.py --parent ../old --change . --workload lift-xmnr \
-        --seeds 1001 1002 1003 --seconds 36
+        --seeds 1001 1002 1003
     python3 benchruns/pairs.py --workload lift-xmnr --seeds 1001 1002 1003 --summarize
 
 For each seed the two checkouts run `hcbench/run.py` one after the other,
-the side that goes first alternating from seed to seed. Each run starts with
-no `__pycache__` under its checkout, so both sides pay the same bytecode
-compilation inside `setup_s`. The last output line of each run is saved as
+the side that goes first alternating from seed to seed, each for the
+`run_seconds` of BENCHMARK.json. Each run starts with no `__pycache__`
+under its checkout, so both sides pay the same bytecode compilation inside
+`setup_s`. The last output line of each run is saved as
 BENCH_<workload>_<seed>_<parent|change>.json (with `_trace` appended for
 --trace 1) next to this script. The summary reads those files: per
 end-to-end metric of BENCHMARK.json, the parent and change medians with
@@ -55,6 +56,8 @@ def run_one(checkout: str, workload: str, seed: int, seconds: float, trace: bool
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
     q = statistics.quantiles(values, n=4, method="inclusive")
     return q[0], q[2]
 
@@ -90,28 +93,28 @@ def main(argv=None) -> int:
     parser.add_argument("--change", help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=36)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--summarize", action="store_true",
                         help="only summarize the saved files")
     args = parser.parse_args(argv)
     trace = bool(args.trace)
+    with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
     if not args.summarize:
         if not (args.parent and args.change):
             parser.error("--parent and --change are required unless --summarize")
         checkouts = {"parent": args.parent, "change": args.change}
         for i, seed in enumerate(args.seeds):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                res = run_one(checkouts[side], args.workload, seed, args.seconds, trace)
+                res = run_one(checkouts[side], args.workload, seed,
+                              bench["run_seconds"], trace)
                 with open(result_path(args.workload, seed, side, trace), "w") as fh:
                     json.dump(res, fh, sort_keys=True)
                     fh.write("\n")
                 print(f"seed {seed} {side} done", flush=True)
     if trace:
         return 0
-    with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json")) as fh:
-        metrics = json.load(fh)["end_to_end"]
-    summarize(args.workload, args.seeds, metrics)
+    summarize(args.workload, args.seeds, bench["end_to_end"])
     return 0
 
 
