@@ -1,86 +1,32 @@
-"""Metacirculant graph families and Hamilton-compression invariants."""
+"""Metacirculant graph families and Hamilton-compression invariants.
 
-from .autgroup import (
-    GroupData,
-    RegularSubgroup,
-    SemArray,
-    automorphism_group,
-    group_report,
-    is_automorphism,
-    is_cayley,
-    regular_subgroups,
-    sem_array,
-)
+The names below are the library API listed in README.md; everything else
+is reached through its submodule.
+"""
+
+from .autgroup import automorphism_group, is_automorphism, is_cayley, regular_subgroups, sem_array
 from .compression import (
-    CompressionCertificate,
-    HamArray,
-    KappaResult,
     cycle_compression,
-    double_edge_positions,
-    format_lcf,
     ham_array,
     hamilton_compression,
-    is_petersen,
-    is_ubiquitously_compressible,
     lcf,
     lcf_compressed,
-    lcf_to_graph,
     predict_kappa_circulant,
     predict_kappa_metapq,
 )
 from .families import (
     FamilyInstance,
-    GridLabeling,
     cayley_p3,
     circulant,
     generalized_petersen,
-    grid_rho,
-    grid_sigma,
-    grid_tau,
     metacirculant_orbit,
     metacirculant_triple_2p,
-    p3_group,
     petersen,
     x_mnr,
     y_qp,
     z_qp,
 )
-from .graph import Graph, emit_edgelist, parse_edgelist, remove_intra_orbit_edges
-from .hamlift import (
-    HamCycle,
-    QuotientGraph,
-    canonical_cycle,
-    check_hamcycle,
-    enumerate_hamcycles,
-    find_hamcycle,
-    find_symmetric_hamcycle,
-    format_cycle,
-    lift,
-    parse_cycle,
-    project_cycle,
-    quotient_with_voltages,
-)
-from .numth import (
-    divisors,
-    element_of_order,
-    factorize,
-    is_prime,
-    ord_mod,
-    primes_in_ap,
-    primitive_root,
-)
-from .perm import (
-    OrbitPartition,
-    Perm,
-    compose,
-    format_perm,
-    identity,
-    inverse,
-    is_semiregular,
-    orbits,
-    order,
-    parse_perm,
-    power,
-)
+from .graph import Graph, emit_edgelist, parse_edgelist
+from .hamlift import enumerate_hamcycles, find_hamcycle, find_symmetric_hamcycle
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ from .autgroup import (
     cyclic_semiregular_reps,
     is_automorphism,
     regular_subgroups,
-    sem_array,
 )
 from .families import FamilyInstance
 from .graph import Graph, bits, remove_intra_orbit_edges
@@ -94,6 +93,8 @@ def hamilton_compression(
     search on every cyclic semiregular subgroup of that order; the first hit
     is the answer. exhaustive mode is the maximum of the Ham array.
     """
+    if limit < 1:
+        raise ValueError("limit must be positive")
     n = g.n
     if mode == "exhaustive":
         arr = ham_array(g, limit)
@@ -153,15 +154,6 @@ def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
     return HamArray(exhausted, tuple(sorted(certs)), certs)
 
 
-def is_ubiquitously_compressible(g: Graph, limit: int = ENUM_LIMIT) -> bool | None:
-    """Ham(g) == Sem(g), or None when either side is inexact."""
-    ham = ham_array(g, limit)
-    sem = sem_array(g)
-    if not ham.exact or not sem.exact:
-        return None
-    return ham.values == sem.values
-
-
 # --- LCF notation for cubic hamiltonian graphs ------------------------------
 
 
@@ -203,19 +195,6 @@ def lcf_compressed(g: Graph, cert: CompressionCertificate) -> tuple[tuple[int, .
 
 def format_lcf(block, repeat: int) -> str:
     return "[" + ", ".join(str(d) for d in block) + "]" + (f"^{repeat}" if repeat > 1 else "")
-
-
-def lcf_to_graph(word) -> Graph:
-    """Cubic graph on len(word) vertices from a full offset word; vertex i is
-    position i along the defining cycle."""
-    word = tuple(word)
-    n = len(word)
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges += [(i, (i + d) % n) for i, d in enumerate(word)]
-    g = Graph.build(n, edges)
-    if any(deg != 3 for deg in g.degrees()):
-        raise ValueError("offset word does not define a cubic graph")
-    return g
 
 
 # --- closed-form predictors --------------------------------------------------

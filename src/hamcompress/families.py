@@ -40,11 +40,6 @@ def grid_sigma(m: int, n: int, r: int) -> Perm:
     return tuple(((i + 1) % m) * n + (r * j) % n for i in range(m) for j in range(n))
 
 
-def grid_tau(m: int, n: int) -> Perm:
-    """v_i^j -> v_{i+1}^{-j}, the prism-flipping twist."""
-    return tuple(((i + 1) % m) * n + (-j) % n for i in range(m) for j in range(n))
-
-
 @dataclass(frozen=True)
 class FamilyInstance:
     graph: Graph

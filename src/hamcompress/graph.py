@@ -48,9 +48,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def neighbors(self, u: int):
-        return bits(self.rows[u])
-
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 

@@ -49,15 +49,6 @@ def canonical_cycle(seq) -> HamCycle:
     return fwd if fwd[1] <= rev[1] else rev
 
 
-def format_cycle(seq) -> str:
-    """One-line serialisation: space-separated vertex ids, canonical start."""
-    return " ".join(str(v) for v in canonical_cycle(seq))
-
-
-def parse_cycle(text: str) -> HamCycle:
-    return canonical_cycle(int(tok) for tok in text.split())
-
-
 @dataclass(frozen=True)
 class QuotientGraph:
     """Multigraph on the orbits of a semiregular automorphism.

@@ -12,11 +12,6 @@ from dataclasses import dataclass
 Perm = tuple[int, ...]
 
 
-def check_perm(p: Perm) -> None:
-    if sorted(p) != list(range(len(p))):
-        raise ValueError("not a permutation of 0..n-1")
-
-
 def identity(n: int) -> Perm:
     return tuple(range(n))
 
@@ -107,9 +102,3 @@ def is_fixed_point_free(a: Perm) -> bool:
 def format_perm(p: Perm) -> str:
     """One-line serialisation: space-separated image list."""
     return " ".join(str(v) for v in p)
-
-
-def parse_perm(text: str) -> Perm:
-    p = tuple(int(tok) for tok in text.split())
-    check_perm(p)
-    return p

@@ -6,14 +6,14 @@ import itertools
 
 import pytest
 
-from hamcompress import (
-    Graph,
+from hamcompress.families import (
     circulant,
     generalized_petersen,
     metacirculant_triple_2p,
     petersen,
     x_mnr,
 )
+from hamcompress.graph import Graph
 
 
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -53,7 +53,7 @@ def acts_as_rotation(a, cycle) -> bool:
     if any((pos[a[v]] - pos[v]) % n != t for v in cycle):
         return False
     # order of rotation-by-t must match the order of a
-    from hamcompress import order
+    from hamcompress.perm import order
 
     from math import gcd
 

@@ -7,21 +7,16 @@ lines; every expected value and time bound is pinned here.
 import time
 
 from conftest import small_corpus
-from hamcompress import (
-    automorphism_group,
-    circulant,
+from hamcompress.autgroup import automorphism_group, cyclic_semiregular_reps, sem_array
+from hamcompress.compression import (
     cycle_compression,
-    enumerate_hamcycles,
-    find_symmetric_hamcycle,
     ham_array,
     hamilton_compression,
     is_petersen,
-    petersen,
     predict_kappa_circulant,
-    sem_array,
-    y_qp,
 )
-from hamcompress.autgroup import cyclic_semiregular_reps
+from hamcompress.families import circulant, petersen, y_qp
+from hamcompress.hamlift import enumerate_hamcycles, find_symmetric_hamcycle
 from hamcompress.verify import DISCREPANCY, PASS, run_claim
 
 

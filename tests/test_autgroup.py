@@ -4,22 +4,18 @@ import random
 import pytest
 
 from conftest import brute_automorphisms, graph_cycle, graph_k4, graph_k33
-from hamcompress import (
+from hamcompress.autgroup import (
+    GroupData,
     automorphism_group,
-    compose,
-    identity,
+    cyclic_semiregular_reps,
     is_automorphism,
     is_cayley,
-    is_semiregular,
-    order,
-    petersen,
     regular_subgroups,
     sem_array,
-    x_mnr,
-    y_qp,
 )
-from hamcompress.autgroup import GroupData, cyclic_semiregular_reps
+from hamcompress.families import petersen, x_mnr, y_qp
 from hamcompress.graph import Graph
+from hamcompress.perm import compose, identity, is_semiregular, order
 
 
 def test_is_automorphism_basic():
@@ -254,7 +250,7 @@ def test_vertex_transitive_instances_have_order_divisible_by_n():
 
 
 def test_group_report_shape():
-    from hamcompress import group_report
+    from hamcompress.autgroup import group_report
 
     grp = automorphism_group(petersen().graph)
     rep = group_report(grp)

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from hamcompress import cli, parse_edgelist, petersen
+from hamcompress import cli
+from hamcompress.families import petersen
+from hamcompress.graph import parse_edgelist
 
 
 def run_cli(capsys, *argv):
@@ -49,7 +51,7 @@ def test_construct_invalid_params_exit_2(tmp_path, capsys):
 
 
 def _petersen_file(tmp_path):
-    from hamcompress import emit_edgelist
+    from hamcompress.graph import emit_edgelist
 
     path = tmp_path / "pet.txt"
     path.write_text(emit_edgelist(petersen().graph))
@@ -57,20 +59,32 @@ def _petersen_file(tmp_path):
 
 
 def test_kappa_sem_ham_reports(tmp_path, capsys):
+    from hamcompress.autgroup import is_automorphism
+    from hamcompress.perm import is_semiregular, order
+
     path = _petersen_file(tmp_path)
     code, out = run_cli(capsys, "kappa", path)
     assert code == 0
     rep = json.loads(out)
     assert rep["schema"] == 1 and rep["kappa"] == 0 and rep["certificate"] is None
     code, out = run_cli(capsys, "sem", path)
-    assert json.loads(out)["sem"] == [1, 5]
+    rep = json.loads(out)
+    assert rep["sem"] == [1, 5]
+    # each witness reads back as an automorphism, semiregular of its key's order
+    assert sorted(map(int, rep["witnesses"])) == rep["sem"]
+    pet = petersen().graph
+    for key, text in rep["witnesses"].items():
+        witness = tuple(int(tok) for tok in text.split())
+        assert sorted(witness) == list(range(pet.n))
+        assert is_automorphism(pet, witness)
+        assert order(witness) == int(key) and is_semiregular(witness, int(key))
     code, out = run_cli(capsys, "ham", path)
     rep = json.loads(out)
     assert rep["ham"] == [0] and rep["exact"] is True
 
 
 def test_ham_complement_exact(tmp_path, capsys):
-    from hamcompress import emit_edgelist
+    from hamcompress.graph import emit_edgelist
 
     path = tmp_path / "comp.txt"
     path.write_text(emit_edgelist(petersen().graph.complement()))
@@ -79,11 +93,12 @@ def test_ham_complement_exact(tmp_path, capsys):
     assert rep["ham"] == [1, 5] and rep["exact"] is True
 
 
-@pytest.mark.parametrize("argv", [["ham"], ["kappa", "--mode", "exhaustive"]])
+@pytest.mark.parametrize("argv", [["ham"], ["kappa", "--mode", "exhaustive"], ["kappa"]])
 def test_limit_below_one_exit_2(tmp_path, capsys, argv):
     """A limit of 0 enumerates nothing; on the hamiltonian complement of
-    Petersen that must not read as Ham = [0] or kappa = 0."""
-    from hamcompress import emit_edgelist
+    Petersen that must not read as Ham = [0] or kappa = 0. Lift mode does
+    not use the limit, but rejects it the same way."""
+    from hamcompress.graph import emit_edgelist
 
     path = tmp_path / "comp.txt"
     path.write_text(emit_edgelist(petersen().graph.complement()))
@@ -94,7 +109,9 @@ def test_limit_below_one_exit_2(tmp_path, capsys, argv):
 
 
 def test_kappa_certificate_replays(tmp_path, capsys):
-    from hamcompress import cycle_compression, emit_edgelist, x_mnr
+    from hamcompress.compression import cycle_compression
+    from hamcompress.families import x_mnr
+    from hamcompress.graph import emit_edgelist
 
     g = x_mnr(3, 7, 2).graph
     path = tmp_path / "x.txt"
@@ -118,7 +135,7 @@ def test_kappa_k2_is_zero(tmp_path, capsys):
 
 def test_ham_long_cycle(tmp_path, capsys):
     from conftest import graph_cycle
-    from hamcompress import emit_edgelist
+    from hamcompress.graph import emit_edgelist
 
     n = 1100
     path = tmp_path / "c1100.txt"
@@ -129,7 +146,8 @@ def test_ham_long_cycle(tmp_path, capsys):
 
 
 def test_lcf_command(tmp_path, capsys):
-    from hamcompress import emit_edgelist, generalized_petersen
+    from hamcompress.families import generalized_petersen
+    from hamcompress.graph import emit_edgelist
 
     path = tmp_path / "mk.txt"
     path.write_text(emit_edgelist(generalized_petersen(8, 3).graph))
@@ -141,7 +159,7 @@ def test_lcf_command(tmp_path, capsys):
 
 
 def test_lcf_non_cubic_exit_2(tmp_path, capsys):
-    from hamcompress import Graph, emit_edgelist
+    from hamcompress.graph import Graph, emit_edgelist
 
     path = tmp_path / "star.txt"
     path.write_text(emit_edgelist(Graph.build(4, [(0, 1), (0, 2), (0, 3)])))

@@ -1,36 +1,33 @@
 import pytest
 
 from conftest import graph_cycle, graph_k4, small_corpus
-from hamcompress import (
-    FamilyInstance,
-    Graph,
-    automorphism_group,
-    cayley_p3,
-    circulant,
+from hamcompress.autgroup import automorphism_group, is_automorphism
+from hamcompress.compression import (
     cycle_compression,
     double_edge_positions,
-    enumerate_hamcycles,
-    find_hamcycle,
     format_lcf,
-    generalized_petersen,
-    grid_sigma,
     ham_array,
     hamilton_compression,
-    is_automorphism,
     is_petersen,
-    is_ubiquitously_compressible,
     lcf,
     lcf_compressed,
-    lcf_to_graph,
-    metacirculant_triple_2p,
-    petersen,
     predict_kappa_circulant,
     predict_kappa_metapq,
-    quotient_with_voltages,
+    rotation_witness,
+)
+from hamcompress.families import (
+    FamilyInstance,
+    cayley_p3,
+    circulant,
+    generalized_petersen,
+    grid_sigma,
+    metacirculant_triple_2p,
+    petersen,
     x_mnr,
     y_qp,
 )
-from hamcompress.compression import rotation_witness
+from hamcompress.graph import Graph
+from hamcompress.hamlift import enumerate_hamcycles, find_hamcycle, quotient_with_voltages
 
 
 def test_cycle_compression_cycle_graph():
@@ -147,10 +144,12 @@ def test_ham_array_certificates_replay():
         assert cycle_compression(g, cert.cycle).k == k == cert.k
 
 
-def test_ubiquitous():
-    assert is_ubiquitously_compressible(petersen().graph) is False
-    assert is_ubiquitously_compressible(petersen().graph.complement()) is True
-    assert is_ubiquitously_compressible(graph_k4()) is False  # Ham [4] vs Sem [1,2,4]
+def _graph_from_lcf(word) -> Graph:
+    """Oracle: the graph an offset word defines, vertex i at position i of
+    the defining cycle, with a chord from i to i + word[i]."""
+    n = len(word)
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + d) % n) for i, d in enumerate(word)]
+    return Graph.build(n, edges)
 
 
 def test_lcf_cube():
@@ -159,7 +158,7 @@ def test_lcf_cube():
     word = lcf(cube, cycle)
     assert len(word) == 8
     assert all(d in (3, -3, 4) for d in word)
-    rebuilt = lcf_to_graph(word)
+    rebuilt = _graph_from_lcf(word)
     relabel = {v: i for i, v in enumerate(cycle)}
     for u, v in cube.edges():
         assert rebuilt.has_edge(relabel[u], relabel[v])
@@ -175,7 +174,7 @@ def test_lcf_roundtrip_many():
     ):
         cycle = find_hamcycle(g)
         word = lcf(g, cycle)
-        rebuilt = lcf_to_graph(word)
+        rebuilt = _graph_from_lcf(word)
         relabel = {v: i for i, v in enumerate(cycle)}
         assert {frozenset((relabel[u], relabel[v])) for u, v in g.edges()} == {
             frozenset(e) for e in rebuilt.edges()

@@ -1,0 +1,62 @@
+"""README checks: the quickstart states true values, the package root exports
+exactly the documented Library API, and the traced bench run can still find
+every function it wraps."""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
+import hamcompress
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def _section(title: str) -> str:
+    start = README.index(f"\n## {title}\n")
+    end = README.find("\n## ", start + 1)
+    return README[start:end if end != -1 else len(README)]
+
+
+def test_quickstart_runs_and_its_comments_state_the_values():
+    block = re.search(r"```python\n(.*?)```", _section("Library quickstart"), re.S).group(1)
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            shown.append((value, lines[stmt.lineno - 1].split("#", 1)[1].strip()))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    # kappa(Petersen), Sem(Petersen), Ham(complement), certificate shift of x_mnr(3,7,2)
+    assert [value for value, _ in shown] == [0, (1, 5), (1, 5), 7]
+    for value, comment in shown:
+        assert comment.startswith(repr(value)), (value, comment)
+    assert namespace["res"].kappa == 3
+    assert "kappa = 3" in next(line for line in lines if line.startswith("res ="))
+
+
+def test_exports_are_the_documented_library_api():
+    public = {
+        name
+        for name, obj in vars(hamcompress).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    documented = set(re.findall(r"`(\w+)`", _section("Library API")))
+    assert public == documented
+
+
+def test_traced_bench_run_finds_every_wrapped_function():
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "hcbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        (module, attribute)
+        for module, attribute, _ in spans.WRAPPED
+        if not hasattr(importlib.import_module(f"hamcompress.{module}"), attribute)
+    ]
+    assert missing == []

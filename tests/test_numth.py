@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import brute_is_prime
-from hamcompress import (
+from hamcompress.numth import (
     divisors,
     element_of_order,
     factorize,

@@ -2,18 +2,8 @@ import random
 
 import pytest
 
-from hamcompress import (
-    compose,
-    format_perm,
-    identity,
-    inverse,
-    is_semiregular,
-    orbits,
-    order,
-    parse_perm,
-    power,
-)
 from hamcompress.families import grid_rho
+from hamcompress.perm import compose, identity, inverse, is_semiregular, orbits, order, power
 
 
 def random_perm(rng, n):
@@ -100,12 +90,3 @@ def test_is_semiregular():
             if is_semiregular(a, k):
                 assert n % k == 0
                 assert k * len(orbits(a).orbits) == n
-
-
-def test_serialisation_roundtrip():
-    rng = random.Random(3)
-    for _ in range(20):
-        a = random_perm(rng, rng.randrange(1, 20))
-        assert parse_perm(format_perm(a)) == a
-    with pytest.raises(ValueError):
-        parse_perm("0 0 1")

@@ -13,27 +13,26 @@ import random
 import pytest
 
 from conftest import acts_as_rotation, cycle_edges
-from hamcompress import (
-    Graph,
+from hamcompress.autgroup import (
     automorphism_group,
-    check_hamcycle,
-    circulant,
-    cycle_compression,
-    enumerate_hamcycles,
-    find_symmetric_hamcycle,
-    ham_array,
-    hamilton_compression,
+    cyclic_semiregular_reps,
     is_automorphism,
     is_cayley,
-    is_semiregular,
-    lift,
-    order,
-    quotient_with_voltages,
     regular_subgroups,
     sem_array,
 )
-from hamcompress.autgroup import cyclic_semiregular_reps
-from hamcompress.hamlift import project_cycle
+from hamcompress.compression import cycle_compression, ham_array, hamilton_compression
+from hamcompress.families import circulant
+from hamcompress.graph import Graph
+from hamcompress.hamlift import (
+    check_hamcycle,
+    enumerate_hamcycles,
+    find_symmetric_hamcycle,
+    lift,
+    project_cycle,
+    quotient_with_voltages,
+)
+from hamcompress.perm import is_semiregular, order
 
 
 def _random_voltage_cover(rng: random.Random):
@@ -158,7 +157,7 @@ def test_symmetric_search_completeness_small(corpus):
 
 
 def _subgroup_generators(a, k):
-    from hamcompress import power
+    from hamcompress.perm import power
 
     return [power(a, e) for e in range(1, k) if math.gcd(e, k) == 1]
 
@@ -206,8 +205,8 @@ def test_order_pq_prediction_differential_p5():
     from exhaustive enumeration."""
     import itertools
 
-    from hamcompress import metacirculant_triple_2p
     from hamcompress.compression import predict_kappa_metapq
+    from hamcompress.families import metacirculant_triple_2p
 
     sym_sets = [frozenset({1, 4}), frozenset({2, 3}), frozenset({1, 2, 3, 4})]
     checked = 0
@@ -230,7 +229,7 @@ def test_order_pq_prediction_differential_p5():
 def test_modes_agree_on_midsize_cubic_graphs():
     """Beyond the 16-vertex corpus: the divisor sweep and full enumeration
     agree on cubic graphs up to 34 vertices."""
-    from hamcompress import generalized_petersen
+    from hamcompress.families import generalized_petersen
 
     for n, r, expected in ((13, 5, 1), (17, 4, 1), (11, 1, 2), (8, 3, 8)):
         g = generalized_petersen(n, r).graph
