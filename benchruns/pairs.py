@@ -5,6 +5,8 @@ Usage, from the repository root:
     python3 benchruns/pairs.py --parent ../old --change . --workload lift-xmnr \
         --seeds 1001 1002 1003
     python3 benchruns/pairs.py --workload lift-xmnr --seeds 1001 1002 1003 --summarize
+    python3 benchruns/pairs.py --parent ../old --change . --workload enum-ham \
+        --seeds 1011 --trace 1
 
 For each seed the two checkouts run `hcbench/run.py` one after the other,
 the side that goes first alternating from seed to seed, each for the
@@ -16,7 +18,9 @@ BENCH_<workload>_<seed>_<parent|change>.json (with `_trace` appended for
 end-to-end metric of BENCHMARK.json, the parent and change medians with
 [first, third] quartiles, how much worse the change's median is relative to
 the parent's (negative when better) against the metric's bound, the pairs
-the change wins, and the parent's interquartile range.
+the change wins, and the parent's interquartile range. With --trace 1 it
+is a table of the per_layer metrics instead: parent and change medians over
+the seeds and their ratio.
 """
 
 from __future__ import annotations
@@ -62,12 +66,33 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q[0], q[2]
 
 
-def summarize(workload: str, seeds: list[int], metrics: list[dict]) -> None:
+def load_runs(workload: str, seeds: list[int], trace: bool) -> dict:
     runs = {side: [] for side in SIDES}
     for seed in seeds:
         for side in SIDES:
-            with open(result_path(workload, seed, side, False)) as fh:
+            with open(result_path(workload, seed, side, trace)) as fh:
                 runs[side].append(json.load(fh))
+    return runs
+
+
+def summarize_trace(workload: str, seeds: list[int], metrics: list[dict]) -> None:
+    """Per-layer metric table of the traced runs: parent and change medians
+    and the change's median over the parent's."""
+    runs = load_runs(workload, seeds, True)
+    for side in SIDES:
+        print(f"{side}: {sum(r['failed'] for r in runs[side])} failed of "
+              f"{sum(r['attempted'] for r in runs[side])} traced operations")
+    print(f"{'metric':<30} {'unit':<6} {'parent':>12} {'change':>12} {'change/parent':>14}")
+    for spec in metrics:
+        name = spec["name"]
+        med_p, med_c = (statistics.median(r["metrics"][name]["value"] for r in runs[side])
+                        for side in SIDES)
+        ratio = f"{med_c / med_p:.3f}" if med_p else "-"
+        print(f"{name:<30} {spec['unit']:<6} {med_p:>12.6g} {med_c:>12.6g} {ratio:>14}")
+
+
+def summarize(workload: str, seeds: list[int], metrics: list[dict]) -> None:
+    runs = load_runs(workload, seeds, False)
     for side in SIDES:
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
@@ -113,8 +138,9 @@ def main(argv=None) -> int:
                     fh.write("\n")
                 print(f"seed {seed} {side} done", flush=True)
     if trace:
-        return 0
-    summarize(args.workload, args.seeds, bench["end_to_end"])
+        summarize_trace(args.workload, args.seeds, bench["per_layer"])
+    else:
+        summarize(args.workload, args.seeds, bench["end_to_end"])
     return 0
 
 

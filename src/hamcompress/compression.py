@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .autgroup import (
     GroupData,
@@ -46,29 +47,32 @@ class CompressionCertificate:
     witness: Perm
 
 
+def _rotations(cycle: HamCycle):
+    """Builder of the rotation-by-shift permutations of a cycle on the
+    vertices 0..n-1: the image of v is the vertex shift positions after it,
+    read from the rotated cycle at v's position."""
+    image = itemgetter(*sorted(range(len(cycle)), key=cycle.__getitem__))
+    return lambda shift: image(cycle[shift:] + cycle[:shift])
+
+
 def rotation_witness(cycle: HamCycle, shift: int) -> Perm:
-    n = len(cycle)
-    img = [0] * n
-    for i, v in enumerate(cycle):
-        img[v] = cycle[(i + shift) % n]
-    return tuple(img)
+    return _rotations(cycle)(shift)
 
 
-def _least_shift(g: Graph, cycle: HamCycle) -> int:
+def _least_shift(g: Graph, cycle: HamCycle, shifts: list[int]) -> int:
     """Least position shift whose rotation along the cycle is an automorphism
     of g. The working shifts form a subgroup of Z_n, so the least one divides
-    n; the shift n (the identity) always works."""
-    n = len(cycle)
-    return next(
-        (s for s in divisors(n)[:-1] if is_automorphism(g, rotation_witness(cycle, s))), n
-    )
+    n: shifts are the proper divisors of n, and the shift n (the identity)
+    always works."""
+    rotate = _rotations(cycle)
+    return next((s for s in shifts if is_automorphism(g, rotate(s))), len(cycle))
 
 
 def cycle_compression(g: Graph, cycle) -> CompressionCertificate:
     """Exact compression factor of one Hamilton cycle of g."""
     check_hamcycle(g, cycle)
     cycle = canonical_cycle(cycle)
-    shift = _least_shift(g, cycle)
+    shift = _least_shift(g, cycle, divisors(g.n)[:-1])
     return CompressionCertificate(cycle, g.n // shift, shift, rotation_witness(cycle, shift))
 
 
@@ -140,12 +144,13 @@ def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
         raise ValueError("limit must be positive")
     certs: dict[int, CompressionCertificate] = {}
     n = g.n
+    shifts = divisors(n)[:-1] if n else []
     exhausted = True
     for count, cycle in enumerate(_plain_cycles(g)):
         if count >= limit:
             exhausted = False
             break
-        shift = _least_shift(g, cycle)
+        shift = _least_shift(g, cycle, shifts)
         k = n // shift
         if k not in certs or cycle < certs[k].cycle:
             certs[k] = CompressionCertificate(cycle, k, shift, rotation_witness(cycle, shift))

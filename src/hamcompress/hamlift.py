@@ -9,9 +9,14 @@ automorphism acts as a rotation.
 
 One search serves both uses: _hamilton_cycles, a non-recursive depth-first
 generator over bitset adjacency rows, yields the Hamilton cycles through
-vertex 0. Plain enumeration keeps one direction of each; the quotient
-search runs it on the orbit support rows and stops at the first cycle
-whose voltages can be chosen to generate Z_k.
+vertex 0. Each step is cut unless vertex 0 keeps an open neighbour to close
+the cycle, the open neighbours of the vertex the step left keep two live
+links each, and the open region stays connected; the connectivity search
+runs only when the step could have cut the region. Plain enumeration asks
+for one direction of each cycle, by allowing only closers above the second
+vertex; the quotient search takes both directions on the orbit support
+rows and stops at the first cycle whose voltages can be chosen to generate
+Z_k.
 """
 
 from __future__ import annotations
@@ -225,17 +230,24 @@ def find_symmetric_hamcycle(g: Graph, a: Perm) -> HamCycle | None:
     return cycle
 
 
-def _open_region_ok(rows, head: int, rest: int) -> bool:
+def _open_region_ok(rows, head: int, rest: int, lost: int) -> bool:
     """Whether a path ending at head can still close through the open
-    vertices rest: each keeps two links among rest, head and vertex 0, and
-    rest plus head is connected."""
+    vertices rest: each keeps two live links (the live set is rest, head and
+    vertex 0), and rest plus head is connected. Both held before the step to
+    head, which took the previous head out of the region and, unless it is
+    vertex 0, out of the live set, so only its open neighbours lost need the
+    degree check. The region stays connected when each vertex of lost is
+    adjacent to head, since every part of it touches lost or head; only
+    otherwise is it searched breadth-first. At the root, lost is rest."""
     live = rest | 1 << head | 1
-    probe = rest
+    probe = lost
     while probe:
         bit = probe & -probe
         probe ^= bit
         if (rows[bit.bit_length() - 1] & live).bit_count() < 2:
             return False
+    if not lost & ~rows[head]:
+        return True
     region = rest | 1 << head
     comp = frontier = 1 << head
     while frontier:
@@ -249,20 +261,24 @@ def _open_region_ok(rows, head: int, rest: int) -> bool:
     return comp == region
 
 
-def _hamilton_cycles(rows):
+def _hamilton_cycles(rows, one_way: bool = False):
     """Every Hamilton cycle through vertex 0 of the graph with bitset
-    adjacency rows, once in each direction, as a vertex tuple from 0.
+    adjacency rows, as a vertex tuple from 0: once in each direction, or with
+    one_way only the direction whose second vertex is below its last.
 
-    Depth-first with an explicit stack, neighbours in ascending order; a
-    branch is cut as soon as _open_region_ok fails, which at the root is
-    the connectivity of the whole graph.
+    Depth-first with an explicit stack, neighbours in ascending order. A
+    step is cut when vertex 0 keeps no open closer (with one_way, a closer
+    above the second vertex) or when _open_region_ok fails on the open
+    neighbours of the previous head, the only vertex that leaves the live
+    set; at the root that check covers the whole graph.
     """
     n = len(rows)
     rest = (1 << n) - 2
-    if n < 3 or not _open_region_ok(rows, 0, rest):
+    if n < 3 or not _open_region_ok(rows, 0, rest, rest):
         return
+    closers = rows[0]
     path = [0]
-    todo = [rows[0] & rest]  # untried successors of path[i]
+    todo = [closers & rest]  # untried successors of path[i]
     while todo:
         cand = todo[-1]
         if not cand:
@@ -273,10 +289,13 @@ def _hamilton_cycles(rows):
         todo[-1] = cand ^ bit
         head = bit.bit_length() - 1
         rest ^= bit
+        prev = path[-1]
+        if one_way and not prev:
+            closers = rows[0] & -(2 << head)
         if not rest:
-            if rows[head] & 1:
+            if closers & bit:
                 yield (*path, head)
-        elif _open_region_ok(rows, head, rest):
+        elif closers & rest and _open_region_ok(rows, head, rest, rows[prev] & rest):
             path.append(head)
             todo.append(rows[head] & rest)
             continue
@@ -285,7 +304,7 @@ def _hamilton_cycles(rows):
 
 def _plain_cycles(g: Graph):
     """Hamilton cycles of g, one of the two directions each: second < last."""
-    return (c for c in _hamilton_cycles(g.rows) if c[1] < c[-1])
+    return _hamilton_cycles(g.rows, one_way=True)
 
 
 def find_hamcycle(g: Graph) -> HamCycle | None:
@@ -295,6 +314,8 @@ def find_hamcycle(g: Graph) -> HamCycle | None:
 def enumerate_hamcycles(g: Graph, limit: int = ENUM_LIMIT) -> tuple[list[HamCycle], bool]:
     """All Hamilton cycles up to rotation/reflection; exhaustive flag is False
     when the limit cut the enumeration short."""
+    if limit < 1:
+        raise ValueError("limit must be positive")
     out: list[HamCycle] = []
     for cycle in _plain_cycles(g):
         if len(out) >= limit:

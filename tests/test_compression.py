@@ -13,7 +13,6 @@ from hamcompress.compression import (
     lcf_compressed,
     predict_kappa_circulant,
     predict_kappa_metapq,
-    rotation_witness,
 )
 from hamcompress.families import (
     FamilyInstance,
@@ -49,6 +48,16 @@ def test_cycle_compression_k4():
         cycle_compression(g, (0, 1, 2))
 
 
+def _shift_image(cycle, s):
+    """The permutation moving each vertex s positions along the cycle,
+    straight from its definition: img[cycle[i]] = cycle[(i + s) % n]."""
+    n = len(cycle)
+    img = [None] * n
+    for i in range(n):
+        img[cycle[i]] = cycle[(i + s) % n]
+    return tuple(img)
+
+
 def test_cycle_compression_matches_full_shift_scan():
     """Oracle over the corpus: scan all n shifts of each cycle, check that the
     working ones form a subgroup of Z_n, and that its generator is the
@@ -59,7 +68,7 @@ def test_cycle_compression_matches_full_shift_scan():
         ham_certs = list(ham_array(g).certificates.values())
         for cycle in enumerate_hamcycles(g, limit=50)[0] + [c.cycle for c in ham_certs]:
             working = [s for s in range(1, n + 1)
-                       if is_automorphism(g, rotation_witness(cycle, s))]
+                       if is_automorphism(g, _shift_image(cycle, s))]
             s_min = working[0]
             assert n % s_min == 0 and working == list(range(s_min, n + 1, s_min)), name
             cert = cycle_compression(g, cycle)
@@ -67,6 +76,7 @@ def test_cycle_compression_matches_full_shift_scan():
             seen_k.add(cert.k)
         for cert in ham_certs:
             assert cycle_compression(g, cert.cycle) == cert, name
+            assert cert.witness == _shift_image(cert.cycle, cert.shift), name
     assert {1, 2, 4, 5, 15} <= seen_k
 
 

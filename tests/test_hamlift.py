@@ -1,11 +1,21 @@
+import itertools
 import math
 
 import pytest
 
 from conftest import acts_as_rotation, cycle_edges, graph_cycle, graph_k4
-from hamcompress.families import grid_rho, petersen, x_mnr, y_qp
+from hamcompress.families import (
+    generalized_petersen,
+    grid_rho,
+    metacirculant_triple_2p,
+    petersen,
+    x_mnr,
+    y_qp,
+)
 from hamcompress.graph import Graph
 from hamcompress.hamlift import (
+    _hamilton_cycles,
+    _plain_cycles,
     canonical_cycle,
     check_hamcycle,
     enumerate_hamcycles,
@@ -194,6 +204,58 @@ def test_enumerate_limit_flag():
     g = petersen().graph.complement()
     cycles, exact = enumerate_hamcycles(g, limit=10)
     assert not exact and len(cycles) == 10
+
+
+def test_enumerate_limit_below_one_raises():
+    for g in (graph_cycle(7), petersen().graph):
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="limit must be positive"):
+                enumerate_hamcycles(g, limit)
+
+
+def _reference_cycles(g: Graph) -> list[tuple[int, ...]]:
+    """Every Hamilton cycle through vertex 0 in both directions, by a
+    depth-first search that tries neighbours in ascending order and prunes
+    nothing: a path is abandoned only when it cannot be extended."""
+    out = []
+
+    def extend(path):
+        if len(path) == g.n:
+            if g.has_edge(path[-1], 0):
+                out.append(tuple(path))
+            return
+        for v in range(g.n):
+            if v not in path and g.has_edge(path[-1], v):
+                extend(path + [v])
+
+    if g.n >= 3:
+        extend([0])
+    return out
+
+
+def _assert_search_matches_reference(g: Graph, label) -> None:
+    """The pruned search yields exactly the reference's cycles, in its order;
+    the one-way search exactly those whose second vertex is below the last."""
+    ref = _reference_cycles(g)
+    assert list(_hamilton_cycles(g.rows)) == ref, label
+    assert list(_plain_cycles(g)) == [c for c in ref if c[1] < c[-1]], label
+
+
+def test_hamilton_search_matches_unpruned_reference():
+    for n in range(3, 11):
+        for r in range(1, (n + 1) // 2):
+            _assert_search_matches_reference(generalized_petersen(n, r).graph, ("GP", n, r))
+    sym = ((1, 4), (2, 3), (1, 2, 3, 4))
+    for s_outer, s_inner in itertools.product(sym, repeat=2):
+        for spokes in ((0,), (0, 1), (0, 2), (0, 1, 3)):
+            inst = metacirculant_triple_2p(5, s_outer, s_inner, spokes)
+            _assert_search_matches_reference(inst.graph, (s_outer, s_inner, spokes))
+
+
+def test_hamilton_search_matches_unpruned_reference_on_atlas():
+    nx = pytest.importorskip("networkx")
+    for index, h in enumerate(nx.graph_atlas_g()):
+        _assert_search_matches_reference(Graph.build(h.number_of_nodes(), h.edges()), index)
 
 
 def test_enumerate_gp_13_5_nonempty_exhaustive():
