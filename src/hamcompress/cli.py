@@ -12,6 +12,7 @@ import json
 import sys
 import time
 
+from . import families
 from . import verify as verify_mod
 from .autgroup import automorphism_group, group_report, sem_array
 from .compression import (
@@ -23,19 +24,6 @@ from .compression import (
     hamilton_compression,
     lcf,
     lcf_compressed,
-)
-from .families import (
-    P3_DEFAULT_CONNECTION,
-    FamilyInstance,
-    cayley_p3,
-    circulant,
-    generalized_petersen,
-    metacirculant_orbit,
-    metacirculant_triple_2p,
-    petersen,
-    x_mnr,
-    y_qp,
-    z_qp,
 )
 from .graph import emit_edgelist, parse_edgelist
 from .hamlift import ENUM_LIMIT
@@ -78,53 +66,44 @@ def _parse_int_set(text: str) -> set[int]:
     return {int(tok) for tok in text.replace(",", " ").split()}
 
 
-def _require(args, *names) -> None:
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        raise ValueError(
-            f"family {args.family!r} needs " + ", ".join(f"--{m}" for m in missing))
+def _parse_neighbors(text: str) -> list[tuple[int, int]]:
+    pairs = []
+    for tok in text.split(","):
+        i, j = tok.strip().split(":")
+        pairs.append((int(i), int(j)))
+    return pairs
 
 
-def _build_instance(args) -> FamilyInstance:
-    fam = args.family
-    if fam == "xmnr":
-        _require(args, "m", "n", "r")
-        return x_mnr(args.m, args.n, args.r)
-    if fam == "yqp":
-        _require(args, "q", "p")
-        return y_qp(args.q, args.p, args.t)
-    if fam == "zqp":
-        _require(args, "q", "p")
-        return z_qp(args.q, args.p, args.t)
-    if fam == "circulant":
-        _require(args, "n", "connection")
-        return circulant(args.n, _parse_int_set(args.connection))
-    if fam == "gp":
-        _require(args, "n", "r")
-        return generalized_petersen(args.n, args.r)
-    if fam == "petersen":
-        return petersen()
-    if fam == "triple2p":
-        _require(args, "p", "outer", "inner", "spokes")
-        return metacirculant_triple_2p(
-            args.p, _parse_int_set(args.outer), _parse_int_set(args.inner),
-            _parse_int_set(args.spokes))
-    if fam == "cayleyp3":
-        _require(args, "p")
-        conn = tuple(args.connection.split(",")) if args.connection else P3_DEFAULT_CONNECTION
-        return cayley_p3(args.p, args.variant, conn)
-    if fam == "orbit":
-        _require(args, "m", "n", "r", "neighbors")
-        pairs = []
-        for tok in args.neighbors.split(","):
-            i, j = tok.strip().split(":")
-            pairs.append((int(i), int(j)))
-        return metacirculant_orbit(args.m, args.n, args.r, pairs)
-    raise ValueError(f"unknown family {fam!r}")
+# family name -> (flags it requires, constructor call on the parsed arguments)
+FAMILIES = {
+    "xmnr": (("m", "n", "r"), lambda a: families.x_mnr(a.m, a.n, a.r)),
+    "yqp": (("q", "p"), lambda a: families.y_qp(a.q, a.p, a.t)),
+    "zqp": (("q", "p"), lambda a: families.z_qp(a.q, a.p, a.t)),
+    "circulant": (("n", "connection"),
+                  lambda a: families.circulant(a.n, _parse_int_set(a.connection))),
+    "gp": (("n", "r"), lambda a: families.generalized_petersen(a.n, a.r)),
+    "petersen": ((), lambda a: families.petersen()),
+    "triple2p": (("p", "outer", "inner", "spokes"),
+                 lambda a: families.metacirculant_triple_2p(
+                     a.p, _parse_int_set(a.outer), _parse_int_set(a.inner),
+                     _parse_int_set(a.spokes))),
+    "cayleyp3": (("p",), lambda a: families.cayley_p3(
+        a.p, a.variant,
+        tuple(a.connection.split(","))
+        if a.connection else families.P3_DEFAULT_CONNECTION)),
+    "orbit": (("m", "n", "r", "neighbors"),
+              lambda a: families.metacirculant_orbit(
+                  a.m, a.n, a.r, _parse_neighbors(a.neighbors))),
+}
 
 
 def cmd_construct(args) -> int:
-    inst = _build_instance(args)
+    required, build = FAMILIES[args.family]
+    missing = [name for name in required if getattr(args, name) is None]
+    if missing:
+        raise ValueError(
+            f"family {args.family!r} needs " + ", ".join(f"--{m}" for m in missing))
+    inst = build(args)
     text = emit_edgelist(inst.graph)
     sidecar = {
         "schema": 1,
@@ -275,9 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", parents=[common],
                        help="build a family instance as an edge-list file")
-    c.add_argument("--family", required=True,
-                   choices=["xmnr", "yqp", "zqp", "circulant", "gp", "petersen",
-                            "triple2p", "cayleyp3", "orbit"])
+    c.add_argument("--family", required=True, choices=list(FAMILIES))
     c.add_argument("--m", type=int)
     c.add_argument("--n", type=int)
     c.add_argument("--r", type=int)

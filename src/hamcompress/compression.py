@@ -226,7 +226,7 @@ class MetaPqPrediction:
     #            connected-bicayley / connected-default / unknown
 
 
-def predict_kappa_metapq(inst: FamilyInstance, group: GroupData | None = None) -> MetaPqPrediction:
+def predict_kappa_metapq(inst: FamilyInstance) -> MetaPqPrediction:
     """Predicted Hamilton compression of a (q,p)-metacirculant, q < p primes.
 
     Decision tree: the Petersen graph is 0; otherwise split on whether
@@ -244,7 +244,7 @@ def predict_kappa_metapq(inst: FamilyInstance, group: GroupData | None = None) -
         raise ValueError("instance rotation is not semiregular of order p")
     if is_petersen(g):
         return MetaPqPrediction(0, "petersen")
-    subs = regular_subgroups(g, group=group)
+    subs = regular_subgroups(g)
     if subs is None:
         return MetaPqPrediction(None, "unknown")
     if not remove_intra_orbit_edges(g, rho).is_connected():

@@ -1,10 +1,15 @@
 """Constructors for the metacirculant graph families.
 
-Every constructor returns a FamilyInstance carrying the graph, the grid
-labelling (i, j) -> i*n + j, the rotation rho: v_i^j -> v_i^{j+1}, the
-twisted rotation sigma: v_i^j -> v_{i+1}^{r*j} when one exists, and the
-constructor parameters. rho and sigma are verified to be automorphisms at
-construction time, along with the conjugation law sigma rho sigma^-1 = rho^r.
+Every grid family is a metacirculant in the sense of Alspach and Parsons:
+its vertices are Z_m x Z_n, labelled (i, j) -> i*n + j, and it is given by
+offset classes (i, d, s), each putting an edge v_i^j ~ v_{i+d}^{j+s} in
+every column j. The offset classes of row i are that row's connection sets,
+and one builder, _grid_graph, turns them into edges. Every constructor
+returns a FamilyInstance carrying the graph, the grid labelling, the
+rotation rho: v_i^j -> v_i^{j+1}, the twisted rotation sigma:
+v_i^j -> v_{i+1}^{r*j} when one exists, and the constructor parameters.
+rho and sigma are verified to be automorphisms at construction time, along
+with the conjugation law sigma rho sigma^-1 = rho^r.
 """
 
 from __future__ import annotations
@@ -26,9 +31,6 @@ class GridLabeling:
     m: int
     n: int
 
-    def vid(self, i: int, j: int) -> int:
-        return (i % self.m) * self.n + (j % self.n)
-
 
 def grid_rho(m: int, n: int) -> Perm:
     """v_i^j -> v_i^{j+1}."""
@@ -49,16 +51,25 @@ class FamilyInstance:
     params: dict = field(default_factory=dict)
 
 
+def _grid_graph(m: int, n: int, offsets) -> Graph:
+    """The graph on Z_m x Z_n with v_i^j ~ v_{i+d}^{j+s} for every offset
+    class (i, d, s) and every column j; coordinates are taken mod (m, n)."""
+    edges = []
+    for i, d, s in offsets:
+        row, other = i % m * n, (i + d) % m * n
+        edges.extend((row + j, other + (j + s) % n) for j in range(n))
+    return Graph.build(m * n, edges)
+
+
 def _finalize(
     graph: Graph,
-    labeling: GridLabeling,
-    rho: Perm,
+    m: int,
+    n: int,
     sigma: Perm | None,
     params: dict,
     conj_r: int | None = None,
 ) -> FamilyInstance:
-    if labeling.m * labeling.n != graph.n:
-        raise ValueError("labeling does not cover the vertex set")
+    rho = grid_rho(m, n)
     if not is_automorphism(graph, rho):
         raise ValueError("rotation is not an automorphism of the constructed graph")
     if sigma is not None:
@@ -68,7 +79,7 @@ def _finalize(
             lhs = compose(sigma, compose(rho, inverse(sigma)))
             if lhs != power(rho, conj_r):
                 raise ValueError("conjugation law sigma rho sigma^-1 = rho^r violated")
-    return FamilyInstance(graph, labeling, rho, sigma, params)
+    return FamilyInstance(graph, GridLabeling(m, n), rho, sigma, params)
 
 
 def _find_grid_sigma(graph: Graph, m: int, n: int) -> tuple[Perm | None, int | None]:
@@ -95,19 +106,13 @@ def x_mnr(m: int, n: int, r: int) -> FamilyInstance:
         raise ValueError(f"{r} is not a unit mod {n}")
     if ord_mod(r, n) != m:
         raise ValueError(f"{r} has order {ord_mod(r, n)} mod {n}, expected {m}")
-    lab = GridLabeling(m, n)
-    edges = []
-    for i in range(m):
-        step = pow(r, i, n)
-        for j in range(n):
-            edges.append((lab.vid(i, j), lab.vid(i, j + step)))
-            edges.append((lab.vid(i, j), lab.vid(i + 1, j)))
-    graph = Graph.build(m * n, edges)
+    graph = _grid_graph(m, n, [(i, 0, pow(r, i, n)) for i in range(m)]
+                        + [(i, 1, 0) for i in range(m)])
     params = {"family": "xmnr", "m": m, "n": n, "r": r}
     if math.gcd(r - 1, n) != 1:
         # only the m >= 3 compression bound needs r-1 invertible
         params["warnings"] = ["r-1 is not a unit mod n"]
-    return _finalize(graph, lab, grid_rho(m, n), grid_sigma(m, n, r), params, conj_r=r)
+    return _finalize(graph, m, n, grid_sigma(m, n, r), params, conj_r=r)
 
 
 def _yz_instance(q: int, p: int, t: int, family: str, sub_exp: int) -> FamilyInstance:
@@ -131,15 +136,8 @@ def _yz_instance(q: int, p: int, t: int, family: str, sub_exp: int) -> FamilyIns
         if x == 1:
             break
     steps = sorted(sub | {(-h) % p for h in sub})
-    lab = GridLabeling(q, p)
-    edges = []
-    for i in range(q):
-        ri = pow(r, i, p)
-        for j in range(p):
-            edges.append((lab.vid(i, j), lab.vid(i + 1, j)))
-            for s in steps:
-                edges.append((lab.vid(i, j), lab.vid(i, j + ri * s)))
-    graph = Graph.build(q * p, edges)
+    graph = _grid_graph(q, p, [(i, 0, pow(r, i, p) * s) for i in range(q) for s in steps]
+                        + [(i, 1, 0) for i in range(q)])
     params = {
         "family": family,
         "q": q,
@@ -158,7 +156,7 @@ def _yz_instance(q: int, p: int, t: int, family: str, sub_exp: int) -> FamilyIns
     else:
         params["sigma_is_automorphism"] = True
         params["sigma_order"] = order(sigma)
-    return _finalize(graph, lab, grid_rho(q, p), sigma, params, conj_r=r)
+    return _finalize(graph, q, p, sigma, params, conj_r=r)
 
 
 def y_qp(q: int, p: int, t: int = 2) -> FamilyInstance:
@@ -181,11 +179,9 @@ def circulant(n: int, conn: set[int]) -> FamilyInstance:
         raise ValueError("connection set contains 0")
     if {(-s) % n for s in conn} != conn:
         raise ValueError("connection set is not symmetric")
-    edges = [(v, (v + s) % n) for v in range(n) for s in conn]
-    graph = Graph.build(n, edges)
-    lab = GridLabeling(1, n)
+    graph = _grid_graph(1, n, [(0, 0, s) for s in conn])
     params = {"family": "circulant", "n": n, "connection": sorted(conn)}
-    return _finalize(graph, lab, grid_rho(1, n), None, params)
+    return _finalize(graph, 1, n, None, params)
 
 
 def generalized_petersen(n: int, r: int) -> FamilyInstance:
@@ -196,18 +192,12 @@ def generalized_petersen(n: int, r: int) -> FamilyInstance:
         raise ValueError("inner step must be nonzero mod n")
     if not 1 <= r < n / 2:
         raise ValueError(f"inner step must satisfy 1 <= r < n/2, got {r}")
-    lab = GridLabeling(2, n)
-    edges = []
-    for j in range(n):
-        edges.append((lab.vid(0, j), lab.vid(0, j + 1)))
-        edges.append((lab.vid(1, j), lab.vid(1, j + r)))
-        edges.append((lab.vid(0, j), lab.vid(1, j)))
-    graph = Graph.build(2 * n, edges)
+    graph = _grid_graph(2, n, [(0, 0, 1), (1, 0, r), (0, 1, 0)])
     params = {"family": "gp", "n": n, "r": r}
     sigma, mult = _find_grid_sigma(graph, 2, n)
     if mult is not None:
         params["sigma_multiplier"] = mult
-    return _finalize(graph, lab, grid_rho(2, n), sigma, params, conj_r=mult)
+    return _finalize(graph, 2, n, sigma, params, conj_r=mult)
 
 
 def petersen() -> FamilyInstance:
@@ -229,16 +219,8 @@ def metacirculant_triple_2p(p: int, s_outer, s_inner, spokes) -> FamilyInstance:
             raise ValueError(f"{name} is not symmetric")
     if not t_set:
         raise ValueError("spoke set T is empty")
-    lab = GridLabeling(2, p)
-    edges = []
-    for j in range(p):
-        for s in s0:
-            edges.append((lab.vid(0, j), lab.vid(0, j + s)))
-        for s in s1:
-            edges.append((lab.vid(1, j), lab.vid(1, j + s)))
-        for t in t_set:
-            edges.append((lab.vid(0, j), lab.vid(1, j + t)))
-    graph = Graph.build(2 * p, edges)
+    graph = _grid_graph(2, p, [(0, 0, s) for s in s0] + [(1, 0, s) for s in s1]
+                        + [(0, 1, t) for t in t_set])
     params = {
         "family": "triple2p",
         "q": 2,
@@ -250,7 +232,7 @@ def metacirculant_triple_2p(p: int, s_outer, s_inner, spokes) -> FamilyInstance:
     sigma, mult = _find_grid_sigma(graph, 2, p)
     if mult is not None:
         params["sigma_multiplier"] = mult
-    return _finalize(graph, lab, grid_rho(2, p), sigma, params, conj_r=mult)
+    return _finalize(graph, 2, p, sigma, params, conj_r=mult)
 
 
 # --- Cayley graphs of the two non-abelian groups of order p^3 ---------------
@@ -378,13 +360,11 @@ def cayley_p3(
         for s in conn:
             edges.append((gi, grp.index[grp.multiply(g, s)]))
     graph = Graph.build(n, edges)
-    lab = GridLabeling(p * p, p)
-    rho = grid_rho(p * p, p)
-    # rho must coincide with left multiplication by the canonical central
-    # order-p element ((0,0,1) resp. a^p); ties the encoding to the quotient.
+    # the grid rotation must coincide with left multiplication by the canonical
+    # central order-p element ((0,0,1) resp. a^p); ties the encoding to the quotient.
     central = (0, 0, 1) if variant == "heisenberg" else (p, 0)
     left = tuple(grp.index[grp.multiply(central, g)] for g in grp.elements)
-    if left != rho:
+    if left != grid_rho(p * p, p):
         raise AssertionError("central rotation does not match the grid labelling")
     if not grp.is_central(central) or grp.element_order(central) != p:
         raise AssertionError("canonical element is not central of order p")
@@ -395,7 +375,7 @@ def cayley_p3(
         "connection": list(connection),
         "encoding": "mixed-radix, orbits of the central rotation are blocks of p",
     }
-    return _finalize(graph, lab, rho, None, params)
+    return _finalize(graph, p * p, p, None, params)
 
 
 def metacirculant_orbit(m: int, n: int, r: int, neighbors0) -> FamilyInstance:
@@ -409,39 +389,24 @@ def metacirculant_orbit(m: int, n: int, r: int, neighbors0) -> FamilyInstance:
         raise ValueError("need m >= 2 and n >= 2")
     if math.gcd(r, n) != 1:
         raise ValueError(f"{r} is not a unit mod {n}")
-    lab = GridLabeling(m, n)
-    v0 = lab.vid(0, 0)
-    base = set()
+    neighbors0 = list(neighbors0)
     for i, j in neighbors0:
-        u = lab.vid(i, j)
-        if u == v0:
+        if i % m == 0 and j % n == 0:
             raise ValueError("neighbour set contains v_0^0 itself (loop)")
-        base.add(frozenset((v0, u)))
-    if not base:
+    if not neighbors0:
         raise ValueError("empty neighbour set")
-    rho = grid_rho(m, n)
-    sigma = grid_sigma(m, n, r)
-    edges: set[frozenset[int]] = set()
-    frontier = base
-    while frontier:
-        edges |= frontier
-        nxt = set()
-        for e in frontier:
-            u, v = tuple(e)
-            for gperm in (rho, sigma):
-                img = frozenset((gperm[u], gperm[v]))
-                if len(img) == 1:
-                    raise ValueError("orbit closure created a loop")
-                if img not in edges:
-                    nxt.add(img)
-        frontier = nxt
-    graph = Graph.build(m * n, (tuple(sorted(e)) for e in edges))
+    # sigma^b maps v_0^0 ~ v_i^j to v_b^0 ~ v_{b+i}^{r^b j}, and rho moves
+    # that edge along the columns, so the orbit is these offset classes
+    r_order = ord_mod(r, n)
+    classes = {(b % m, i % m, pow(r, b, n) * j % n)
+               for b in range(m * r_order) for i, j in neighbors0}
     params = {
         "family": "orbit",
         "m": m,
         "n": n,
         "r": r,
-        "r_order": ord_mod(r, n),
+        "r_order": r_order,
         "neighbors0": sorted((i % m, j % n) for i, j in neighbors0),
     }
-    return _finalize(graph, lab, rho, sigma, params, conj_r=r)
+    return _finalize(_grid_graph(m, n, classes), m, n, grid_sigma(m, n, r), params,
+                     conj_r=r)

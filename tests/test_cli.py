@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hamcompress import cli
+from hamcompress import cli, families
 from hamcompress.families import petersen
 from hamcompress.graph import parse_edgelist
 
@@ -242,23 +242,35 @@ def test_construct_stdout_roundtrip(capsys):
     assert parse_edgelist(out) == petersen().graph
 
 
-@pytest.mark.parametrize(
-    "argv,vertices",
-    [
-        (["--family", "circulant", "--n", "15", "--connection", "1,14"], 15),
-        (["--family", "zqp", "--q", "2", "--p", "17", "--t", "4"], 34),
-        (["--family", "triple2p", "--p", "5", "--outer", "1,4",
-          "--inner", "1,4", "--spokes", "0,1,4"], 10),
-        (["--family", "cayleyp3", "--p", "3", "--variant", "modular"], 27),
-        (["--family", "orbit", "--m", "2", "--n", "13", "--r", "8",
-          "--neighbors", "1:0,0:1,0:12"], 26),
-    ],
-)
-def test_construct_all_families(capsys, argv, vertices):
-    code = cli.main(["construct", *argv, "--quiet"])
+# one case per family of the CLI table: its flags and the library call they mean
+CONSTRUCT_CASES = {
+    "xmnr": (["--m", "3", "--n", "7", "--r", "2"], lambda: families.x_mnr(3, 7, 2)),
+    "yqp": (["--q", "2", "--p", "13"], lambda: families.y_qp(2, 13)),
+    "zqp": (["--q", "2", "--p", "17", "--t", "4"], lambda: families.z_qp(2, 17, 4)),
+    "circulant": (["--n", "15", "--connection", "1,14"],
+                  lambda: families.circulant(15, {1, 14})),
+    "gp": (["--n", "13", "--r", "5"], lambda: families.generalized_petersen(13, 5)),
+    "petersen": ([], families.petersen),
+    "triple2p": (["--p", "5", "--outer", "1,4", "--inner", "1,4", "--spokes", "0,1,4"],
+                 lambda: families.metacirculant_triple_2p(5, {1, 4}, {1, 4}, {0, 1, 4})),
+    "cayleyp3": (["--p", "3", "--variant", "modular"],
+                 lambda: families.cayley_p3(3, "modular")),
+    "orbit": (["--m", "2", "--n", "13", "--r", "8", "--neighbors", "1:0,0:1,0:12"],
+              lambda: families.metacirculant_orbit(2, 13, 8, [(1, 0), (0, 1), (0, 12)])),
+}
+
+
+def test_construct_cases_cover_the_family_table():
+    assert list(CONSTRUCT_CASES) == list(cli.FAMILIES)
+
+
+@pytest.mark.parametrize("family", list(cli.FAMILIES))
+def test_construct_all_families(capsys, family):
+    flags, build = CONSTRUCT_CASES[family]
+    code = cli.main(["construct", "--family", family, *flags, "--quiet"])
     out = capsys.readouterr().out
     assert code == 0
-    assert parse_edgelist(out).n == vertices
+    assert parse_edgelist(out) == build().graph
 
 
 def test_construct_missing_params_exit_2(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hamcompress.autgroup import is_automorphism
@@ -248,3 +250,143 @@ def test_circulant_15_is_the_cycle():
 def test_metacirculant_orbit_requires_two_rows():
     with pytest.raises(ValueError):
         metacirculant_orbit(1, 5, 1, [(0, 1)])
+
+
+def test_metacirculant_orbit_reads_a_one_shot_iterator():
+    pairs = [(0, 1), (1, 0)]
+    built = metacirculant_orbit(3, 7, 2, iter(pairs))
+    assert built.params["neighbors0"] == pairs
+    assert built.graph == metacirculant_orbit(3, 7, 2, pairs).graph
+
+
+# --- labelled edge sets pinned to the definitions ---------------------------
+# Each expected edge set is computed pair by pair from an adjacency predicate
+# written from the constructor's docstring, on the labelling (i, j) -> i*n + j.
+
+
+def _defined_edges(m, n, adjacent):
+    """{(u, v) : u < v} for the vertices (i, j) of Z_m x Z_n where
+    adjacent(a, b) or adjacent(b, a) holds."""
+    cells = [divmod(v, n) for v in range(m * n)]
+    return {(u, v) for u in range(m * n) for v in range(u + 1, m * n)
+            if adjacent(cells[u], cells[v]) or adjacent(cells[v], cells[u])}
+
+
+def _unit_order(r, n):
+    """Least e >= 1 with r^e = 1 mod n, or None when r is not a unit."""
+    for e in range(1, n + 1):
+        if pow(r, e, n) == 1 % n:
+            return e
+    return None
+
+
+def _column_step(a, b, m):
+    """b = v_{i+1}^j for a = v_i^j."""
+    return b[1] == a[1] and b[0] == (a[0] + 1) % m
+
+
+def test_x_mnr_edges_match_definition():
+    cases = [(m, n, r) for n in range(2, 14) for r in range(1, n)
+             for m in range(2, 6) if _unit_order(r, n) == m]
+    assert len(cases) > 30
+    for m, n, r in cases:
+        def adjacent(a, b):
+            return ((a[0] == b[0] and (b[1] - a[1]) % n == pow(r, a[0], n))
+                    or _column_step(a, b, m))
+
+        assert set(x_mnr(m, n, r).graph.edges()) == _defined_edges(m, n, adjacent), (m, n, r)
+
+
+@pytest.mark.parametrize("build,exponent", [(y_qp, lambda q, t: q),
+                                            (z_qp, lambda q, t: q ** (t - 1))],
+                         ids=["y_qp", "z_qp"])
+def test_y_z_qp_edges_match_definition(build, exponent):
+    for q, p, t in [(2, 5, 2), (2, 13, 2), (3, 19, 2), (2, 17, 4), (2, 41, 3), (3, 37, 2)]:
+        lam = min(g for g in range(2, p) if _unit_order(g, p) == p - 1)
+        r = pow(lam, (p - 1) // q**t, p)
+        sub = {pow(r, exponent(q, t) * k, p) for k in range(p)}
+        steps = sub | {-h % p for h in sub}
+
+        def adjacent(a, b):
+            return ((a[0] == b[0] and (b[1] - a[1]) % p in {pow(r, a[0], p) * s % p
+                                                           for s in steps})
+                    or _column_step(a, b, q))
+
+        assert set(build(q, p, t).graph.edges()) == _defined_edges(q, p, adjacent), (q, p, t)
+
+
+def test_circulant_edges_match_definition():
+    for n in range(2, 10):
+        halves = range(1, n // 2 + 1)
+        for k in range(1, len(halves) + 1):
+            for chosen in itertools.combinations(halves, k):
+                conn = {s for h in chosen for s in (h, n - h)}
+
+                def adjacent(a, b):
+                    return (b[1] - a[1]) % n in conn
+
+                assert set(circulant(n, conn).graph.edges()) == _defined_edges(1, n, adjacent)
+
+
+def test_generalized_petersen_edges_match_definition():
+    for n in range(3, 13):
+        for r in range(1, (n + 1) // 2):
+            def adjacent(a, b):
+                step = (b[1] - a[1]) % n
+                return ((a[0] == b[0] == 0 and step == 1)  # outer cycle
+                        or (a[0] == b[0] == 1 and step == r)  # inner step-r cycles
+                        or (a[0] == 0 and b[0] == 1 and step == 0))  # spokes
+
+            edges = set(generalized_petersen(n, r).graph.edges())
+            assert edges == _defined_edges(2, n, adjacent), (n, r)
+
+
+def test_triple_2p_edges_match_definition():
+    for p in (3, 5, 7):
+        for outer, inner in [({1, p - 1}, {1, p - 1}), ({1, p - 1}, {2, p - 2}),
+                             (set(range(1, p)), {2, p - 2})]:
+            for k in range(1, p + 1):
+                for spokes in itertools.combinations(range(p), k):
+                    def adjacent(a, b):
+                        step = (b[1] - a[1]) % p
+                        return ((a[0] == b[0] == 0 and step in outer)
+                                or (a[0] == b[0] == 1 and step in inner)
+                                or (a[0] == 0 and b[0] == 1 and step in spokes))
+
+                    edges = set(metacirculant_triple_2p(p, outer, inner, spokes).graph.edges())
+                    assert edges == _defined_edges(2, p, adjacent), (p, outer, inner, spokes)
+
+
+def _closed_orbit_edges(m, n, r, neighbors0):
+    """Close the edges v_0^0 ~ v_i^j one edge at a time under
+    rho: v_i^j -> v_i^{j+1} and sigma: v_i^j -> v_{i+1}^{rj}."""
+    def rho(v):
+        return v[0], (v[1] + 1) % n
+
+    def sigma(v):
+        return (v[0] + 1) % m, r * v[1] % n
+
+    edges = {frozenset({(0, 0), (i % m, j % n)}) for i, j in neighbors0}
+    frontier = list(edges)
+    while frontier:
+        edge = frontier.pop()
+        for g in (rho, sigma):
+            image = frozenset(map(g, edge))
+            if image not in edges:
+                edges.add(image)
+                frontier.append(image)
+    return {tuple(sorted(i * n + j for i, j in edge)) for edge in edges}
+
+
+def test_metacirculant_orbit_edges_match_closure():
+    starts = [[(0, 1)], [(1, 0)], [(0, 1), (1, 0)], [(1, 2)], [(0, 2), (2, 1)], [(1, -1), (2, 3)]]
+    for m in range(2, 5):
+        for n in range(2, 10):
+            for r in range(1, n):
+                if _unit_order(r, n) is None:
+                    continue
+                for nb in starts:
+                    nb = [(i, j) for i, j in nb if (i % m, j % n) != (0, 0)]
+                    if nb:
+                        edges = set(metacirculant_orbit(m, n, r, nb).graph.edges())
+                        assert edges == _closed_orbit_edges(m, n, r, nb), (m, n, r, nb)
