@@ -62,15 +62,24 @@ def _load_graph(path: str):
         return parse_edgelist(fh.read())
 
 
-def _parse_int_set(text: str) -> set[int]:
-    return {int(tok) for tok in text.replace(",", " ").split()}
+def _parse_int_set(text: str, flag: str) -> set[int]:
+    out = set()
+    for tok in text.replace(",", " ").split():
+        try:
+            out.add(int(tok))
+        except ValueError:
+            raise ValueError(f"--{flag}: {tok!r} is not an integer") from None
+    return out
 
 
 def _parse_neighbors(text: str) -> list[tuple[int, int]]:
     pairs = []
     for tok in text.split(","):
-        i, j = tok.strip().split(":")
-        pairs.append((int(i), int(j)))
+        try:
+            i, j = (int(x) for x in tok.split(":"))
+        except ValueError:
+            raise ValueError(f"--neighbors: {tok.strip()!r} is not an i:j pair") from None
+        pairs.append((i, j))
     return pairs
 
 
@@ -80,13 +89,13 @@ FAMILIES = {
     "yqp": (("q", "p"), lambda a: families.y_qp(a.q, a.p, a.t)),
     "zqp": (("q", "p"), lambda a: families.z_qp(a.q, a.p, a.t)),
     "circulant": (("n", "connection"),
-                  lambda a: families.circulant(a.n, _parse_int_set(a.connection))),
+                  lambda a: families.circulant(a.n, _parse_int_set(a.connection, "connection"))),
     "gp": (("n", "r"), lambda a: families.generalized_petersen(a.n, a.r)),
     "petersen": ((), lambda a: families.petersen()),
     "triple2p": (("p", "outer", "inner", "spokes"),
                  lambda a: families.metacirculant_triple_2p(
-                     a.p, _parse_int_set(a.outer), _parse_int_set(a.inner),
-                     _parse_int_set(a.spokes))),
+                     a.p, _parse_int_set(a.outer, "outer"), _parse_int_set(a.inner, "inner"),
+                     _parse_int_set(a.spokes, "spokes"))),
     "cayleyp3": (("p",), lambda a: families.cayley_p3(
         a.p, a.variant,
         tuple(a.connection.split(","))

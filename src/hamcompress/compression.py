@@ -26,7 +26,7 @@ from .graph import Graph, bits, remove_intra_orbit_edges
 from .hamlift import (
     ENUM_LIMIT,
     HamCycle,
-    _plain_cycles,
+    _hamilton_cycles,
     canonical_cycle,
     check_hamcycle,
     find_hamcycle,
@@ -146,7 +146,7 @@ def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
     n = g.n
     shifts = divisors(n)[:-1] if n else []
     exhausted = True
-    for count, cycle in enumerate(_plain_cycles(g)):
+    for count, cycle in enumerate(_hamilton_cycles(g.rows)):
         if count >= limit:
             exhausted = False
             break

@@ -61,36 +61,27 @@ def _grid_graph(m: int, n: int, offsets) -> Graph:
     return Graph.build(m * n, edges)
 
 
-def _finalize(
-    graph: Graph,
-    m: int,
-    n: int,
-    sigma: Perm | None,
-    params: dict,
-    conj_r: int | None = None,
-) -> FamilyInstance:
+def _finalize(graph: Graph, m: int, n: int, r: int | None, params: dict) -> FamilyInstance:
+    """Check rho, and sigma = grid_sigma(m, n, r) unless r is None, on graph."""
     rho = grid_rho(m, n)
     if not is_automorphism(graph, rho):
         raise ValueError("rotation is not an automorphism of the constructed graph")
-    if sigma is not None:
+    sigma = None
+    if r is not None:
+        sigma = grid_sigma(m, n, r)
         if not is_automorphism(graph, sigma):
             raise ValueError("twisted rotation is not an automorphism")
-        if conj_r is not None:
-            lhs = compose(sigma, compose(rho, inverse(sigma)))
-            if lhs != power(rho, conj_r):
-                raise ValueError("conjugation law sigma rho sigma^-1 = rho^r violated")
+        if compose(sigma, compose(rho, inverse(sigma))) != power(rho, r):
+            raise ValueError("conjugation law sigma rho sigma^-1 = rho^r violated")
     return FamilyInstance(graph, GridLabeling(m, n), rho, sigma, params)
 
 
-def _find_grid_sigma(graph: Graph, m: int, n: int) -> tuple[Perm | None, int | None]:
+def _find_grid_sigma(graph: Graph, m: int, n: int) -> int | None:
     """Least multiplier r making v_i^j -> v_{i+1}^{rj} an automorphism."""
     for r in range(1, n):
-        if math.gcd(r, n) != 1:
-            continue
-        cand = grid_sigma(m, n, r)
-        if is_automorphism(graph, cand):
-            return cand, r
-    return None, None
+        if math.gcd(r, n) == 1 and is_automorphism(graph, grid_sigma(m, n, r)):
+            return r
+    return None
 
 
 def x_mnr(m: int, n: int, r: int) -> FamilyInstance:
@@ -112,7 +103,7 @@ def x_mnr(m: int, n: int, r: int) -> FamilyInstance:
     if math.gcd(r - 1, n) != 1:
         # only the m >= 3 compression bound needs r-1 invertible
         params["warnings"] = ["r-1 is not a unit mod n"]
-    return _finalize(graph, m, n, grid_sigma(m, n, r), params, conj_r=r)
+    return _finalize(graph, m, n, r, params)
 
 
 def _yz_instance(q: int, p: int, t: int, family: str, sub_exp: int) -> FamilyInstance:
@@ -149,14 +140,12 @@ def _yz_instance(q: int, p: int, t: int, family: str, sub_exp: int) -> FamilyIns
         "steps": steps,
     }
     sigma = grid_sigma(q, p, r)
-    if not is_automorphism(graph, sigma):
-        # happens for the sparser variant once t >= 3; recorded, probed by the CLI
-        params["sigma_is_automorphism"] = False
-        sigma = None
-    else:
-        params["sigma_is_automorphism"] = True
+    # fails for the sparser variant once t >= 3; recorded, probed by the CLI
+    sigma_ok = is_automorphism(graph, sigma)
+    params["sigma_is_automorphism"] = sigma_ok
+    if sigma_ok:
         params["sigma_order"] = order(sigma)
-    return _finalize(graph, q, p, sigma, params, conj_r=r)
+    return _finalize(graph, q, p, r if sigma_ok else None, params)
 
 
 def y_qp(q: int, p: int, t: int = 2) -> FamilyInstance:
@@ -194,10 +183,10 @@ def generalized_petersen(n: int, r: int) -> FamilyInstance:
         raise ValueError(f"inner step must satisfy 1 <= r < n/2, got {r}")
     graph = _grid_graph(2, n, [(0, 0, 1), (1, 0, r), (0, 1, 0)])
     params = {"family": "gp", "n": n, "r": r}
-    sigma, mult = _find_grid_sigma(graph, 2, n)
+    mult = _find_grid_sigma(graph, 2, n)
     if mult is not None:
         params["sigma_multiplier"] = mult
-    return _finalize(graph, 2, n, sigma, params, conj_r=mult)
+    return _finalize(graph, 2, n, mult, params)
 
 
 def petersen() -> FamilyInstance:
@@ -229,10 +218,10 @@ def metacirculant_triple_2p(p: int, s_outer, s_inner, spokes) -> FamilyInstance:
         "S_inner": sorted(s1),
         "T": sorted(t_set),
     }
-    sigma, mult = _find_grid_sigma(graph, 2, p)
+    mult = _find_grid_sigma(graph, 2, p)
     if mult is not None:
         params["sigma_multiplier"] = mult
-    return _finalize(graph, 2, p, sigma, params, conj_r=mult)
+    return _finalize(graph, 2, p, mult, params)
 
 
 # --- Cayley graphs of the two non-abelian groups of order p^3 ---------------
@@ -408,5 +397,4 @@ def metacirculant_orbit(m: int, n: int, r: int, neighbors0) -> FamilyInstance:
         "r_order": r_order,
         "neighbors0": sorted((i % m, j % n) for i, j in neighbors0),
     }
-    return _finalize(_grid_graph(m, n, classes), m, n, grid_sigma(m, n, r), params,
-                     conj_r=r)
+    return _finalize(_grid_graph(m, n, classes), m, n, r, params)

@@ -107,7 +107,10 @@ def parse_edgelist(text: str) -> Graph:
         raise ValueError(f"line 1: malformed header {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise ValueError("line 1: negative count in header")
-    rows = [0] * n
+    try:
+        rows = [0] * n
+    except (MemoryError, OverflowError):
+        raise ValueError(f"line 1: vertex count {n} is too large") from None
     count = 0
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():

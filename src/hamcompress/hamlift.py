@@ -8,15 +8,16 @@ generates Z_k lifts to a Hamilton cycle of the source graph on which the
 automorphism acts as a rotation.
 
 One search serves both uses: _hamilton_cycles, a non-recursive depth-first
-generator over bitset adjacency rows, yields the Hamilton cycles through
-vertex 0. Each step is cut unless vertex 0 keeps an open neighbour to close
+generator over bitset adjacency rows, yields each Hamilton cycle once, in
+the direction whose second vertex is below its last. Each step is cut
+unless vertex 0 keeps an open neighbour above the second vertex to close
 the cycle, the open neighbours of the vertex the step left keep two live
 links each, and the open region stays connected; the connectivity search
-runs only when the step could have cut the region. Plain enumeration asks
-for one direction of each cycle, by allowing only closers above the second
-vertex; the quotient search takes both directions on the orbit support
-rows and stops at the first cycle whose voltages can be chosen to generate
-Z_k.
+runs only when the step could have cut the region. Plain enumeration takes
+the cycles of the graph; the quotient search takes those of the orbit
+support rows and stops at the first whose voltages can be chosen to
+generate Z_k. Reversing a quotient cycle negates its voltages, so one
+direction finds a generating net voltage exactly when the other does.
 """
 
 from __future__ import annotations
@@ -130,8 +131,6 @@ def lift(qg: QuotientGraph, orbit_cycle, voltages) -> HamCycle:
         b = orbit_cycle[(i + 1) % q]
         if voltages[i] not in avail.get((a, b), []):
             raise ValueError(f"no arc from orbit {a} to {b} with voltage {voltages[i]}")
-    if q == 2 and (voltages[0] + voltages[1]) % k == 0:
-        raise ValueError("the two steps reuse one arc; a 2-cycle needs parallel arcs")
     net = sum(voltages) % k
     if math.gcd(net, k) != 1:
         raise ValueError(f"net voltage {net} does not generate Z_{k}; lift closes early")
@@ -185,30 +184,25 @@ def _voltage_choice(volt_sets: list[list[int]], k: int) -> list[int] | None:
 def _quotient_ham_search(qg: QuotientGraph):
     """First quotient Hamilton cycle admitting a generating net voltage.
 
-    Arcs are explored in (orbit, voltage) ascending order; loops are only
-    usable in the single-orbit case, and the two-orbit case needs a pair of
-    distinct parallel arcs.
+    Arcs are explored in (orbit, voltage) ascending order. Two orbits need a
+    pair of parallel arcs, taken lexicographically; a single orbit is the
+    path (0,) closed by a loop, and loops take no part in longer cycles.
     """
     k, q = qg.k, qg.num_orbits
     avail = qg.directed_voltages()
-    if q == 1:
-        for s in avail.get((0, 0), []):
-            if math.gcd(s, k) == 1:
-                return [0], [s]
-        return None
     if q == 2:
         volts = avail.get((0, 1), [])
         for s0 in volts:
             for s1 in volts:
-                if s1 != s0 and math.gcd(s0 - s1, k) == 1:
+                if math.gcd(s0 - s1, k) == 1:
                     return [0, 1], [s0, (-s1) % k]
         return None
     support = [0] * q
     for a, b in avail:
         if a != b:
             support[a] |= 1 << b
-    for path in _hamilton_cycles(support):
-        volt_sets = [avail[(path[i], path[(i + 1) % q])] for i in range(q)]
+    for path in [(0,)] if q == 1 else _hamilton_cycles(support):
+        volt_sets = [avail.get((path[i], path[(i + 1) % q]), []) for i in range(q)]
         choice = _voltage_choice(volt_sets, k)
         if choice is not None:
             return list(path), choice
@@ -261,16 +255,16 @@ def _open_region_ok(rows, head: int, rest: int, lost: int) -> bool:
     return comp == region
 
 
-def _hamilton_cycles(rows, one_way: bool = False):
-    """Every Hamilton cycle through vertex 0 of the graph with bitset
-    adjacency rows, as a vertex tuple from 0: once in each direction, or with
-    one_way only the direction whose second vertex is below its last.
+def _hamilton_cycles(rows):
+    """Every Hamilton cycle of the graph with bitset adjacency rows, once,
+    as a vertex tuple from 0 in the direction whose second vertex is below
+    its last.
 
     Depth-first with an explicit stack, neighbours in ascending order. A
-    step is cut when vertex 0 keeps no open closer (with one_way, a closer
-    above the second vertex) or when _open_region_ok fails on the open
-    neighbours of the previous head, the only vertex that leaves the live
-    set; at the root that check covers the whole graph.
+    step is cut when vertex 0 keeps no open closer (above the second vertex)
+    or when _open_region_ok fails on the open neighbours of the previous
+    head, the only vertex that leaves the live set; at the root that check
+    covers the whole graph.
     """
     n = len(rows)
     rest = (1 << n) - 2
@@ -290,7 +284,7 @@ def _hamilton_cycles(rows, one_way: bool = False):
         head = bit.bit_length() - 1
         rest ^= bit
         prev = path[-1]
-        if one_way and not prev:
+        if not prev:
             closers = rows[0] & -(2 << head)
         if not rest:
             if closers & bit:
@@ -302,13 +296,8 @@ def _hamilton_cycles(rows, one_way: bool = False):
         rest |= bit
 
 
-def _plain_cycles(g: Graph):
-    """Hamilton cycles of g, one of the two directions each: second < last."""
-    return _hamilton_cycles(g.rows, one_way=True)
-
-
 def find_hamcycle(g: Graph) -> HamCycle | None:
-    return next(_plain_cycles(g), None)
+    return next(_hamilton_cycles(g.rows), None)
 
 
 def enumerate_hamcycles(g: Graph, limit: int = ENUM_LIMIT) -> tuple[list[HamCycle], bool]:
@@ -317,7 +306,7 @@ def enumerate_hamcycles(g: Graph, limit: int = ENUM_LIMIT) -> tuple[list[HamCycl
     if limit < 1:
         raise ValueError("limit must be positive")
     out: list[HamCycle] = []
-    for cycle in _plain_cycles(g):
+    for cycle in _hamilton_cycles(g.rows):
         if len(out) >= limit:
             return out, False
         out.append(cycle)

@@ -176,6 +176,32 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("header", ["4611686018427387904 0", "100000000000000000000 0"],
+                         ids=["2^62", "10^20"])
+def test_oversized_header_exit_2(tmp_path, capsys, header):
+    path = tmp_path / "big.txt"
+    path.write_text(header + "\n")
+    code = cli.main(["kappa", str(path), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: line 1:")
+    assert header.split()[0] in captured.err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--family", "orbit", "--m", "3", "--n", "7", "--r", "2", "--neighbors", "0"],
+     "--neighbors: '0'"),
+    (["--family", "orbit", "--m", "3", "--n", "7", "--r", "2", "--neighbors", "1:x"],
+     "--neighbors: '1:x'"),
+    (["--family", "circulant", "--n", "7", "--connection", "1,a"], "--connection: 'a'"),
+], ids=["neighbors-without-colon", "neighbors-not-integer", "connection-not-integer"])
+def test_construct_parse_error_names_flag_and_token(capsys, flags, named):
+    code = cli.main(["construct", *flags, "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert named in captured.err
+
+
 def test_verify_exit_codes(capsys):
     code, out = run_cli(capsys, "verify", "--claim", "circulant")
     assert code == 0

@@ -4,7 +4,9 @@ import math
 import pytest
 
 from conftest import acts_as_rotation, cycle_edges, graph_cycle, graph_k4
+from hamcompress.autgroup import automorphism_group, cyclic_semiregular_reps
 from hamcompress.families import (
+    cayley_p3,
     generalized_petersen,
     grid_rho,
     metacirculant_triple_2p,
@@ -15,7 +17,7 @@ from hamcompress.families import (
 from hamcompress.graph import Graph
 from hamcompress.hamlift import (
     _hamilton_cycles,
-    _plain_cycles,
+    _voltage_choice,
     canonical_cycle,
     check_hamcycle,
     enumerate_hamcycles,
@@ -234,11 +236,10 @@ def _reference_cycles(g: Graph) -> list[tuple[int, ...]]:
 
 
 def _assert_search_matches_reference(g: Graph, label) -> None:
-    """The pruned search yields exactly the reference's cycles, in its order;
-    the one-way search exactly those whose second vertex is below the last."""
+    """The pruned search yields exactly the reference's cycles whose second
+    vertex is below the last, in the reference's order."""
     ref = _reference_cycles(g)
-    assert list(_hamilton_cycles(g.rows)) == ref, label
-    assert list(_plain_cycles(g)) == [c for c in ref if c[1] < c[-1]], label
+    assert list(_hamilton_cycles(g.rows)) == [c for c in ref if c[1] < c[-1]], label
 
 
 def test_hamilton_search_matches_unpruned_reference():
@@ -256,6 +257,57 @@ def test_hamilton_search_matches_unpruned_reference_on_atlas():
     nx = pytest.importorskip("networkx")
     for index, h in enumerate(nx.graph_atlas_g()):
         _assert_search_matches_reference(Graph.build(h.number_of_nodes(), h.edges()), index)
+
+
+def _reference_quotient_search(qg):
+    """The quotient search with no pruning and both directions: one orbit
+    takes its least generating loop voltage, two orbits the lexicographically
+    first pair of distinct parallel arcs, and more orbits the first cycle of
+    the unpruned reference DFS on the support whose voltages can generate."""
+    k, q = qg.k, qg.num_orbits
+    avail = qg.directed_voltages()
+    if q == 1:
+        for s in avail.get((0, 0), []):
+            if math.gcd(s, k) == 1:
+                return [0], [s]
+        return None
+    if q == 2:
+        volts = avail.get((0, 1), [])
+        for s0, s1 in itertools.product(volts, repeat=2):
+            if s1 != s0 and math.gcd(s0 - s1, k) == 1:
+                return [0, 1], [s0, (-s1) % k]
+        return None
+    support = Graph.build(q, [(a, b) for a, b in avail if a < b])
+    for path in _reference_cycles(support):
+        choice = _voltage_choice([avail[(path[i], path[(i + 1) % q])] for i in range(q)], k)
+        if choice is not None:
+            return list(path), choice
+    return None
+
+
+def test_symmetric_search_matches_both_direction_reference():
+    """find_symmetric_hamcycle lifts the certificate the unpruned
+    both-direction reference picks, for every cyclic semiregular generator:
+    the one-way search keeps the first accepted quotient cycle and its
+    voltage choice, and the two-orbit case keeps its own pair order."""
+    graphs = [generalized_petersen(n, r).graph
+              for n in range(3, 13) for r in range(1, (n + 1) // 2)]
+    sym = ((1, 4), (2, 3), (1, 2, 3, 4))
+    for s_outer, s_inner in itertools.product(sym, repeat=2):
+        for spokes in ((0,), (0, 1), (0, 2), (0, 1, 3)):
+            graphs.append(metacirculant_triple_2p(5, s_outer, s_inner, spokes).graph)
+    graphs += [x_mnr(3, 7, 2).graph, x_mnr(4, 5, 2).graph, petersen().graph.complement(),
+               cayley_p3(3, "heisenberg").graph]
+    pairs = 0
+    for index, g in enumerate(graphs):
+        for reps in cyclic_semiregular_reps(automorphism_group(g)).values():
+            for a in reps:
+                qg = quotient_with_voltages(g, a)
+                ref = _reference_quotient_search(qg)
+                expected = lift(qg, *ref) if ref is not None else None
+                assert find_symmetric_hamcycle(g, a) == expected, (index, a)
+                pairs += 1
+    assert pairs == 726
 
 
 def test_enumerate_gp_13_5_nonempty_exhaustive():

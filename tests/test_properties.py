@@ -22,7 +22,7 @@ from hamcompress.autgroup import (
     sem_array,
 )
 from hamcompress.compression import cycle_compression, ham_array, hamilton_compression
-from hamcompress.families import circulant
+from hamcompress.families import circulant, generalized_petersen
 from hamcompress.graph import Graph
 from hamcompress.hamlift import (
     check_hamcycle,
@@ -318,3 +318,32 @@ def test_circulant_census():
         assert group.order == n * sum(1 for _ in matcher.isomorphisms_iter()), (n, conn)
         assert len(set(group.elements)) == group.order, (n, conn)
         assert all(is_automorphism(g, a) for a in group.elements), (n, conn)
+
+
+def test_generalized_petersen_census():
+    """GP(n, r) for 3 <= n <= 16 and every 1 <= r < n/2: lift and exhaustive
+    compression agree, and for n <= 10 the listed elements are |Aut| distinct
+    automorphisms, |Aut| counted by VF2 (most GP(n, r) are not
+    vertex-transitive, so the whole count is taken; up to n = 10 it alone
+    takes about 1 s). The bounds on n are cost bounds, not answer bounds:
+    all 90 graphs with n <= 20 agree."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    count = 0
+    for n in range(3, 17):
+        for r in range(1, (n + 1) // 2):
+            g = generalized_petersen(n, r).graph
+            lift_res = hamilton_compression(g, "lift")
+            exh_res = hamilton_compression(g, "exhaustive", limit=50_000)
+            assert lift_res.exact and exh_res.exact, (n, r)
+            assert lift_res.kappa == exh_res.kappa, (n, r)
+            count += 1
+            if n > 10:
+                continue
+            h = nx.Graph(g.edges())
+            group = automorphism_group(g)
+            assert group.order == sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter()), (n, r)
+            assert len(set(group.elements)) == group.order, (n, r)
+            assert all(is_automorphism(g, a) for a in group.elements), (n, r)
+    assert count == 56
