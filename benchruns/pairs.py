@@ -18,9 +18,13 @@ BENCH_<workload>_<seed>_<parent|change>.json (with `_trace` appended for
 end-to-end metric of BENCHMARK.json, the parent and change medians with
 [first, third] quartiles, how much worse the change's median is relative to
 the parent's (negative when better) against the metric's bound, the pairs
-the change wins, and the parent's interquartile range. With --trace 1 it
-is a table of the per_layer metrics instead: parent and change medians over
-the seeds and their ratio.
+the change wins, the parent's interquartile range, and a verdict:
+WORSE when the change's median is worse by more than the bound; else
+unresolved when the parent's interquartile range, relative to its median,
+is wider than the bound and not every change run is better than every
+parent run; else ok. The script exits 1 when any metric is WORSE. With
+--trace 1 it is a table of the per_layer metrics instead: parent and change
+medians over the seeds and their ratio.
 """
 
 from __future__ import annotations
@@ -91,12 +95,25 @@ def summarize_trace(workload: str, seeds: list[int], metrics: list[dict]) -> Non
         print(f"{name:<30} {spec['unit']:<6} {med_p:>12.6g} {med_c:>12.6g} {ratio:>14}")
 
 
-def summarize(workload: str, seeds: list[int], metrics: list[dict]) -> None:
+def verdict(parent: list[float], change: list[float], worse: float, bound: float,
+            higher: bool) -> str:
+    if worse > bound:
+        return "WORSE"
+    p1, p3 = quartiles(parent)
+    med_p = statistics.median(parent)
+    spread = (p3 - p1) / abs(med_p) if med_p else 0.0
+    separated = min(change) > max(parent) if higher else max(change) < min(parent)
+    return "unresolved" if spread > bound and not separated else "ok"
+
+
+def summarize(workload: str, seeds: list[int], metrics: list[dict]) -> int:
+    """Print the end-to-end table; 1 when some metric is WORSE, else 0."""
     runs = load_runs(workload, seeds, False)
     for side in SIDES:
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
         print(f"{side}: {failed} failed of {attempted} operations")
+    verdicts = []
     for spec in metrics:
         name = spec["name"]
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
@@ -106,10 +123,12 @@ def summarize(workload: str, seeds: list[int], metrics: list[dict]) -> None:
         med_p, med_c = statistics.median(parent), statistics.median(change)
         worse = (med_p - med_c if higher else med_c - med_p) / med_p if med_p else 0.0
         (p1, p3), (c1, c3) = quartiles(parent), quartiles(change)
+        verdicts.append(verdict(parent, change, worse, spec["bound"], higher))
         print(f"{name}: parent {med_p:.4g} [{p1:.4g}, {p3:.4g}] "
               f"change {med_c:.4g} [{c1:.4g}, {c3:.4g}] worse-by {worse:+.3f} "
-              f"(bound {spec.get('bound', '-')}) wins {wins}/{len(seeds)} "
-              f"gap {abs(med_c - med_p):.4g} parent-IQR {p3 - p1:.4g}")
+              f"(bound {spec['bound']}) wins {wins}/{len(seeds)} "
+              f"gap {abs(med_c - med_p):.4g} parent-IQR {p3 - p1:.4g} {verdicts[-1]}")
+    return int("WORSE" in verdicts)
 
 
 def main(argv=None) -> int:
@@ -139,9 +158,8 @@ def main(argv=None) -> int:
                 print(f"seed {seed} {side} done", flush=True)
     if trace:
         summarize_trace(args.workload, args.seeds, bench["per_layer"])
-    else:
-        summarize(args.workload, args.seeds, bench["end_to_end"])
-    return 0
+        return 0
+    return summarize(args.workload, args.seeds, bench["end_to_end"])
 
 
 if __name__ == "__main__":

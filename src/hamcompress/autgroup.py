@@ -7,8 +7,9 @@ orbit member. The group order is the product of the orbit sizes
 (orbit-stabilizer), which stays exact even when the full element list is not
 enumerated. One search step, `_search_one`, finds every witness: it
 individualizes a source and a target vertex, refines both colourings jointly
-and recurses on the first non-singleton cell. The element cap is set only on
-`automorphism_group`; functions that read a group take it as `group=`.
+and recurses on the first non-singleton cell. Groups above DEFAULT_CAP
+elements are capped: their element list is left out. Functions that read a
+group take it as `group=`.
 
 Orbit pruning (McKay & Piperno 2014): each witness is kept as the
 transversal entry of its target, and the transversal is closed under the
@@ -44,17 +45,24 @@ DEFAULT_CAP = 1 << 20
 
 
 def is_automorphism(g: Graph, a: Perm) -> bool:
-    """True iff a maps the edge set of g onto itself."""
-    if len(a) != g.n:
-        raise ValueError(f"degree mismatch: permutation on {len(a)}, graph on {g.n}")
+    """True iff a is a permutation of the vertices that maps the edge set of
+    g onto itself."""
+    n = g.n
+    if len(a) != n:
+        raise ValueError(f"degree mismatch: permutation on {len(a)}, graph on {n}")
     rows = g.rows
-    for u in range(g.n):
-        img = 0
-        for v in bits(rows[u]):
-            img |= 1 << a[v]
-        if img != rows[a[u]]:
-            return False
-    return True
+    try:
+        for u in range(n):
+            img = 0
+            for v in bits(rows[u]):
+                img |= 1 << a[v]
+            if img != rows[a[u]]:
+                return False
+    except (IndexError, ValueError, OverflowError):  # an image outside range(n)
+        return False
+    # checked last: a non-bijection can match every row (the constant map on
+    # an edgeless graph), but most calls have already failed above
+    return sorted(a) == list(range(n))
 
 
 def _refine(rows: tuple[int, ...], col_a: list[int], col_b: list[int]):
@@ -129,10 +137,9 @@ class GroupData:
     capped: bool
 
 
-def automorphism_group(g: Graph, cap: int = DEFAULT_CAP) -> GroupData:
-    """Aut(g); the element list is left out (capped) above cap elements."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
+def automorphism_group(g: Graph) -> GroupData:
+    """Aut(g); the element list is left out (capped) above DEFAULT_CAP
+    elements."""
     n = g.n
     col, _ = _refine(g.rows, [0] * n, [0] * n)
     levels: list[dict[int, Perm]] = []
@@ -162,7 +169,7 @@ def automorphism_group(g: Graph, cap: int = DEFAULT_CAP) -> GroupData:
     generators = tuple(
         p for t in levels for p in t.values() if any(p[i] != i for i in range(n))
     )
-    if grp_order > cap:
+    if grp_order > DEFAULT_CAP:
         return GroupData(generators, None, grp_order, True)
     elements = [identity(n)]
     for transversal in reversed(levels):

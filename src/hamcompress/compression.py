@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .autgroup import (
-    GroupData,
     automorphism_group,
     cyclic_semiregular_reps,
     is_automorphism,
@@ -85,12 +84,7 @@ class KappaResult:
     note: str = ""
 
 
-def hamilton_compression(
-    g: Graph,
-    mode: str = "lift",
-    limit: int = ENUM_LIMIT,
-    group: GroupData | None = None,
-) -> KappaResult:
+def hamilton_compression(g: Graph, mode: str = "lift", limit: int = ENUM_LIMIT) -> KappaResult:
     """Hamilton compression of g with a certificate (0 when non-hamiltonian).
 
     lift mode sweeps the divisors of n descending, running the symmetric
@@ -108,8 +102,7 @@ def hamilton_compression(
         raise ValueError(f"unknown mode {mode!r}")
     if n < 3:
         return KappaResult(0, None, True, mode)
-    if group is None:
-        group = automorphism_group(g)
+    group = automorphism_group(g)
     note = "lower bound only on the k>=2 sweep" if group.capped else ""
     reps = cyclic_semiregular_reps(group)
     for k in sorted((d for d in divisors(n) if d >= 2), reverse=True):
@@ -122,7 +115,7 @@ def hamilton_compression(
                 return KappaResult(cert.k, cert, not group.capped, mode, note)
     cycle = find_hamcycle(g)
     if cycle is None:
-        return KappaResult(0, None, True, mode, note)
+        return KappaResult(0, None, True, mode)  # exact even when capped
     cert = cycle_compression(g, cycle)
     if not group.capped and cert.k != 1:
         raise AssertionError("sweep missed a symmetric cycle")

@@ -1,10 +1,11 @@
 """Constructors for the metacirculant graph families.
 
-Every grid family is a metacirculant in the sense of Alspach and Parsons:
-its vertices are Z_m x Z_n, labelled (i, j) -> i*n + j, and it is given by
+Every family is a metacirculant in the sense of Alspach and Parsons: its
+vertices are Z_m x Z_n, labelled (i, j) -> i*n + j, and it is given by
 offset classes (i, d, s), each putting an edge v_i^j ~ v_{i+d}^{j+s} in
 every column j. The offset classes of row i are that row's connection sets,
-and one builder, _grid_graph, turns them into edges. Every constructor
+and one builder, _grid_graph, turns them into edges; the order-p^3 Cayley
+graphs read theirs off the group law (see cayley_p3). Every constructor
 returns a FamilyInstance carrying the graph, the grid labelling, the
 rotation rho: v_i^j -> v_i^{j+1}, the twisted rotation sigma:
 v_i^j -> v_{i+1}^{r*j} when one exists, and the constructor parameters.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .autgroup import is_automorphism
 from .graph import Graph
@@ -229,134 +229,83 @@ def metacirculant_triple_2p(p: int, s_outer, s_inner, spokes) -> FamilyInstance:
 P3_DEFAULT_CONNECTION = ("a", "A", "b", "B")
 
 
-@dataclass(frozen=True)
-class P3Group:
-    """One of the non-abelian groups of order p^3, with a canonical
-    mixed-radix encoding of its elements as vertex ids.
+def p3_group(p: int, variant: str):
+    """Multiplication of a non-abelian group of order p^3 on the vertex ids
+    0..p^3-1, where id (x*p + y)*p + z stands for
 
-    heisenberg: triples over Z_p with (x1,y1,z1)(x2,y2,z2) =
-    (x1+x2, y1+y2, z1+z2+x1*y2); exponent p. modular: Z_{p^2} x| Z_p with
-    b a b^-1 = a^{1+p}. In both encodings left multiplication by a central
-    element of order p acts as v_i^j -> v_i^{j+1} on the grid (m = p^2, n = p).
+    heisenberg: the triple (x, y, z) over Z_p, with (x1,y1,z1)(x2,y2,z2) =
+    (x1+x2, y1+y2, z1+z2+x1*y2); exponent p.
+    modular: a^(x + p*z) b^y in Z_{p^2} x| Z_p, with b a b^-1 = a^(1+p).
+
+    In both, the identity is 0, a is p^2, b is p, and c = 1 is central of
+    order p with c*g = g + 1 inside g's block of p: left multiplication by c
+    is the grid rotation v_i^j -> v_i^{j+1} (m = p^2, n = p).
     """
-
-    p: int
-    variant: str
-    elements: tuple
-    index: dict
-    multiply: Callable
-    invert: Callable
-
-    def word(self, w: str):
-        """Evaluate a word over a, b; uppercase letters are inverses."""
-        gen_a, gen_b = self.gen_a(), self.gen_b()
-        table = {"a": gen_a, "A": self.invert(gen_a), "b": gen_b, "B": self.invert(gen_b)}
-        out = self.identity()
-        for ch in w:
-            if ch not in table:
-                raise ValueError(f"unknown letter {ch!r} in word {w!r}")
-            out = self.multiply(out, table[ch])
-        return out
-
-    def identity(self):
-        return (0, 0, 0) if self.variant == "heisenberg" else (0, 0)
-
-    def gen_a(self):
-        return (1, 0, 0) if self.variant == "heisenberg" else (1, 0)
-
-    def gen_b(self):
-        return (0, 1, 0) if self.variant == "heisenberg" else (0, 1)
-
-    def element_order(self, g) -> int:
-        e, x = 1, g
-        while x != self.identity():
-            x = self.multiply(x, g)
-            e += 1
-        return e
-
-    def is_central(self, g) -> bool:
-        return all(self.multiply(g, h) == self.multiply(h, g) for h in self.elements)
-
-
-def p3_group(p: int, variant: str) -> P3Group:
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
+    p2 = p * p
     if variant == "heisenberg":
 
-        def mul(g, h):
-            return ((g[0] + h[0]) % p, (g[1] + h[1]) % p, (g[2] + h[2] + g[0] * h[1]) % p)
-
-        def inv(g):
-            return ((-g[0]) % p, (-g[1]) % p, (g[0] * g[1] - g[2]) % p)
-
-        elements = tuple((x, y, z) for x in range(p) for y in range(p) for z in range(p))
-
-        def encode(g):
-            return (g[0] * p + g[1]) * p + g[2]
+        def mul(g: int, h: int) -> int:
+            x1, y1, z1 = g // p2, g // p % p, g % p
+            x2, y2, z2 = h // p2, h // p % p, h % p
+            return ((x1 + x2) % p * p + (y1 + y2) % p) * p + (z1 + z2 + x1 * y2) % p
 
     elif variant == "modular":
-        p2 = p * p
 
-        def mul(g, h):
-            return ((g[0] + h[0] * pow(1 + p, g[1], p2)) % p2, (g[1] + h[1]) % p)
-
-        def inv(g):
-            return ((-g[0] * pow(1 + p, (-g[1]) % p, p2)) % p2, (-g[1]) % p)
-
-        elements = tuple((x, y) for x in range(p2) for y in range(p))
-
-        def encode(g):
-            # orbit of the central a^p is x -> x + p; split x into (x mod p, x div p)
-            return ((g[0] % p) * p + g[1]) * p + g[0] // p
+        def mul(g: int, h: int) -> int:
+            x1, y1 = g // p2 + g % p * p, g // p % p
+            x2, y2 = h // p2 + h % p * p, h // p % p
+            x = (x1 + x2 * pow(1 + p, y1, p2)) % p2
+            return (x % p * p + (y1 + y2) % p) * p + x // p
 
     else:
         raise ValueError(f"unknown variant {variant!r}")
-
-    by_code = sorted(elements, key=encode)
-    index = {g: i for i, g in enumerate(by_code)}
-    grp = P3Group(p, variant, tuple(by_code), index, mul, inv)
-    ident = grp.identity()
-    for g in (grp.gen_a(), grp.gen_b()):
-        if mul(g, inv(g)) != ident:
-            raise AssertionError("inverse law failed in p3 group construction")
-    return grp
+    return mul
 
 
 def cayley_p3(
     p: int, variant: str, connection: tuple[str, ...] = P3_DEFAULT_CONNECTION
 ) -> FamilyInstance:
-    """Cayley graph of a non-abelian group of order p^3 on word generators.
+    """Cayley graph g ~ g*s of a non-abelian group of order p^3 (see
+    p3_group) on word generators.
 
     connection is a tuple of words over a, b (uppercase = inverse), e.g.
     ("a", "A", "b", "B"). Must be inverse-closed and avoid the identity.
+    Since c = 1 is central, (g*c^j)*s = (g*s)*c^j: right multiplication by
+    s sends every column of row i the same way, the offset class
+    (i, row(i*p*s) - i, col(i*p*s)).
     """
-    grp = p3_group(p, variant)
+    mul = p3_group(p, variant)
+
+    def powers(g: int) -> list[int]:
+        """g, g^2, ..., ending at the identity."""
+        out = [g]
+        while out[-1]:
+            out.append(mul(out[-1], g))
+        return out
+
+    a, b = p * p, p
+    letters = {"a": a, "A": powers(a)[-2], "b": b, "B": powers(b)[-2]}
     conn = []
-    seen = set()
     for w in connection:
-        g = grp.word(w)
-        if g not in seen:
-            seen.add(g)
+        g = 0
+        for ch in w:
+            if ch not in letters:
+                raise ValueError(f"unknown letter {ch!r} in word {w!r}")
+            g = mul(g, letters[ch])
+        if g not in conn:
             conn.append(g)
-    ident = grp.identity()
-    if ident in seen:
+    if 0 in conn:
         raise ValueError("connection set contains the identity")
-    if any(grp.invert(g) not in seen for g in conn):
+    if any(all(mul(s, t) for t in conn) for s in conn):
         raise ValueError("connection set is not inverse-closed")
-    n = len(grp.elements)
-    edges = []
-    for gi, g in enumerate(grp.elements):
-        for s in conn:
-            edges.append((gi, grp.index[grp.multiply(g, s)]))
-    graph = Graph.build(n, edges)
-    # the grid rotation must coincide with left multiplication by the canonical
-    # central order-p element ((0,0,1) resp. a^p); ties the encoding to the quotient.
-    central = (0, 0, 1) if variant == "heisenberg" else (p, 0)
-    left = tuple(grp.index[grp.multiply(central, g)] for g in grp.elements)
-    if left != grid_rho(p * p, p):
+    n = p**3
+    if tuple(mul(1, g) for g in range(n)) != grid_rho(p * p, p):
         raise AssertionError("central rotation does not match the grid labelling")
-    if not grp.is_central(central) or grp.element_order(central) != p:
+    if any(mul(1, g) != mul(g, 1) for g in range(n)) or len(powers(1)) != p:
         raise AssertionError("canonical element is not central of order p")
+    classes = [(i, t // p - i, t % p) for i in range(p * p) for t in (mul(i * p, s) for s in conn)]
     params = {
         "family": "cayleyp3",
         "p": p,
@@ -364,7 +313,7 @@ def cayley_p3(
         "connection": list(connection),
         "encoding": "mixed-radix, orbits of the central rotation are blocks of p",
     }
-    return _finalize(graph, p * p, p, None, params)
+    return _finalize(_grid_graph(p * p, p, classes), p * p, p, None, params)
 
 
 def metacirculant_orbit(m: int, n: int, r: int, neighbors0) -> FamilyInstance:

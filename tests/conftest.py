@@ -76,6 +76,22 @@ def graph_star(n: int) -> Graph:
     return Graph.build(n, [(0, v) for v in range(1, n)])
 
 
+# Graphs whose automorphism groups exceed the default cap: K10 (10!), K7,7
+# (2 * 7!^2), 4K4 (4!^4 * 4!) and 3K5 (5!^3 * 3!).
+def graph_complete(n: int) -> Graph:
+    return Graph.build(n, list(itertools.combinations(range(n), 2)))
+
+
+def graph_complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.build(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def graph_disjoint_complete(copies: int, size: int) -> Graph:
+    return Graph.build(copies * size, [
+        (c * size + u, c * size + v)
+        for c in range(copies) for u, v in itertools.combinations(range(size), 2)])
+
+
 def small_corpus() -> list[tuple[str, Graph]]:
     """Graphs with at most 16 vertices used by the equivalence suites."""
     return [

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from conftest import brute_automorphisms, graph_cycle, graph_k4, graph_k33
+from conftest import (
+    brute_automorphisms,
+    graph_complete,
+    graph_complete_bipartite,
+    graph_cycle,
+    graph_disjoint_complete,
+    graph_k4,
+    graph_k33,
+)
 from hamcompress.autgroup import (
     GroupData,
     automorphism_group,
@@ -30,6 +38,18 @@ def test_is_automorphism_basic():
     assert not is_automorphism(pet, tuple(swapped))
     with pytest.raises(ValueError):
         is_automorphism(pet, identity(9))
+
+
+def test_is_automorphism_rejects_non_permutations():
+    """Maps that are not permutations of range(n) are rejected, also where
+    every row matches and where an image lies outside range(n)."""
+    edgeless = Graph.build(3, [])
+    one_edge = Graph.build(4, [(0, 1)])
+    assert not is_automorphism(edgeless, (0, 0, 0))
+    assert not is_automorphism(edgeless, (-1, -2, -3))
+    assert not is_automorphism(one_edge, (0, 1, 2, 2))
+    assert not is_automorphism(edgeless, (0, 1, 5))
+    assert is_automorphism(edgeless, (2, 0, 1))
 
 
 def test_group_matches_brute_force_on_tiny_graphs():
@@ -105,13 +125,21 @@ def test_generators_are_transversal_entries_in_order_added():
         (1, 2, 3, 4, 0), (2, 3, 4, 0, 1), (3, 4, 0, 1, 2), (4, 0, 1, 2, 3), (0, 4, 3, 2, 1))
 
 
+CAPPED = (  # (graph, group order), every order above the default cap
+    (graph_complete_bipartite(7, 7), 2 * 5040**2),
+    (graph_complete(10), 3628800),
+    (graph_disjoint_complete(4, 4), 24**4 * 24),
+    (graph_disjoint_complete(3, 5), 120**3 * 6),
+)
+
+
 def test_capped_group_keeps_exact_order():
-    pet = petersen().graph
-    grp = automorphism_group(pet, cap=10)
-    assert grp.capped
-    assert grp.order == 120
-    assert grp.elements is None
-    assert all(is_automorphism(pet, a) for a in grp.generators)
+    for g, group_order in CAPPED:
+        grp = automorphism_group(g)
+        assert grp.capped
+        assert grp.order == group_order
+        assert grp.elements is None
+        assert all(is_automorphism(g, a) for a in grp.generators)
 
 
 def test_sem_array_values():
@@ -147,15 +175,9 @@ def test_sem_array_capped_default_cap_sees_every_order():
     of the generators. With every transversal entry kept as a generator it
     still finds each semiregular order on K7,7, 4K4 and 3K5; keeping only
     the searched witnesses would lose 7 and 14, 8 and 16, and 5 and 15."""
-    def disjoint_complete(copies, size):
-        return Graph.build(copies * size, [
-            (c * size + u, c * size + v)
-            for c in range(copies) for u, v in itertools.combinations(range(size), 2)])
-
-    k77 = Graph.build(14, [(u, 7 + v) for u in range(7) for v in range(7)])
-    for g, values in ((k77, (1, 2, 7, 14)),
-                      (disjoint_complete(4, 4), (1, 2, 4, 8, 16)),
-                      (disjoint_complete(3, 5), (1, 3, 5, 15))):
+    for g, values in ((graph_complete_bipartite(7, 7), (1, 2, 7, 14)),
+                      (graph_disjoint_complete(4, 4), (1, 2, 4, 8, 16)),
+                      (graph_disjoint_complete(3, 5), (1, 3, 5, 15))):
         grp = automorphism_group(g)
         assert grp.capped
         res = sem_array(g, group=grp)
@@ -163,10 +185,10 @@ def test_sem_array_capped_default_cap_sees_every_order():
 
 
 def test_sem_array_capped_is_partial():
-    pet = petersen().graph
-    res = sem_array(pet, group=automorphism_group(pet, cap=10))
-    assert not res.exact
-    assert 1 in res.values
+    for g, _ in CAPPED:
+        res = sem_array(g)
+        assert not res.exact
+        assert 1 in res.values
 
 
 def test_cyclic_semiregular_reps_one_least_generator_per_subgroup():
@@ -238,8 +260,8 @@ def test_regular_subgroup_tags():
 def test_is_cayley_examples():
     assert is_cayley(x_mnr(4, 5, 2).graph) == "yes"
     assert is_cayley(y_qp(2, 13, 2).graph) == "no"
-    pet = petersen().graph
-    assert is_cayley(pet, group=automorphism_group(pet, cap=10)) == "unknown"
+    for g, _ in CAPPED:
+        assert is_cayley(g) == "unknown"
 
 
 def test_vertex_transitive_instances_have_order_divisible_by_n():

@@ -1,6 +1,13 @@
 import pytest
 
-from conftest import graph_cycle, graph_k4, small_corpus
+from conftest import (
+    graph_complete,
+    graph_complete_bipartite,
+    graph_cycle,
+    graph_disjoint_complete,
+    graph_k4,
+    small_corpus,
+)
 from hamcompress.autgroup import automorphism_group, is_automorphism
 from hamcompress.compression import (
     cycle_compression,
@@ -15,7 +22,6 @@ from hamcompress.compression import (
     predict_kappa_metapq,
 )
 from hamcompress.families import (
-    FamilyInstance,
     cayley_p3,
     circulant,
     generalized_petersen,
@@ -132,10 +138,22 @@ def test_exhaustive_kappa_long_cycle():
 
 
 def test_kappa_capped_is_flagged():
-    comp = petersen().graph.complement()
-    res = hamilton_compression(comp, "lift", group=automorphism_group(comp, cap=10))
-    assert res.note
-    assert not res.exact
+    """K7,7 and K10 have groups above the default cap: the sweep's hit is a
+    lower bound only, and says so."""
+    for g in (graph_complete_bipartite(7, 7), graph_complete(10)):
+        assert automorphism_group(g).capped
+        res = hamilton_compression(g, "lift")
+        assert res.note == "lower bound only on the k>=2 sweep"
+        assert not res.exact
+
+
+def test_kappa_capped_without_hamilton_cycle_is_exact():
+    """4K4 and 3K5 are capped but disconnected: the exhaustive plain search
+    finds no Hamilton cycle, so kappa = 0 is exact and carries no note."""
+    for g in (graph_disjoint_complete(4, 4), graph_disjoint_complete(3, 5)):
+        assert automorphism_group(g).capped
+        res = hamilton_compression(g, "lift")
+        assert (res.kappa, res.certificate, res.exact, res.note) == (0, None, True, "")
 
 
 def test_ham_array_values():
@@ -229,11 +247,9 @@ def test_predict_metapq_cases():
     assert predict_kappa_metapq(generalized_petersen(13, 5)).kappa == 1
     sym = metacirculant_triple_2p(5, {1, 4}, {1, 4}, {0, 1, 4})
     assert predict_kappa_metapq(sym).kappa == 10
-    pet = petersen()
-    comp_inst = FamilyInstance(
-        pet.graph.complement(), pet.labeling, pet.rho, pet.sigma, {"family": "complement"}
-    )
-    assert predict_kappa_metapq(comp_inst).kappa == 5
+    complement = metacirculant_triple_2p(5, {2, 3}, {1, 4}, {1, 2, 3, 4})
+    assert complement.graph == petersen().graph.complement()
+    assert predict_kappa_metapq(complement).kappa == 5
 
 
 def test_predict_metapq_rejects_bad_instance():

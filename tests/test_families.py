@@ -15,7 +15,7 @@ from hamcompress.families import (
     y_qp,
     z_qp,
 )
-from hamcompress.graph import bits
+from hamcompress.graph import Graph, bits
 from hamcompress.perm import compose, inverse, is_semiregular, order, power
 
 ALL_INSTANCES = [
@@ -201,24 +201,97 @@ def test_cayley_p3_both_variants():
         cayley_p3(3, "heisenberg", ("a", "A", "aA"))  # identity word
 
 
+def _generated(mul, e, gens):
+    """The elements reached from e by right multiplications with gens."""
+    seen, stack = {e}, [e]
+    while stack:
+        g = stack.pop()
+        for s in gens:
+            h = mul(g, s)
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
+    return seen
+
+
+def _tuple_laws(p):
+    """Each group law on tuples, with its inverse and the vertex id of an
+    element, as the p3_group docstring defines them."""
+    p2 = p * p
+
+    def heis_mul(g, h):
+        return ((g[0] + h[0]) % p, (g[1] + h[1]) % p, (g[2] + h[2] + g[0] * h[1]) % p)
+
+    def heis_inv(g):
+        return ((-g[0]) % p, (-g[1]) % p, (g[0] * g[1] - g[2]) % p)
+
+    def mod_mul(g, h):  # (x, y) = a^x b^y
+        return ((g[0] + h[0] * pow(1 + p, g[1], p2)) % p2, (g[1] + h[1]) % p)
+
+    def mod_inv(g):
+        return ((-g[0] * pow(1 + p, (-g[1]) % p, p2)) % p2, (-g[1]) % p)
+
+    return {
+        "heisenberg": (heis_mul, heis_inv, (1, 0, 0), (0, 1, 0), (0, 0, 0),
+                       lambda g: (g[0] * p + g[1]) * p + g[2]),
+        "modular": (mod_mul, mod_inv, (1, 0), (0, 1), (0, 0),
+                    lambda g: ((g[0] % p) * p + g[1]) * p + g[0] // p),
+    }
+
+
+def test_cayley_p3_edges_match_definition():
+    """g ~ g*s for every element g and connection element s, built pair by
+    pair from each group law on tuples."""
+    conns = [("a", "A", "b", "B"), ("ab", "BA"), ("a", "A", "bab", "BAB"),
+             ("aB", "bA", "b", "B", "aab", "BAA")]
+    for p in (3, 5):
+        for variant, (mul, inv, a, b, e, code) in _tuple_laws(p).items():
+            letters = {"a": a, "A": inv(a), "b": b, "B": inv(b)}
+            elements = _generated(mul, e, (a, b))
+            assert len(elements) == p**3
+            for conn in conns:
+                words = []
+                for w in conn:
+                    s = e
+                    for ch in w:
+                        s = mul(s, letters[ch])
+                    words.append(s)
+                edges = [(code(g), code(mul(g, s))) for g in elements for s in words]
+                assert cayley_p3(p, variant, conn).graph == Graph.build(p**3, edges), \
+                    (p, variant, conn)
+
+
+def _element_order(mul, g):
+    e, x = 1, g
+    while x:
+        x = mul(x, g)
+        e += 1
+    return e
+
+
 def test_p3_group_commutator_central_of_order_p():
-    for variant in ("heisenberg", "modular"):
-        grp = p3_group(3, variant)
-        comm = grp.word("ABab")
-        assert comm != grp.identity()
-        assert grp.is_central(comm)
-        assert grp.element_order(comm) == 3
-        # non-abelian: a and b do not commute
-        a, b = grp.word("a"), grp.word("b")
-        assert grp.multiply(a, b) != grp.multiply(b, a)
-        assert len(set(grp.elements)) == 27
+    for p in (3, 5):
+        n, a, b = p**3, p * p, p
+        for variant in ("heisenberg", "modular"):
+            mul = p3_group(p, variant)
+            a_inv = next(g for g in range(n) if mul(a, g) == 0)
+            b_inv = next(g for g in range(n) if mul(b, g) == 0)
+            comm = mul(mul(mul(a_inv, b_inv), a), b)  # the word "ABab"
+            assert comm != 0
+            assert all(mul(comm, h) == mul(h, comm) for h in range(n))
+            assert _element_order(mul, comm) == p
+            # non-abelian: a and b do not commute
+            assert mul(a, b) != mul(b, a)
+            # a and b generate p^3 distinct elements
+            assert _generated(mul, 0, (a, b)) == set(range(n))
 
 
 def test_p3_group_orders():
-    heis = p3_group(3, "heisenberg")
-    assert all(heis.element_order(g) in (1, 3) for g in heis.elements)  # exponent p
-    mod = p3_group(3, "modular")
-    assert max(mod.element_order(g) for g in mod.elements) == 9
+    for p in (3, 5):
+        heis = p3_group(p, "heisenberg")
+        assert {_element_order(heis, g) for g in range(p**3)} == {1, p}  # exponent p
+        mod = p3_group(p, "modular")
+        assert max(_element_order(mod, g) for g in range(p**3)) == p * p
 
 
 def test_metacirculant_orbit_reproduces_x_mnr():
