@@ -19,12 +19,14 @@ end-to-end metric of BENCHMARK.json, the parent and change medians with
 [first, third] quartiles, how much worse the change's median is relative to
 the parent's (negative when better) against the metric's bound, the pairs
 the change wins, the parent's interquartile range, and a verdict:
-WORSE when the change's median is worse by more than the bound; else
-unresolved when the parent's interquartile range, relative to its median,
-is wider than the bound and not every change run is better than every
-parent run; else ok. The script exits 1 when any metric is WORSE. With
---trace 1 it is a table of the per_layer metrics instead: parent and change
-medians over the seeds and their ratio.
+WORSE when the change's median is worse by more than the bound; else gain
+when the change's median is better, the change wins at least 9 of every 10
+of at least ten pairs and the gap between the medians exceeds the parent's
+interquartile range; else unresolved when the parent's interquartile
+range, relative to its median, is wider than the bound and not every
+change run is better than every parent run; else ok. The script exits 1
+when any metric is WORSE. With --trace 1 it is a table of the per_layer
+metrics instead: parent and change medians over the seeds and their ratio.
 """
 
 from __future__ import annotations
@@ -95,12 +97,24 @@ def summarize_trace(workload: str, seeds: list[int], metrics: list[dict]) -> Non
         print(f"{name:<30} {spec['unit']:<6} {med_p:>12.6g} {med_c:>12.6g} {ratio:>14}")
 
 
-def verdict(parent: list[float], change: list[float], worse: float, bound: float,
-            higher: bool) -> str:
+def worse_and_wins(parent: list[float], change: list[float], higher: bool) -> tuple[float, int]:
+    """How much worse the change's median is than the parent's, relative to
+    the parent's (negative when better), and the pairs the change wins."""
+    wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    med_p, med_c = statistics.median(parent), statistics.median(change)
+    worse = (med_p - med_c if higher else med_c - med_p) / med_p if med_p else 0.0
+    return worse, wins
+
+
+def verdict(parent: list[float], change: list[float], bound: float, higher: bool) -> str:
+    worse, wins = worse_and_wins(parent, change, higher)
     if worse > bound:
         return "WORSE"
     p1, p3 = quartiles(parent)
     med_p = statistics.median(parent)
+    gap = abs(statistics.median(change) - med_p)
+    if worse < 0 and len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > p3 - p1:
+        return "gain"
     spread = (p3 - p1) / abs(med_p) if med_p else 0.0
     separated = min(change) > max(parent) if higher else max(change) < min(parent)
     return "unresolved" if spread > bound and not separated else "ok"
@@ -119,11 +133,10 @@ def summarize(workload: str, seeds: list[int], metrics: list[dict]) -> int:
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         higher = spec["better"] == "higher"
-        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        worse, wins = worse_and_wins(parent, change, higher)
         med_p, med_c = statistics.median(parent), statistics.median(change)
-        worse = (med_p - med_c if higher else med_c - med_p) / med_p if med_p else 0.0
         (p1, p3), (c1, c3) = quartiles(parent), quartiles(change)
-        verdicts.append(verdict(parent, change, worse, spec["bound"], higher))
+        verdicts.append(verdict(parent, change, spec["bound"], higher))
         print(f"{name}: parent {med_p:.4g} [{p1:.4g}, {p3:.4g}] "
               f"change {med_c:.4g} [{c1:.4g}, {c3:.4g}] worse-by {worse:+.3f} "
               f"(bound {spec['bound']}) wins {wins}/{len(seeds)} "

@@ -6,10 +6,10 @@ pointwise stabilizer of the earlier ones, with a witness automorphism per
 orbit member. The group order is the product of the orbit sizes
 (orbit-stabilizer), which stays exact even when the full element list is not
 enumerated. One search step, `_search_one`, finds every witness: it
-individualizes a source and a target vertex, refines both colourings jointly
-and recurses on the first non-singleton cell. Groups above DEFAULT_CAP
-elements are capped: their element list is left out. Functions that read a
-group take it as `group=`.
+individualizes a source and a target vertex, refines both partitions jointly
+and recurses on the first non-singleton cell, one nested call per
+individualized vertex. Groups above DEFAULT_CAP elements are capped: their
+element list is left out. Functions that read a group take it as `group=`.
 
 Orbit pruning (McKay & Piperno 2014): each witness is kept as the
 transversal entry of its target, and the transversal is closed under the
@@ -18,14 +18,15 @@ a target already in it is not searched. `generators` is every non-identity
 transversal entry, level by level, in the order added; capped groups read
 their semiregular pool from them.
 
-Determinism: refinement assigns colours from sorted signature keys, the base
+Determinism: refinement splits cells by neighbour counts, identically on
+both sides (see `_refine`), so aligned cells keep matching indices; the base
 vertex is always the least vertex of the first non-singleton cell, and
 candidate targets are tried in ascending order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import sys
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -65,62 +66,105 @@ def is_automorphism(g: Graph, a: Perm) -> bool:
     return sorted(a) == list(range(n))
 
 
-def _refine(rows: tuple[int, ...], col_a: list[int], col_b: list[int]):
-    """Jointly refine two colourings to a stable (equitable) pair.
+# A side of the search is a partition (col, cells): cells[i] lists the
+# members of cell i ascending, and col[v] is the index of v's cell.
+Side = tuple[list[int], list[list[int]]]
+Nbrs = tuple[tuple[int, ...], ...]
 
-    Cells are split by (own colour, sorted multiset of neighbour colours);
-    fresh colour ids come from the sorted signature keys of the source side,
-    so aligned cells keep matching ids. Returns (col_a, col_b) as new lists,
-    or None when the signature multisets diverge, i.e. no automorphism can
-    map the source cells onto the target cells.
+
+def _counts(nbrs: Nbrs, col: list[int], members: list[int]) -> tuple[dict, dict]:
+    """|N(u) & members| for every u where it is positive, and the number of
+    such u per (cell of u, count) pair."""
+    cnt: dict[int, int] = {}
+    for x in members:
+        for u in nbrs[x]:
+            cnt[u] = cnt.get(u, 0) + 1
+    shape: dict[tuple[int, int], int] = {}
+    for u, k in cnt.items():
+        key = (col[u], k)
+        shape[key] = shape.get(key, 0) + 1
+    return cnt, shape
+
+
+def _refine(nbrs: Nbrs, sides: list[Side], queue: list[int]) -> bool:
+    """Jointly refine aligned partitions (a source and a target side, or one
+    side alone), in place, to the coarsest equitable ones below them (McKay
+    & Piperno 2014, after Hopcroft 1971).
+
+    queue holds the cells to split by. For a popped splitter W, every cell
+    is split by |N(v) & W|: the parts are ordered by that count, the first
+    keeps the cell's index and the others are appended; all of them are
+    queued. Stops early once the partitions are discrete, leaving the check
+    of that pair to the caller. Returns False as soon as the touched cells,
+    the counts or the part sizes differ between the sides, i.e. no
+    automorphism maps the source cells onto the target cells.
     """
-    n = len(col_a)
-    ncol = len(set(col_a))
-    while True:
-        sig_a = [None] * n
-        sig_b = [None] * n
-        for v in range(n):
-            nbrs = list(bits(rows[v]))
-            sig_a[v] = (col_a[v], tuple(sorted([col_a[w] for w in nbrs])))
-            sig_b[v] = (col_b[v], tuple(sorted([col_b[w] for w in nbrs])))
-        if Counter(sig_a) != Counter(sig_b):
-            return None
-        remap = {key: i for i, key in enumerate(sorted(set(sig_a)))}
-        col_a = [remap[s] for s in sig_a]
-        col_b = [remap[s] for s in sig_b]
-        if len(remap) == ncol:
-            return col_a, col_b
-        ncol = len(remap)
+    col_a, cells_a = sides[0]
+    queued = set(queue)
+    while queue and len(cells_a) < len(col_a):
+        w = queue.pop()
+        queued.discard(w)
+        counted = [_counts(nbrs, col, cells[w]) for col, cells in sides]
+        shape = counted[0][1]
+        if any(other != shape for _, other in counted[1:]):
+            return False
+        kinds: dict[int, int] = {}  # touched cell -> distinct counts in it
+        hit: dict[int, int] = {}  # touched cell -> members with a count
+        for (c, _), size in shape.items():
+            kinds[c] = kinds.get(c, 0) + 1
+            hit[c] = hit.get(c, 0) + size
+        for c, distinct in kinds.items():
+            if distinct == 1 and hit[c] == len(cells_a[c]):
+                continue  # one count throughout: no split
+            first = len(cells_a)
+            for (col, cells), (cnt, _) in zip(sides, counted):
+                by_count: dict[int, list[int]] = {}
+                for x in cells[c]:
+                    by_count.setdefault(cnt.get(x, 0), []).append(x)
+                keys = sorted(by_count)
+                cells[c] = by_count[keys[0]]
+                for k in keys[1:]:
+                    part = by_count[k]
+                    for x in part:
+                        col[x] = len(cells)
+                    cells.append(part)
+            for i in (c, *range(first, len(cells_a))):
+                if i not in queued:
+                    queued.add(i)
+                    queue.append(i)
+    return True
 
 
-def _first_cell(col_a: list[int], col_b: list[int]) -> tuple[int, list[int]] | None:
-    """Least source vertex and ascending target vertices of the lowest colour
-    held by two or more vertices; None when col_a is discrete."""
-    c = min((c for c, size in Counter(col_a).items() if size > 1), default=None)
-    if c is None:
-        return None
-    return col_a.index(c), [w for w, cw in enumerate(col_b) if cw == c]
+def _individualize(side: Side, v: int) -> None:
+    """Move v out of its cell into a new singleton cell, in place."""
+    col, cells = side
+    cells[col[v]] = [x for x in cells[col[v]] if x != v]
+    col[v] = len(cells)
+    cells.append([v])
 
 
-def _search_one(g: Graph, col_a: list[int], col_b: list[int], v: int, t: int) -> Perm | None:
+def _first_cell(cells: list[list[int]]) -> int | None:
+    """Index of the first cell with two or more members; None when every
+    cell is a singleton."""
+    return next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+
+
+def _search_one(g: Graph, nbrs: Nbrs, a: Side, b: Side, v: int, t: int) -> Perm | None:
     """The first automorphism sending v to t that respects the aligned
-    colourings col_a -> col_b, or None; v and t get the fresh colour n."""
-    n = g.n
-    col_a = list(col_a)
-    col_b = list(col_b)
-    col_a[v] = col_b[t] = n
-    refined = _refine(g.rows, col_a, col_b)
-    if refined is None:
+    partitions a -> b, or None; v and t get a new cell on each side."""
+    a = (list(a[0]), list(a[1]))
+    b = (list(b[0]), list(b[1]))
+    _individualize(a, v)
+    _individualize(b, t)
+    if not _refine(nbrs, [a, b], [len(a[1]) - 1]):
         return None
-    col_a, col_b = refined
-    split = _first_cell(col_a, col_b)
-    if split is None:
-        vertex_b = {c: w for w, c in enumerate(col_b)}
-        p = tuple(vertex_b[c] for c in col_a)
+    c = _first_cell(a[1])
+    if c is None:
+        p = tuple(b[1][i][0] for i in a[0])
         return p if is_automorphism(g, p) else None
-    u, targets = split
-    for w in targets:
-        found = _search_one(g, col_a, col_b, u, w)
+    u = a[1][c][0]
+    for w in b[1][c]:
+        found = _search_one(g, nbrs, a, b, u, w)
         if found is not None:
             return found
     return None
@@ -141,16 +185,25 @@ def automorphism_group(g: Graph) -> GroupData:
     """Aut(g); the element list is left out (capped) above DEFAULT_CAP
     elements."""
     n = g.n
-    col, _ = _refine(g.rows, [0] * n, [0] * n)
+    # built per call and passed down: a cache that outlived the call would
+    # grow with every relabelled input
+    nbrs = tuple(tuple(bits(row)) for row in g.rows)
+    part: Side = ([0] * n, [list(range(n))] if n else [])
+    _refine(nbrs, [part], list(range(len(part[1]))))
     levels: list[dict[int, Perm]] = []
-    while (split := _first_cell(col, col)) is not None:
-        base, cell = split
+    while (c := _first_cell(part[1])) is not None:
+        base, *cell = part[1][c]
         transversal: dict[int, Perm] = {base: identity(n)}
         witnesses: list[Perm] = []
-        for t in cell[1:]:
+        for t in cell:
             if t in transversal:
                 continue  # already reached by the closure: same orbit
-            witness = _search_one(g, col, col, base, t)
+            try:
+                witness = _search_one(g, nbrs, part, part, base, t)
+            except RecursionError:  # one nested call per individualized vertex
+                raise ValueError(
+                    f"automorphism search on {n} vertices exceeds the recursion limit "
+                    f"of {sys.getrecursionlimit()}") from None
             if witness is None:
                 continue
             witnesses.append(witness)
@@ -163,8 +216,8 @@ def automorphism_group(g: Graph) -> GroupData:
                         transversal[u] = compose(s, transversal[w])
                         known.append(u)
         levels.append(transversal)
-        col[base] = n  # fix the base point and descend to its stabilizer
-        col, _ = _refine(g.rows, col, col)
+        _individualize(part, base)  # fix the base point: its stabilizer
+        _refine(nbrs, [part], [len(part[1]) - 1])
     grp_order = prod(len(t) for t in levels)
     generators = tuple(
         p for t in levels for p in t.values() if any(p[i] != i for i in range(n))

@@ -289,6 +289,8 @@ def cayley_p3(
     letters = {"a": a, "A": powers(a)[-2], "b": b, "B": powers(b)[-2]}
     conn = []
     for w in connection:
+        if not isinstance(w, str):
+            raise ValueError(f"connection word {w!r} is not a string")
         g = 0
         for ch in w:
             if ch not in letters:

@@ -319,3 +319,18 @@ def test_runtime_imports_only_the_standard_library():
                          capture_output=True, text=True, check=True, timeout=60)
     loaded = set(run.stdout.split()) - {"__main__"}
     assert loaded - set(sys.stdlib_module_names) == {"hamcompress"}
+
+
+@pytest.mark.parametrize("command", ["sem", "kappa"])
+def test_search_deeper_than_recursion_limit_exit_2(tmp_path, capsys, command):
+    """The edgeless graph on 1100 vertices needs one nested search call per
+    individualized vertex, more than the interpreter's recursion limit: the
+    CLI names n and the limit and exits 2 instead of printing a traceback."""
+    path = tmp_path / "e1100.txt"
+    path.write_text("1100 0\n")
+    code = cli.main([command, str(path), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: automorphism search on 1100 vertices exceeds the "
+                            f"recursion limit of {sys.getrecursionlimit()}\n")
+    assert "Traceback" not in captured.err

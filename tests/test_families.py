@@ -201,6 +201,17 @@ def test_cayley_p3_both_variants():
         cayley_p3(3, "heisenberg", ("a", "A", "aA"))  # identity word
 
 
+@pytest.mark.parametrize("connection, named", [
+    ((1,), "connection word 1 is not a string"),
+    (("a", "A", ["b"]), "connection word ['b'] is not a string"),
+    (("a", "A", "bx"), "unknown letter 'x' in word 'bx'"),
+], ids=["int", "list", "unknown-letter"])
+def test_cayley_p3_bad_word_names_it(connection, named):
+    with pytest.raises(ValueError) as exc:
+        cayley_p3(3, "modular", connection)
+    assert str(exc.value) == named
+
+
 def _generated(mul, e, gens):
     """The elements reached from e by right multiplications with gens."""
     seen, stack = {e}, [e]

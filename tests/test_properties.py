@@ -12,8 +12,18 @@ import random
 
 import pytest
 
-from conftest import acts_as_rotation, cycle_edges
+from conftest import (
+    acts_as_rotation,
+    cycle_edges,
+    graph_complete,
+    graph_complete_bipartite,
+    graph_disjoint_complete,
+    graph_star,
+)
 from hamcompress.autgroup import (
+    DEFAULT_CAP,
+    _individualize,
+    _refine,
     automorphism_group,
     cyclic_semiregular_reps,
     is_automorphism,
@@ -23,7 +33,7 @@ from hamcompress.autgroup import (
 )
 from hamcompress.compression import cycle_compression, ham_array, hamilton_compression
 from hamcompress.families import circulant, generalized_petersen
-from hamcompress.graph import Graph
+from hamcompress.graph import Graph, bits
 from hamcompress.hamlift import (
     check_hamcycle,
     enumerate_hamcycles,
@@ -347,3 +357,80 @@ def test_generalized_petersen_census():
             assert len(set(group.elements)) == group.order, (n, r)
             assert all(is_automorphism(g, a) for a in group.elements), (n, r)
     assert count == 56
+
+
+def test_complement_census_has_the_same_group():
+    """A graph and its complement have the same automorphisms; the
+    complement of a sparse census graph (every circulant-census graph and
+    GP(n, r) with n <= 16) is dense, where refinement does most of the
+    work."""
+    census = ([circulant(n, set(conn)).graph for n, conn in _circulant_census()]
+              + [generalized_petersen(n, r).graph
+                 for n in range(3, 17) for r in range(1, (n + 1) // 2)])
+    for g in census:
+        grp, grp_c = automorphism_group(g), automorphism_group(g.complement())
+        assert (grp_c.order, grp_c.capped) == (grp.order, False), g.rows
+        assert grp_c.elements == grp.elements, g.rows
+
+
+# (graph, |Aut|) from the closed forms |Aut K_n| = n!,
+# |Aut K_{a,b}| = a! b! (times 2 when a = b) and |Aut mK_k| = m! (k!)^m;
+# uncapped orders near the cap (K_9, K_{6,6}) are left out, since listing
+# their elements takes seconds and tests no refinement.
+CLOSED_FORMS = (
+    [(graph_complete(n), math.factorial(n)) for n in (1, 2, 3, 5, 8, 12, 20)]
+    + [(graph_complete_bipartite(a, b),
+        math.factorial(a) * math.factorial(b) * (2 if a == b else 1))
+       for a, b in ((1, 1), (1, 5), (2, 3), (3, 3), (4, 4), (3, 7), (7, 7), (5, 9))]
+    + [(graph_disjoint_complete(m, k), math.factorial(m) * math.factorial(k) ** m)
+       for m, k in ((2, 1), (3, 2), (2, 4), (3, 3), (4, 4), (3, 6), (6, 2))]
+)
+
+
+def test_closed_form_group_orders():
+    """Exact orders on complete, complete bipartite and disjoint complete
+    graphs, each family with capped members; an uncapped group lists |Aut|
+    distinct automorphisms."""
+    assert {grp_order > DEFAULT_CAP for _, grp_order in CLOSED_FORMS} == {False, True}
+    for g, grp_order in CLOSED_FORMS:
+        grp = automorphism_group(g)
+        assert (grp.order, grp.capped) == (grp_order, grp_order > DEFAULT_CAP), g.rows
+        assert all(is_automorphism(g, a) for a in grp.generators), g.rows
+        if not grp.capped:
+            assert len(set(grp.elements)) == grp_order, g.rows
+
+
+def _equitable(nbrs, side) -> bool:
+    """Every vertex of a cell has the same number of neighbours in each
+    cell."""
+    col, cells = side
+    profile = [sorted(col[u] for u in nbrs[v]) for v in range(len(col))]
+    return all(profile[v] == profile[cell[0]] for cell in cells for v in cell)
+
+
+def test_refinement_is_equitable():
+    """The root partition of _refine is equitable, and so is the partition
+    after individualizing any one vertex. A refinement that stops short of
+    equitable leaves the search complete, only slower, so no answer test
+    catches it. On a regular graph the root partition is one cell, which is
+    why the individualized partitions are checked too."""
+    rng = random.Random(13)
+    graphs = [g for g, _ in CLOSED_FORMS if g.n <= 12] + [graph_star(6)]
+    graphs += [generalized_petersen(n, r).graph
+               for n in range(3, 11) for r in range(1, (n + 1) // 2)]
+    for _ in range(30):
+        n = rng.randrange(2, 12)
+        graphs.append(Graph.build(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                      if rng.random() < 0.4]))
+    for g in graphs + [g.complement() for g in graphs]:
+        n = g.n
+        nbrs = tuple(tuple(bits(row)) for row in g.rows)
+        root = ([0] * n, [list(range(n))])
+        assert _refine(nbrs, [root], [0]), g.rows
+        assert _equitable(nbrs, root), g.rows
+        for v in range(n):
+            a, b = (list(root[0]), list(root[1])), (list(root[0]), list(root[1]))
+            _individualize(a, v)
+            _individualize(b, v)
+            assert _refine(nbrs, [a, b], [len(a[1]) - 1]), (g.rows, v)
+            assert _equitable(nbrs, a) and a == b, (g.rows, v)
