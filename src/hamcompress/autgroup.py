@@ -18,6 +18,9 @@ a target already in it is not searched. `generators` is every non-identity
 transversal entry, level by level, in the order added; capped groups read
 their semiregular pool from them.
 
+Refinement counts neighbours from the graph's neighbour tuples, `Graph.nbrs`,
+and so does the leaf check `is_automorphism`.
+
 Determinism: refinement splits cells by neighbour counts, identically on
 both sides (see `_refine`), so aligned cells keep matching indices; the base
 vertex is always the least vertex of the first non-singleton cell, and
@@ -30,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .graph import Graph, bits
+from .graph import Graph
 from .numth import is_prime
 from .perm import (
     Perm,
@@ -53,9 +56,9 @@ def is_automorphism(g: Graph, a: Perm) -> bool:
         raise ValueError(f"degree mismatch: permutation on {len(a)}, graph on {n}")
     rows = g.rows
     try:
-        for u in range(n):
+        for u, nb in enumerate(g.nbrs):
             img = 0
-            for v in bits(rows[u]):
+            for v in nb:
                 img |= 1 << a[v]
             if img != rows[a[u]]:
                 return False
@@ -149,14 +152,14 @@ def _first_cell(cells: list[list[int]]) -> int | None:
     return next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
 
 
-def _search_one(g: Graph, nbrs: Nbrs, a: Side, b: Side, v: int, t: int) -> Perm | None:
+def _search_one(g: Graph, a: Side, b: Side, v: int, t: int) -> Perm | None:
     """The first automorphism sending v to t that respects the aligned
     partitions a -> b, or None; v and t get a new cell on each side."""
     a = (list(a[0]), list(a[1]))
     b = (list(b[0]), list(b[1]))
     _individualize(a, v)
     _individualize(b, t)
-    if not _refine(nbrs, [a, b], [len(a[1]) - 1]):
+    if not _refine(g.nbrs, [a, b], [len(a[1]) - 1]):
         return None
     c = _first_cell(a[1])
     if c is None:
@@ -164,7 +167,7 @@ def _search_one(g: Graph, nbrs: Nbrs, a: Side, b: Side, v: int, t: int) -> Perm 
         return p if is_automorphism(g, p) else None
     u = a[1][c][0]
     for w in b[1][c]:
-        found = _search_one(g, nbrs, a, b, u, w)
+        found = _search_one(g, a, b, u, w)
         if found is not None:
             return found
     return None
@@ -185,11 +188,8 @@ def automorphism_group(g: Graph) -> GroupData:
     """Aut(g); the element list is left out (capped) above DEFAULT_CAP
     elements."""
     n = g.n
-    # built per call and passed down: a cache that outlived the call would
-    # grow with every relabelled input
-    nbrs = tuple(tuple(bits(row)) for row in g.rows)
     part: Side = ([0] * n, [list(range(n))] if n else [])
-    _refine(nbrs, [part], list(range(len(part[1]))))
+    _refine(g.nbrs, [part], list(range(len(part[1]))))
     levels: list[dict[int, Perm]] = []
     while (c := _first_cell(part[1])) is not None:
         base, *cell = part[1][c]
@@ -199,7 +199,7 @@ def automorphism_group(g: Graph) -> GroupData:
             if t in transversal:
                 continue  # already reached by the closure: same orbit
             try:
-                witness = _search_one(g, nbrs, part, part, base, t)
+                witness = _search_one(g, part, part, base, t)
             except RecursionError:  # one nested call per individualized vertex
                 raise ValueError(
                     f"automorphism search on {n} vertices exceeds the recursion limit "
@@ -217,7 +217,7 @@ def automorphism_group(g: Graph) -> GroupData:
                         known.append(u)
         levels.append(transversal)
         _individualize(part, base)  # fix the base point: its stabilizer
-        _refine(nbrs, [part], [len(part[1]) - 1])
+        _refine(g.nbrs, [part], [len(part[1]) - 1])
     grp_order = prod(len(t) for t in levels)
     generators = tuple(
         p for t in levels for p in t.values() if any(p[i] != i for i in range(n))
@@ -314,9 +314,9 @@ def _closure(base: frozenset[Perm], extra: Perm, n: int) -> frozenset[Perm] | No
     return frozenset(elems)
 
 
-def regular_subgroups(g: Graph, group: GroupData | None = None) -> list[RegularSubgroup] | None:
-    """All order-n subgroups acting regularly on g, or None when the group
-    enumeration was capped (status unknown).
+def _regular_search(group: GroupData, n: int):
+    """Every order-n subgroup of the uncapped group acting regularly on the
+    n >= 1 vertices, once each, as the search reaches it.
 
     Search from vertex 0: a regular subgroup has exactly one element sending
     0 to each vertex. Depth-first from {id}; at a subgroup H, branch over the
@@ -324,24 +324,16 @@ def regular_subgroups(g: Graph, group: GroupData | None = None) -> list[RegularS
     0, and close H with x. A closure whose non-identity elements are all
     fixed-point-free acts semiregularly, so reaching size n means regular.
     """
-    if group is None:
-        group = automorphism_group(g)
-    if group.capped:
-        return None
-    n = g.n
-    if n == 0:
-        return []
     by_image: dict[int, list[Perm]] = {}
     for a in group.elements:
         if is_fixed_point_free(a):
             by_image.setdefault(a[0], []).append(a)
-    found: set[frozenset[Perm]] = set()
     seen: set[frozenset[Perm]] = set()
     stack = [frozenset({identity(n)})]
     while stack:
         h = stack.pop()
         if len(h) == n:
-            found.add(h)
+            yield h  # pushed once: every push is a closure not seen before
             continue
         orbit = {a[0] for a in h}
         v = next(w for w in range(n) if w not in orbit)
@@ -351,8 +343,20 @@ def regular_subgroups(g: Graph, group: GroupData | None = None) -> list[RegularS
                 seen.add(k)
                 stack.append(k)
 
+
+def regular_subgroups(g: Graph, group: GroupData | None = None) -> list[RegularSubgroup] | None:
+    """All order-n subgroups acting regularly on g, ordered by their sorted
+    elements, or None when the group enumeration was capped (status
+    unknown)."""
+    if group is None:
+        group = automorphism_group(g)
+    if group.capped:
+        return None
+    n = g.n
+    if n == 0:
+        return []
     out = []
-    for h in sorted(found, key=lambda s: sorted(s)):
+    for h in sorted(_regular_search(group, n), key=lambda s: sorted(s)):
         tag = None
         if any(order(p) == n for p in h):
             tag = "cyclic"
@@ -363,11 +367,14 @@ def regular_subgroups(g: Graph, group: GroupData | None = None) -> list[RegularS
 
 
 def is_cayley(g: Graph, group: GroupData | None = None) -> str:
-    """"yes" / "no" / "unknown": does some subgroup act regularly on g?"""
-    subs = regular_subgroups(g, group=group)
-    if subs is None:
+    """"yes" / "no" / "unknown": does some subgroup act regularly on g? The
+    search stops at the first regular subgroup."""
+    if group is None:
+        group = automorphism_group(g)
+    if group.capped:
         return "unknown"
-    return "yes" if subs else "no"
+    found = g.n > 0 and next(_regular_search(group, g.n), None) is not None
+    return "yes" if found else "no"
 
 
 def group_report(group: GroupData) -> dict:

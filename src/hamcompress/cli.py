@@ -22,7 +22,6 @@ from .compression import (
     format_lcf,
     ham_array,
     hamilton_compression,
-    lcf,
     lcf_compressed,
 )
 from .graph import emit_edgelist, parse_edgelist
@@ -34,7 +33,7 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-CLAIM_OPTIONS = ("k", "p_max", "q", "p", "t", "large")
+CLAIM_OPTIONS = ("k", "p_max", "q", "p", "t")
 
 
 def _say(args, message: str) -> None:
@@ -99,7 +98,7 @@ FAMILIES = {
     "cayleyp3": (("p",), lambda a: families.cayley_p3(
         a.p, a.variant,
         tuple(a.connection.split(","))
-        if a.connection else families.P3_DEFAULT_CONNECTION)),
+        if a.connection is not None else families.P3_DEFAULT_CONNECTION)),
     "orbit": (("m", "n", "r", "neighbors"),
               lambda a: families.metacirculant_orbit(
                   a.m, a.n, a.r, _parse_neighbors(a.neighbors))),
@@ -204,13 +203,12 @@ def cmd_lcf(args) -> int:
         _say(args, "graph has no Hamilton cycle; no LCF word")
         _emit({"schema": 1, "kappa": 0, "lcf": None})
         return EXIT_OK
-    word = lcf(g, res.certificate.cycle)
     block, repeat = lcf_compressed(g, res.certificate)
     payload = {
         "schema": 1,
         "kappa": res.kappa,
         "cycle": list(res.certificate.cycle),
-        "lcf": list(word),
+        "lcf": list(block * repeat),
         "block": list(block),
         "repeat": repeat,
         "text": format_lcf(block, repeat),
@@ -308,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--q", type=int, help="thm31")
     v.add_argument("--p", type=int, help="thm31")
     v.add_argument("--t", type=int, help="thm31")
-    v.add_argument("--large", action="store_true",
-                   help="thm31: allow instances beyond 40 vertices (e.g. the 57-vertex member)")
     v.add_argument("--time-budget", type=float, default=verify_mod.DEFAULT_TIME_BUDGET,
                    help="seconds allowed per instance")
     v.add_argument("--max-vertices", type=int, default=verify_mod.DEFAULT_MAX_VERTICES)

@@ -21,7 +21,7 @@ from .autgroup import (
     regular_subgroups,
 )
 from .families import FamilyInstance
-from .graph import Graph, bits, remove_intra_orbit_edges
+from .graph import Graph, remove_intra_orbit_edges
 from .hamlift import (
     ENUM_LIMIT,
     HamCycle,
@@ -173,7 +173,7 @@ def lcf(g: Graph, cycle) -> tuple[int, ...]:
     for i, v in enumerate(cycle):
         prev_v = cycle[(i - 1) % n]
         next_v = cycle[(i + 1) % n]
-        third = next(w for w in bits(g.rows[v]) if w != prev_v and w != next_v)
+        third = next(w for w in g.nbrs[v] if w != prev_v and w != next_v)
         d = (pos[third] - i) % n
         if d > n // 2:
             d -= n
@@ -252,10 +252,13 @@ def predict_kappa_metapq(inst: FamilyInstance) -> MetaPqPrediction:
 
 def predict_kappa_circulant(n: int, conn) -> int:
     """n when the connection set contains a unit of Z_n, else 1; n must be a
-    product of two distinct primes and the circulant connected."""
+    product of two distinct odd primes (at n = 2p the rule fails: 10:{2,5,8}
+    has kappa 2) and the circulant connected."""
     fac = factorize(n)
     if len(fac) != 2 or any(e != 1 for e in fac.values()):
         raise ValueError(f"{n} is not a product of two distinct primes")
+    if n % 2 == 0:
+        raise ValueError(f"{n} is even; the rule is stated for odd pq")
     conn = {s % n for s in conn}
     if 0 in conn or {(-s) % n for s in conn} != conn:
         raise ValueError("connection set must be symmetric and avoid 0")

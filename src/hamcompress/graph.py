@@ -1,9 +1,10 @@
 """Simple undirected graphs with bitset adjacency rows.
 
-Rows are Python ints used as bitsets; graphs are immutable after
-construction. The on-disk edge-list format is bit-exact: a header line
-"n m", then m lines "u v" with 0 <= u < v < n in ascending lexicographic
-order, LF line endings, no comments.
+Rows are Python ints used as bitsets; nbrs[v] is the ascending tuple of
+the neighbours of v, built once from the rows when the graph is made.
+Graphs are immutable after construction. The on-disk edge-list format is
+bit-exact: a header line "n m", then m lines "u v" with 0 <= u < v < n in
+ascending lexicographic order, LF line endings, no comments.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ def bits(mask: int):
 
 
 class Graph:
-    __slots__ = ("n", "rows", "m")
+    __slots__ = ("n", "rows", "m", "nbrs")
 
     def __init__(self, n: int, rows: tuple[int, ...], m: int):
         self.n = n
         self.rows = rows
         self.m = m
+        self.nbrs = tuple(tuple(bits(row)) for row in rows)
 
     @classmethod
     def build(cls, n: int, edges) -> "Graph":
@@ -52,7 +54,7 @@ class Graph:
         return [r.bit_count() for r in self.rows]
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in bits(self.rows[u]) if u < v]
+        return [(u, v) for u, nb in enumerate(self.nbrs) for v in nb if u < v]
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1

@@ -1,11 +1,13 @@
 """Quotients with voltages, the lifting construction, and Hamilton search.
 
 Quotienting a graph by a semiregular automorphism of order k yields a
-multigraph on the orbits whose arcs carry voltages in Z_k: an arc (A, B, s)
-records that the representative of A is adjacent to the s-th power image of
-the representative of B. A Hamilton cycle of the quotient whose net voltage
-generates Z_k lifts to a Hamilton cycle of the source graph on which the
-automorphism acts as a rotation.
+multigraph on the orbits whose arcs carry voltages in Z_k: voltage s from
+orbit A to orbit B records that the representative of A is adjacent to the
+s-th power image of the representative of B. The quotient keeps the
+ascending voltages of each ordered orbit pair, read in one pass over the
+graph's neighbour tuples. A Hamilton cycle of the quotient whose net
+voltage generates Z_k lifts to a Hamilton cycle of the source graph on
+which the automorphism acts as a rotation.
 
 One search serves both uses: _hamilton_cycles, a non-recursive depth-first
 generator over bitset adjacency rows, yields each Hamilton cycle once, in
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Graph, bits
+from .graph import Graph
 from .perm import Perm, is_semiregular, orbits, order
 
 HamCycle = tuple[int, ...]
@@ -60,30 +62,22 @@ class QuotientGraph:
     """Multigraph on the orbits of a semiregular automorphism.
 
     orbit_lists[A][e] is the e-th image of A's representative (the least
-    vertex of the orbit); arcs are (A, B, s) with A <= B, parallel arcs
-    allowed, and loop voltages normalised into 1..k//2.
+    vertex of the orbit). voltages[(A, B)] lists ascending the voltages of
+    the arcs from A to B, for each ordered pair joined by an edge; two or
+    more are parallel arcs. Reversing an arc negates its voltage, so
+    voltages[(B, A)] holds the negatives of voltages[(A, B)], and a loop
+    carries both s and -s.
     """
 
     k: int
     orbit_lists: tuple[tuple[int, ...], ...]
     orbit_of: tuple[int, ...]
     exponent: tuple[int, ...]
-    arcs: tuple[tuple[int, int, int], ...]
+    voltages: dict[tuple[int, int], list[int]]
 
     @property
     def num_orbits(self) -> int:
         return len(self.orbit_lists)
-
-    def directed_voltages(self) -> dict[tuple[int, int], list[int]]:
-        """Voltages per ordered orbit pair; reversing an arc negates it."""
-        out: dict[tuple[int, int], set[int]] = {}
-        for a, b, s in self.arcs:
-            if a == b:
-                out.setdefault((a, a), set()).update({s, (-s) % self.k})
-            else:
-                out.setdefault((a, b), set()).add(s)
-                out.setdefault((b, a), set()).add((-s) % self.k)
-        return {key: sorted(vs) for key, vs in out.items()}
 
 
 def quotient_with_voltages(g: Graph, a: Perm) -> QuotientGraph:
@@ -97,20 +91,14 @@ def quotient_with_voltages(g: Graph, a: Perm) -> QuotientGraph:
     for orb in part.orbits:
         for e, v in enumerate(orb):
             exponent[v] = e
-    arcs = set()
-    for u in range(g.n):
-        for v in bits(g.rows[u]):
-            if v < u:
-                continue
-            oa, ob = part.orbit_of[u], part.orbit_of[v]
-            s = (exponent[v] - exponent[u]) % k
-            if oa == ob:
-                arcs.add((oa, oa, min(s, k - s)))
-            elif oa < ob:
-                arcs.add((oa, ob, s))
-            else:
-                arcs.add((ob, oa, (-s) % k))
-    return QuotientGraph(k, part.orbits, part.orbit_of, tuple(exponent), tuple(sorted(arcs)))
+    orbit_of = part.orbit_of
+    found: dict[tuple[int, int], set[int]] = {}
+    for u, nb in enumerate(g.nbrs):  # both ends of an edge: s one way, -s back
+        for v in nb:
+            found.setdefault((orbit_of[u], orbit_of[v]), set()).add(
+                (exponent[v] - exponent[u]) % k)
+    voltages = {pair: sorted(vs) for pair, vs in found.items()}
+    return QuotientGraph(k, part.orbits, orbit_of, tuple(exponent), voltages)
 
 
 def lift(qg: QuotientGraph, orbit_cycle, voltages) -> HamCycle:
@@ -126,10 +114,9 @@ def lift(qg: QuotientGraph, orbit_cycle, voltages) -> HamCycle:
     k, q = qg.k, qg.num_orbits
     if sorted(orbit_cycle) != list(range(q)) or len(voltages) != q:
         raise ValueError("not a closed quotient cycle visiting every orbit once")
-    avail = qg.directed_voltages()
     for i, a in enumerate(orbit_cycle):
         b = orbit_cycle[(i + 1) % q]
-        if voltages[i] not in avail.get((a, b), []):
+        if voltages[i] not in qg.voltages.get((a, b), []):
             raise ValueError(f"no arc from orbit {a} to {b} with voltage {voltages[i]}")
     net = sum(voltages) % k
     if math.gcd(net, k) != 1:
@@ -189,7 +176,7 @@ def _quotient_ham_search(qg: QuotientGraph):
     path (0,) closed by a loop, and loops take no part in longer cycles.
     """
     k, q = qg.k, qg.num_orbits
-    avail = qg.directed_voltages()
+    avail = qg.voltages
     if q == 2:
         volts = avail.get((0, 1), [])
         for s0 in volts:

@@ -21,7 +21,7 @@ from hamcompress.autgroup import (
     regular_subgroups,
     sem_array,
 )
-from hamcompress.families import petersen, x_mnr, y_qp
+from hamcompress.families import cayley_p3, petersen, x_mnr, y_qp
 from hamcompress.graph import Graph
 from hamcompress.perm import compose, identity, is_semiregular, order
 
@@ -260,6 +260,8 @@ def test_regular_subgroup_tags():
 def test_is_cayley_examples():
     assert is_cayley(x_mnr(4, 5, 2).graph) == "yes"
     assert is_cayley(y_qp(2, 13, 2).graph) == "no"
+    for variant in ("heisenberg", "modular"):
+        assert is_cayley(cayley_p3(3, variant).graph) == "yes", variant
     for g, _ in CAPPED:
         assert is_cayley(g) == "unknown"
 

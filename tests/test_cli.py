@@ -202,6 +202,17 @@ def test_construct_parse_error_names_flag_and_token(capsys, flags, named):
     assert named in captured.err
 
 
+@pytest.mark.parametrize("connection", ["", ","], ids=["empty", "comma"])
+def test_construct_cayleyp3_empty_word_exit_2(capsys, connection):
+    """An empty --connection is the identity word, not a request for the
+    default set."""
+    code = cli.main(["construct", "--family", "cayleyp3", "--p", "3",
+                     "--connection", connection, "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: connection set contains the identity\n"
+
+
 def test_verify_exit_codes(capsys):
     code, out = run_cli(capsys, "verify", "--claim", "circulant")
     assert code == 0
@@ -216,6 +227,13 @@ def test_verify_thm31_petersen_member_discrepancy(capsys):
     assert code == 0  # discrepancy-recorded is not a failure
     rep = json.loads(out)
     assert rep["counts"]["discrepancy-recorded"] == 1
+
+
+def test_verify_large_flag_is_gone_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--claim", "thm31", "--q", "3", "--p", "19", "--large", "--quiet"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_failure_exit_1(capsys, monkeypatch):

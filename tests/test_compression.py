@@ -262,7 +262,8 @@ def test_predict_metapq_rejects_bad_instance():
 def test_predict_circulant():
     assert predict_kappa_circulant(15, {1, 14}) == 15
     assert predict_kappa_circulant(15, {3, 12, 5, 10}) == 1
-    assert predict_kappa_circulant(10, {2, 8, 5}) == 1
+    with pytest.raises(ValueError, match="even"):
+        predict_kappa_circulant(10, {2, 8, 5})  # the rule is for odd pq: kappa is 2
     with pytest.raises(ValueError):
         predict_kappa_circulant(12, {1, 11})  # not squarefree pq
     with pytest.raises(ValueError):
@@ -279,13 +280,13 @@ def test_double_edge_positions():
 
 
 def test_double_edge_positions_match_quotient():
-    from collections import Counter
-
     for m, n, r in ((3, 7, 2), (4, 5, 2), (3, 13, 3), (6, 7, 3)):
         inst = x_mnr(m, n, r)
         qg = quotient_with_voltages(inst.graph, grid_sigma(m, n, r))
-        counts = Counter((a, b) for a, b, _ in qg.arcs)
-        doubled = sorted(pair for pair, c in counts.items() if c > 1)
+        doubled = sorted((a, b) for (a, b), vs in qg.voltages.items() if a < b and len(vs) > 1)
+        # no loop carries two voltage classes {s, -s}
+        assert all(len({min(s, qg.k - s) for s in vs}) == 1
+                   for (a, b), vs in qg.voltages.items() if a == b)
         expected = sorted(
             tuple(sorted((j, (j + 1) % n))) for j in double_edge_positions(m, n, r)
         )

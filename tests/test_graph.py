@@ -149,3 +149,28 @@ def test_emission_golden_hashes():
     }
     for name, (digest, g) in golden.items():
         assert hashlib.sha256(emit_edgelist(g).encode()).hexdigest() == digest, name
+
+
+def _assert_nbrs(g):
+    assert g.nbrs == tuple(tuple(v for v in range(g.n) if g.has_edge(u, v)) for u in range(g.n))
+
+
+def test_nbrs_are_the_ascending_neighbours_however_built():
+    rng = random.Random(14)
+    for _ in range(30):
+        n = rng.randrange(0, 14)
+        g = random_graph(rng, n)
+        _assert_nbrs(g)
+        _assert_nbrs(parse_edgelist(emit_edgelist(g)))
+        _assert_nbrs(g.complement())
+        p = list(range(n))
+        rng.shuffle(p)
+        _assert_nbrs(remove_intra_orbit_edges(g, tuple(p)))
+        # straight from rows, as a relabelling builds it
+        rows = [0] * n
+        for u, row in enumerate(g.rows):
+            for v in range(n):
+                if row >> v & 1:
+                    rows[p[u]] |= 1 << p[v]
+        _assert_nbrs(Graph(n, tuple(rows), g.m))
+    _assert_nbrs(x_mnr(3, 7, 2).graph)

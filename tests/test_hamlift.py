@@ -44,12 +44,11 @@ def test_quotient_x372_double_arcs():
     inst = x_mnr(3, 7, 2)
     qg = quotient_with_voltages(inst.graph, inst.sigma)
     assert qg.k == 3 and qg.num_orbits == 7
-    from collections import Counter
-
-    pair_count = Counter((a, b) for a, b, _ in qg.arcs)
-    doubled = sorted(pair for pair, c in pair_count.items() if c > 1)
+    doubled = sorted((a, b) for (a, b), vs in qg.voltages.items() if a < b and len(vs) > 1)
     # double arcs exactly at the orbit pairs (V_1, V_2) and (V_5, V_6)
     assert doubled == [(1, 2), (5, 6)]
+    # and one loop, at V_0, carrying +-1
+    assert {(a, b): vs for (a, b), vs in qg.voltages.items() if a == b} == {(0, 0): [1, 2]}
 
 
 def test_quotient_cycle_by_rotation_power():
@@ -57,7 +56,7 @@ def test_quotient_cycle_by_rotation_power():
     a = power(grid_rho(1, 6), 2)  # rotation by two, order three
     qg = quotient_with_voltages(g, a)
     assert qg.k == 3 and qg.num_orbits == 2
-    volts = qg.directed_voltages()[(0, 1)]
+    volts = qg.voltages[(0, 1)]
     assert len(volts) == 2  # parallel arcs carrying the net generator
 
 
@@ -65,10 +64,8 @@ def test_quotient_prism_by_rho():
     inst = x_mnr(2, 5, 4)
     qg = quotient_with_voltages(inst.graph, inst.rho)
     assert qg.k == 5 and qg.num_orbits == 2
-    loops = sorted((a, s) for a, b, s in qg.arcs if a == b)
-    assert loops == [(0, 1), (1, 1)]
-    crossing = [(a, b, s) for a, b, s in qg.arcs if a != b]
-    assert crossing == [(0, 1, 0)]
+    # a loop of voltage +-1 on each orbit and one spoke arc of voltage 0
+    assert qg.voltages == {(0, 0): [1, 4], (0, 1): [0], (1, 0): [0], (1, 1): [1, 4]}
 
 
 def _semiregular_witnesses(inst):
@@ -85,32 +82,31 @@ def test_quotient_arc_invariant():
         g = inst.graph
         for a in _semiregular_witnesses(inst):
             qg = quotient_with_voltages(g, a)
-            for oa, ob, s in qg.arcs:
-                rep_a = qg.orbit_lists[oa][0]
-                target = qg.orbit_lists[ob][s % qg.k]
-                assert g.has_edge(rep_a, target)
+            for (oa, ob), volts in qg.voltages.items():
+                assert volts == sorted(set(volts))
+                for s in volts:
+                    rep_a = qg.orbit_lists[oa][0]
+                    target = qg.orbit_lists[ob][s % qg.k]
+                    assert g.has_edge(rep_a, target)
 
 
 def test_quotient_edge_counts_cover_graph():
-    # every graph edge appears in exactly one arc orbit
+    # each direction of every graph edge lies in exactly one arc orbit of k
+    # directed edges, and reversing an arc negates its voltage
     for inst in (x_mnr(3, 7, 2), x_mnr(2, 4, 3), y_qp(2, 13, 2)):
         for a in _semiregular_witnesses(inst):
             g, k = inst.graph, order(a)
             qg = quotient_with_voltages(g, a)
-            total = 0
-            for oa, ob, s in qg.arcs:
-                if oa == ob and k % 2 == 0 and s == k // 2:
-                    total += k // 2
-                else:
-                    total += k
-            assert total == g.m
+            assert sum(len(volts) * k for volts in qg.voltages.values()) == 2 * g.m
+            for (oa, ob), volts in qg.voltages.items():
+                assert qg.voltages[(ob, oa)] == sorted((-s) % k for s in volts)
 
 
 def test_lift_c6_and_net_voltage_errors():
     g = graph_cycle(6)
     a = power(grid_rho(1, 6), 2)
     qg = quotient_with_voltages(g, a)
-    volts = qg.directed_voltages()[(0, 1)]
+    volts = qg.voltages[(0, 1)]
     s0, s1 = volts
     cycle = lift(qg, [0, 1], [s0, (-s1) % 3])
     check_hamcycle(g, cycle)
@@ -265,7 +261,7 @@ def _reference_quotient_search(qg):
     first pair of distinct parallel arcs, and more orbits the first cycle of
     the unpruned reference DFS on the support whose voltages can generate."""
     k, q = qg.k, qg.num_orbits
-    avail = qg.directed_voltages()
+    avail = qg.voltages
     if q == 1:
         for s in avail.get((0, 0), []):
             if math.gcd(s, k) == 1:

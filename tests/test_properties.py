@@ -31,7 +31,12 @@ from hamcompress.autgroup import (
     regular_subgroups,
     sem_array,
 )
-from hamcompress.compression import cycle_compression, ham_array, hamilton_compression
+from hamcompress.compression import (
+    cycle_compression,
+    ham_array,
+    hamilton_compression,
+    predict_kappa_circulant,
+)
 from hamcompress.families import circulant, generalized_petersen
 from hamcompress.graph import Graph, bits
 from hamcompress.hamlift import (
@@ -42,6 +47,7 @@ from hamcompress.hamlift import (
     project_cycle,
     quotient_with_voltages,
 )
+from hamcompress.numth import factorize
 from hamcompress.perm import is_semiregular, order
 
 
@@ -106,11 +112,10 @@ def test_lift_soundness_1000_random_covers():
         g, deck, k, q, cyc, volts = _random_voltage_cover(rng)
         assert order(deck) == k and is_semiregular(deck, k)
         qg = quotient_with_voltages(g, deck)
-        avail = qg.directed_voltages()
         # the planted arcs must be visible in the quotient
         for i in range(q):
             a, b = cyc[i], cyc[(i + 1) % q]
-            assert volts[i] in avail[(a, b)]
+            assert volts[i] in qg.voltages[(a, b)]
         cycle = lift(qg, cyc, volts)
         _check_lifted(g, cycle)
         lifted += 1
@@ -212,8 +217,11 @@ def test_sem_values_divide_vertex_count(corpus):
 def test_order_pq_prediction_differential_p5():
     """Every valid 10-vertex triple instance (all symmetric step sets, spoke
     sets up to size 3) gets the same value from the case-split predictor and
-    from exhaustive enumeration."""
+    from exhaustive enumeration, and lists |Aut| distinct elements, |Aut| as
+    counted by networkx's VF2++."""
     import itertools
+
+    nx = pytest.importorskip("networkx")
 
     from hamcompress.compression import predict_kappa_metapq
     from hamcompress.families import metacirculant_triple_2p
@@ -232,6 +240,11 @@ def test_order_pq_prediction_differential_p5():
                 assert res.exact
                 assert pred.kappa == res.kappa, (
                     sorted(s_outer), sorted(s_inner), sorted(spokes), pred, res.kappa)
+                group = automorphism_group(inst.graph)
+                h = nx.Graph(inst.graph.edges())
+                isos = sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h))
+                assert group.order == isos == len(set(group.elements)), (
+                    sorted(s_outer), sorted(s_inner), sorted(spokes))
                 checked += 1
     assert checked >= 70
 
@@ -307,14 +320,17 @@ def test_circulant_census():
     census circulant, lift and exhaustive compression agree, and the listed
     elements are |Aut| distinct automorphisms, |Aut| counted by VF2 as n
     times the self-isomorphisms fixing vertex 0 (the rotation makes the
-    graph vertex-transitive; the full VF2 count took 13 s). Degree at most
-    4 and 18 vertices are cost bounds, not answer bounds: with degree 6,
-    exhaustive enumeration on up to 16 vertices ran past 20 minutes."""
+    graph vertex-transitive; the full VF2 count took 13 s). Every census
+    circulant is Cayley, and where n is an odd pq (n = 15) the closed-form
+    predictor equals lift compression. Degree at most 4 and 18 vertices are
+    cost bounds, not answer bounds: with degree 6, exhaustive enumeration
+    on up to 16 vertices ran past 20 minutes."""
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
     census = _circulant_census()
     assert len(census) == 72
+    odd_pq = 0
     for n, conn in census:
         g = circulant(n, set(conn)).graph
         lift_res = hamilton_compression(g, "lift")
@@ -328,6 +344,11 @@ def test_circulant_census():
         assert group.order == n * sum(1 for _ in matcher.isomorphisms_iter()), (n, conn)
         assert len(set(group.elements)) == group.order, (n, conn)
         assert all(is_automorphism(g, a) for a in group.elements), (n, conn)
+        assert is_cayley(g, group=group) == "yes", (n, conn)
+        if n % 2 and list(factorize(n).values()) == [1, 1]:
+            assert predict_kappa_circulant(n, conn) == lift_res.kappa, (n, conn)
+            odd_pq += 1
+    assert odd_pq == 7  # the seven circulants on 15 vertices
 
 
 def test_generalized_petersen_census():

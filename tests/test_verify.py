@@ -34,9 +34,14 @@ def test_thm31_default_and_petersen_member():
     assert recs[0].status == DISCREPANCY and recs[0].computed == 0
 
 
-def test_thm31_large_gate():
-    recs = run_claim("thm31", q=3, p=19, t=2, large=False)
-    assert recs[0].status == UNKNOWN and "large" in recs[0].note
+def test_thm31_57_vertex_member_under_the_vertex_gate():
+    """The 57-vertex member runs by default; --max-vertices is its only gate."""
+    recs = run_claim("thm31", q=3, p=19, t=2)
+    assert len(recs) == 1 and recs[0].status == PASS and recs[0].computed == 1
+    recs = run_claim("thm31", Budget(max_vertices=40), q=3, p=19, t=2)
+    assert len(recs) == 1 and recs[0].status == UNKNOWN and recs[0].computed is None
+    with pytest.raises(ValueError, match="thm31"):
+        run_claim("thm31", q=3, p=19, t=2, large=True)
 
 
 def test_max_vertices_budget_marks_unknown():
