@@ -375,12 +375,3 @@ def is_cayley(g: Graph, group: GroupData | None = None) -> str:
         return "unknown"
     found = g.n > 0 and next(_regular_search(group, g.n), None) is not None
     return "yes" if found else "no"
-
-
-def group_report(group: GroupData) -> dict:
-    """JSON-ready summary: order, capped flag, generator image lists."""
-    return {
-        "order": group.order,
-        "capped": group.capped,
-        "generators": [list(gen) for gen in group.generators],
-    }

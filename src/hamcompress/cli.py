@@ -1,8 +1,10 @@
 """Command-line surface: construct, kappa, sem, ham, lcf, verify, probe-zsigma.
 
 Reports go to stdout as JSON (schema 1, arrays ascending); a human summary
-goes to stderr unless --quiet. Exit codes: 0 all pass, 1 any fail, 2 input
-error, 3 budget exceeded.
+goes to stderr unless --quiet. The JSON views of permutations, groups,
+certificates and records live here only; the graph commands are one report
+function each, all run by run_report. Exit codes: 0 all pass, 1 any fail,
+2 input error, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -11,22 +13,21 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import families
 from . import verify as verify_mod
-from .autgroup import automorphism_group, group_report, sem_array
+from .autgroup import automorphism_group, sem_array
 from .compression import (
     CompressionCertificate,
     check_cubic,
     cycle_compression,
-    format_lcf,
     ham_array,
     hamilton_compression,
     lcf_compressed,
 )
 from .graph import emit_edgelist, parse_edgelist
 from .hamlift import ENUM_LIMIT
-from .perm import format_perm
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -42,7 +43,12 @@ def _say(args, message: str) -> None:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps({"schema": 1, **payload}, indent=2, sort_keys=True))
+
+
+def _perm_text(p) -> str:
+    """A permutation as one line: its space-separated image list."""
+    return " ".join(map(str, p))
 
 
 def _cert_json(cert: CompressionCertificate | None) -> dict | None:
@@ -117,8 +123,8 @@ def cmd_construct(args) -> int:
         "schema": 1,
         "params": inst.params,
         "labeling": {"m": inst.labeling.m, "n": inst.labeling.n},
-        "rho": format_perm(inst.rho),
-        "sigma": format_perm(inst.sigma) if inst.sigma is not None else None,
+        "rho": _perm_text(inst.rho),
+        "sigma": _perm_text(inst.sigma) if inst.sigma is not None else None,
         "vertices": inst.graph.n,
         "edges": inst.graph.m,
     }
@@ -135,86 +141,55 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def cmd_kappa(args) -> int:
-    g = _load_graph(args.graph)
-    start = time.monotonic()
+def report_kappa(g, args):
     res = hamilton_compression(g, args.mode, limit=args.limit)
-    payload = {
-        "schema": 1,
-        "graph": {"vertices": g.n, "edges": g.m},
-        "mode": res.mode,
-        "kappa": res.kappa,
-        "exact": res.exact,
-        "certificate": _cert_json(res.certificate),
-        "seconds": round(time.monotonic() - start, 3),
-    }
+    cert = res.certificate
+    if cert is not None and cycle_compression(g, cert.cycle).k != cert.k:
+        raise AssertionError("certificate replay mismatch")
+    payload = {"mode": res.mode, "kappa": res.kappa, "exact": res.exact,
+               "certificate": _cert_json(cert)}
     if res.note:
         payload["note"] = res.note
-    if res.certificate is not None:
-        replay = cycle_compression(g, res.certificate.cycle)
-        if replay.k != res.certificate.k:
-            raise AssertionError("certificate replay mismatch")
-    _emit(payload)
-    _say(args, f"kappa = {res.kappa} ({'exact' if res.exact else 'bound'})")
-    return EXIT_OK
+    return payload, f"kappa = {res.kappa} ({'exact' if res.exact else 'bound'})"
 
 
-def cmd_sem(args) -> int:
-    g = _load_graph(args.graph)
-    start = time.monotonic()
+def report_sem(g, args):
     grp = automorphism_group(g)
     res = sem_array(g, group=grp)
-    payload = {
-        "schema": 1,
-        "graph": {"vertices": g.n, "edges": g.m},
-        "sem": list(res.values),
-        "exact": res.exact,
-        "witnesses": {str(k): format_perm(p) for k, p in sorted(res.witnesses.items())},
-        "group": group_report(grp),
-        "seconds": round(time.monotonic() - start, 3),
-    }
-    _emit(payload)
-    _say(args, f"sem = {list(res.values)} (|Aut| = {grp.order})")
-    return EXIT_OK
+    group = {"order": grp.order, "capped": grp.capped,
+             "generators": [list(gen) for gen in grp.generators]}
+    witnesses = {str(k): _perm_text(p) for k, p in sorted(res.witnesses.items())}
+    return ({"sem": list(res.values), "exact": res.exact, "witnesses": witnesses, "group": group},
+            f"sem = {list(res.values)} (|Aut| = {grp.order})")
 
 
-def cmd_ham(args) -> int:
-    g = _load_graph(args.graph)
-    start = time.monotonic()
+def report_ham(g, args):
     res = ham_array(g, limit=args.limit)
-    payload = {
-        "schema": 1,
-        "graph": {"vertices": g.n, "edges": g.m},
-        "ham": list(res.values),
-        "exact": res.exact,
-        "certificates": {str(k): _cert_json(c) for k, c in sorted(res.certificates.items())},
-        "seconds": round(time.monotonic() - start, 3),
-    }
-    _emit(payload)
-    _say(args, f"ham = {list(res.values)} ({'exact' if res.exact else 'partial'})")
-    return EXIT_OK
+    certificates = {str(k): _cert_json(c) for k, c in sorted(res.certificates.items())}
+    return ({"ham": list(res.values), "exact": res.exact, "certificates": certificates},
+            f"ham = {list(res.values)} ({'exact' if res.exact else 'partial'})")
 
 
-def cmd_lcf(args) -> int:
-    g = _load_graph(args.graph)
+def report_lcf(g, args):
     check_cubic(g)
     res = hamilton_compression(g, "lift")
     if res.certificate is None:
-        _say(args, "graph has no Hamilton cycle; no LCF word")
-        _emit({"schema": 1, "kappa": 0, "lcf": None})
-        return EXIT_OK
+        return {"kappa": 0, "lcf": None}, "graph has no Hamilton cycle; no LCF word"
     block, repeat = lcf_compressed(g, res.certificate)
-    payload = {
-        "schema": 1,
-        "kappa": res.kappa,
-        "cycle": list(res.certificate.cycle),
-        "lcf": list(block * repeat),
-        "block": list(block),
-        "repeat": repeat,
-        "text": format_lcf(block, repeat),
-    }
-    _emit(payload)
-    _say(args, format_lcf(block, repeat))
+    text = "[" + ", ".join(map(str, block)) + "]" + (f"^{repeat}" if repeat > 1 else "")
+    return ({"kappa": res.kappa, "cycle": list(res.certificate.cycle), "lcf": list(block * repeat),
+             "block": list(block), "repeat": repeat, "text": text}, text)
+
+
+def run_report(args) -> int:
+    """The one path of the graph commands: load the file, time the report,
+    print it with the graph's size and the seconds, then the summary."""
+    g = _load_graph(args.graph)
+    start = time.monotonic()
+    payload, summary = args.report(g, args)
+    _emit({**payload, "graph": {"vertices": g.n, "edges": g.m},
+           "seconds": round(time.monotonic() - start, 3)})
+    _say(args, summary)
     return EXIT_OK
 
 
@@ -222,17 +197,11 @@ def cmd_verify(args) -> int:
     budget = verify_mod.Budget(time_budget=args.time_budget, max_vertices=args.max_vertices)
     options = {name: getattr(args, name) for name in CLAIM_OPTIONS if hasattr(args, name)}
     records = verify_mod.run_claim(args.claim, budget=budget, **options)
-    payload = {
-        "schema": 1,
-        "claim": args.claim,
-        "records": [r.to_json() for r in records],
-        "counts": {
-            status: sum(1 for r in records if r.status == status)
-            for status in (verify_mod.PASS, verify_mod.FAIL,
-                           verify_mod.DISCREPANCY, verify_mod.UNKNOWN)
-        },
-    }
-    _emit(payload)
+    counts = {status: sum(1 for r in records if r.status == status)
+              for status in (verify_mod.PASS, verify_mod.FAIL,
+                             verify_mod.DISCREPANCY, verify_mod.UNKNOWN)}
+    _emit({"claim": args.claim, "counts": counts,
+           "records": [{**asdict(r), "seconds": round(r.seconds, 3)} for r in records]})
     for rec in records:
         _say(args, f"{rec.claim} {rec.params}: {rec.status} "
                    f"(predicted {rec.predicted}, computed {rec.computed})")
@@ -245,7 +214,6 @@ def cmd_verify(args) -> int:
 
 def cmd_probe_zsigma(args) -> int:
     record = verify_mod.probe_zsigma(args.q, args.p, args.t)
-    record["schema"] = 1
     _emit(record)
     _say(args, f"twisted rotation preserves edges: {record['sigma_is_automorphism']}")
     return EXIT_OK
@@ -277,24 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", help="output path (stdout when omitted)")
     c.set_defaults(func=cmd_construct)
 
-    k = sub.add_parser("kappa", parents=[common], help="Hamilton compression of a graph file")
-    k.add_argument("graph")
+    def graph_command(name, report, help_text):
+        cmd = sub.add_parser(name, parents=[common], help=help_text)
+        cmd.add_argument("graph")
+        cmd.set_defaults(func=run_report, report=report)
+        return cmd
+
+    k = graph_command("kappa", report_kappa, "Hamilton compression of a graph file")
     k.add_argument("--mode", choices=["lift", "exhaustive"], default="lift")
     k.add_argument("--limit", type=int, default=ENUM_LIMIT)
-    k.set_defaults(func=cmd_kappa)
-
-    s = sub.add_parser("sem", parents=[common], help="semiregularity array of a graph file")
-    s.add_argument("graph")
-    s.set_defaults(func=cmd_sem)
-
-    h = sub.add_parser("ham", parents=[common], help="compression array over all Hamilton cycles")
-    h.add_argument("graph")
+    graph_command("sem", report_sem, "semiregularity array of a graph file")
+    h = graph_command("ham", report_ham, "compression array over all Hamilton cycles")
     h.add_argument("--limit", type=int, default=ENUM_LIMIT)
-    h.set_defaults(func=cmd_ham)
-
-    l = sub.add_parser("lcf", parents=[common], help="LCF word of a cubic graph along its best cycle")
-    l.add_argument("graph")
-    l.set_defaults(func=cmd_lcf)
+    graph_command("lcf", report_lcf, "LCF word of a cubic graph along its best cycle")
 
     # claim options default to absent, so a claim gets only the options given
     # and keeps its own defaults

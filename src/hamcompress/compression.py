@@ -191,10 +191,6 @@ def lcf_compressed(g: Graph, cert: CompressionCertificate) -> tuple[tuple[int, .
     return block, cert.k
 
 
-def format_lcf(block, repeat: int) -> str:
-    return "[" + ", ".join(str(d) for d in block) + "]" + (f"^{repeat}" if repeat > 1 else "")
-
-
 # --- closed-form predictors --------------------------------------------------
 
 

@@ -97,8 +97,3 @@ def is_semiregular(a: Perm, k: int) -> bool:
 
 def is_fixed_point_free(a: Perm) -> bool:
     return all(a[v] != v for v in range(len(a)))
-
-
-def format_perm(p: Perm) -> str:
-    """One-line serialisation: space-separated image list."""
-    return " ".join(str(v) for v in p)

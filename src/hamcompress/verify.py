@@ -7,7 +7,7 @@ instance's record shows; run() builds the instance, computes the invariant
 from scratch and returns (predicted, computed, status, note). run_claim is
 the one runner: it skips instances over max_vertices, times run(), marks a
 run over time_budget unknown and builds the records. An option the claim
-does not take is a ValueError.
+does not take, and a negative or NaN budget, is a ValueError.
 
 Documented edge cases (the Petersen member of the yqp family, the relaxed
 even-prism hypothesis, the connected-case ambiguity for 2p-vertex graphs)
@@ -59,22 +59,19 @@ class VerificationRecord:
     seconds: float
     note: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "predicted": self.predicted,
-            "computed": self.computed,
-            "status": self.status,
-            "seconds": round(self.seconds, 3),
-            "note": self.note,
-        }
-
 
 @dataclass
 class Budget:
     time_budget: float = DEFAULT_TIME_BUDGET
     max_vertices: int = DEFAULT_MAX_VERTICES
+
+    def __post_init__(self):
+        # written so that NaN fails too
+        if not self.time_budget >= 0:
+            raise ValueError("--time-budget must be a non-negative number of seconds, "
+                             f"got {self.time_budget}")
+        if self.max_vertices < 0:
+            raise ValueError(f"--max-vertices must be non-negative, got {self.max_vertices}")
 
 
 def _equals(params, predicted, vertices, compute):

@@ -271,12 +271,3 @@ def test_vertex_transitive_instances_have_order_divisible_by_n():
         grp = automorphism_group(inst.graph)
         assert grp.order % inst.graph.n == 0
         assert len({a[0] for a in grp.elements}) == inst.graph.n
-
-
-def test_group_report_shape():
-    from hamcompress.autgroup import group_report
-
-    grp = automorphism_group(petersen().graph)
-    rep = group_report(grp)
-    assert rep["order"] == 120 and rep["capped"] is False
-    assert all(isinstance(gen, list) and len(gen) == 10 for gen in rep["generators"])

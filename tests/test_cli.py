@@ -158,6 +158,59 @@ def test_lcf_command(tmp_path, capsys):
     assert rep["lcf"] == rep["block"] * rep["repeat"]
 
 
+def test_lcf_no_hamilton_cycle(tmp_path, capsys):
+    """Petersen is cubic without a Hamilton cycle: no word, exit 0, and the
+    same envelope as every graph report."""
+    code, out = run_cli(capsys, "lcf", _petersen_file(tmp_path))
+    rep = json.loads(out)
+    assert code == 0
+    assert set(rep) == {"schema", "graph", "seconds", "kappa", "lcf"}
+    assert rep["schema"] == 1 and rep["graph"] == {"vertices": 10, "edges": 15}
+    assert rep["kappa"] == 0 and rep["lcf"] is None
+
+
+def test_group_report_shape(tmp_path, capsys):
+    """K10's group (10! elements) is over the element cap: kappa reports a
+    lower bound with its note and sem a capped group; Petersen's is exact."""
+    from hamcompress.graph import Graph, emit_edgelist
+
+    path = tmp_path / "k10.txt"
+    path.write_text(emit_edgelist(Graph.build(10, [(i, j) for i in range(10)
+                                                   for j in range(i + 1, 10)])))
+    code, out = run_cli(capsys, "kappa", str(path))
+    rep = json.loads(out)
+    assert code == 0 and rep["exact"] is False
+    assert rep["note"] == "lower bound only on the k>=2 sweep"
+    code, out = run_cli(capsys, "sem", str(path))
+    rep = json.loads(out)
+    assert code == 0 and rep["group"]["capped"] is True and rep["group"]["order"] == 3628800
+    code, out = run_cli(capsys, "sem", _petersen_file(tmp_path))
+    group = json.loads(out)["group"]
+    assert set(group) == {"order", "capped", "generators"}
+    assert group["order"] == 120 and group["capped"] is False
+    assert all(isinstance(gen, list) and len(gen) == 10 for gen in group["generators"])
+
+
+def test_stderr_summaries(tmp_path, capsys):
+    from hamcompress.families import generalized_petersen, x_mnr
+    from hamcompress.graph import emit_edgelist
+
+    xmnr = tmp_path / "x.txt"
+    xmnr.write_text(emit_edgelist(x_mnr(3, 7, 2).graph))
+    gp = tmp_path / "gp.txt"
+    gp.write_text(emit_edgelist(generalized_petersen(8, 3).graph))
+    expected = [
+        (["kappa", str(xmnr)], "kappa = 3 (exact)\n"),
+        (["sem", str(xmnr)], "sem = [1, 3, 7] (|Aut| = 42)\n"),
+        (["ham", str(xmnr)], "ham = [1, 3] (exact)\n"),
+        (["lcf", str(gp)], "[-5, 5]^8\n"),
+        (["lcf", _petersen_file(tmp_path)], "graph has no Hamilton cycle; no LCF word\n"),
+    ]
+    for argv, summary in expected:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == summary, argv
+
+
 def test_lcf_non_cubic_exit_2(tmp_path, capsys):
     from hamcompress.graph import Graph, emit_edgelist
 
@@ -266,6 +319,28 @@ def test_verify_max_vertices_applies_to_every_claim(capsys):
 def test_verify_option_the_claim_does_not_take_exit_2(capsys):
     code, out = run_cli(capsys, "verify", "--claim", "circulant", "--k", "3")
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--time-budget", "-1"], "--time-budget"),
+    (["--time-budget", "nan"], "--time-budget"),
+    (["--max-vertices", "-1"], "--max-vertices"),
+], ids=["negative-time", "nan-time", "negative-vertices"])
+def test_verify_bad_budget_exit_2(capsys, flags, named):
+    code = cli.main(["verify", "--claim", "circulant", *flags, "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {named} ")
+
+
+def test_records_serialise(capsys):
+    code, out = run_cli(capsys, "verify", "--claim", "circulant")
+    rep = json.loads(out)
+    assert code == 0 and set(rep) == {"schema", "claim", "counts", "records"}
+    for blob in rep["records"]:
+        assert blob["status"] == "pass"
+        assert set(blob) == {"claim", "params", "predicted", "computed",
+                             "status", "seconds", "note"}
 
 
 def test_probe_zsigma(capsys):

@@ -1,7 +1,8 @@
 """README checks: the quickstart states true values, the package root exports
-exactly the documented Library API, and the traced bench run can still find
-every function it wraps."""
+exactly the documented Library API, the CLI section names every subcommand,
+and the traced bench run can still find every function it wraps."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -10,6 +11,7 @@ import re
 from pathlib import Path
 
 import hamcompress
+from hamcompress import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -48,6 +50,14 @@ def test_exports_are_the_documented_library_api():
     }
     documented = set(re.findall(r"`(\w+)`", _section("Library API")))
     assert public == documented
+
+
+def test_cli_section_names_every_subcommand():
+    parser = cli.build_parser()
+    (sub,) = (action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction))
+    documented = set(re.findall(r"^hamcompress ([\w-]+)", _section("CLI"), re.M))
+    assert set(sub.choices) == documented
 
 
 def test_traced_bench_run_finds_every_wrapped_function():

@@ -80,17 +80,21 @@ def test_option_the_claim_does_not_take_is_an_input_error():
         run_claim("thm22", q=2)
 
 
-def test_records_serialise():
-    for rec in run_claim("circulant"):
-        blob = rec.to_json()
-        assert blob["status"] == PASS
-        assert set(blob) == {"claim", "params", "predicted", "computed",
-                             "status", "seconds", "note"}
-
-
 def test_run_claim_rejects_unknown():
     with pytest.raises(ValueError):
         run_claim("nonsense")
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"time_budget": -1.0}, "--time-budget"),
+    ({"time_budget": float("nan")}, "--time-budget"),
+    ({"max_vertices": -1}, "--max-vertices"),
+], ids=["negative-time", "nan-time", "negative-vertices"])
+def test_bad_budget_is_an_input_error(fields, named):
+    """A negative budget would mark every instance unknown and a NaN time
+    budget would switch the check off; both are refused when made."""
+    with pytest.raises(ValueError, match=named):
+        Budget(**fields)
 
 
 def test_probe_zsigma_records():
