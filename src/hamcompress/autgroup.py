@@ -21,6 +21,10 @@ their semiregular pool from them.
 Refinement counts neighbours from the graph's neighbour tuples, `Graph.nbrs`,
 and so does the leaf check `is_automorphism`.
 
+The element list serves two scans: `cyclic_semiregular_reps` reads each
+element's cycle type once (`perm.semiregular_order`), and `_regular_search`
+closes each subgroup under its generators (Seress 2003, ch. 2).
+
 Determinism: refinement splits cells by neighbour counts, identically on
 both sides (see `_refine`), so aligned cells keep matching indices; the base
 vertex is always the least vertex of the first non-singleton cell, and
@@ -40,9 +44,8 @@ from .perm import (
     compose,
     identity,
     is_fixed_point_free,
-    is_semiregular,
     order,
-    power,
+    semiregular_order,
 )
 
 DEFAULT_CAP = 1 << 20
@@ -249,20 +252,25 @@ def cyclic_semiregular_reps(group: GroupData) -> dict[int, list[Perm]]:
     """One generator per cyclic semiregular subgroup of order >= 2, keyed by
     order: the least generator of each subgroup, ascending.
 
-    One pass over the sorted pool: an element not yet claimed that is
-    semiregular of order k is the least generator of its subgroup, and claims
-    that subgroup's other generators a^e, gcd(e, k) = 1.
+    One pass over the sorted pool: an element not yet claimed whose cycles
+    all have one length k >= 2 (`semiregular_order`) is the least generator
+    of its subgroup, and claims that subgroup's other generators a^e,
+    gcd(e, k) = 1, read off the successive products a^2, ..., a^(k-1).
     """
     reps: dict[int, list[Perm]] = {}
     claimed: set[Perm] = set()
     for a in _semiregular_pool(group):
         if a in claimed:
             continue
-        k = order(a)
-        if k < 2 or not is_semiregular(a, k):
+        k = semiregular_order(a)
+        if k < 2:
             continue
         reps.setdefault(k, []).append(a)
-        claimed.update(power(a, e) for e in range(2, k) if gcd(e, k) == 1)
+        p = a
+        for e in range(2, k):
+            p = compose(a, p)
+            if gcd(e, k) == 1:
+                claimed.add(p)
     return reps
 
 
@@ -294,23 +302,28 @@ class RegularSubgroup:
     tag: str | None
 
 
-def _closure(base: frozenset[Perm], extra: Perm, n: int) -> frozenset[Perm] | None:
-    """Subgroup generated by the subgroup base and extra; None as soon as a
-    non-identity element fixes a point or the size exceeds n."""
-    elems = set(base)
-    elems.add(extra)
-    frontier = [extra]
+def _closure(base: frozenset[Perm], gens: tuple[Perm, ...], extra: Perm,
+             n: int) -> frozenset[Perm] | None:
+    """Subgroup generated by base, the subgroup generated by gens, and extra;
+    None as soon as a non-identity element fixes a point or the size exceeds
+    n.
+
+    Closure under generators (Seress 2003, ch. 2): base plus extra is closed
+    under left multiplication by gens plus extra, so each element costs
+    len(gens) + 1 products; from the identity, that reaches every word.
+    """
+    gens = (*gens, extra)
+    elems = {*base, extra}
+    frontier = list(elems)
     while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(elems):
-                for c in (compose(a, b), compose(b, a)):
-                    if c not in elems:
-                        if len(elems) == n or not is_fixed_point_free(c):
-                            return None
-                        elems.add(c)
-                        nxt.append(c)
-        frontier = nxt
+        a = frontier.pop()
+        for s in gens:
+            c = compose(s, a)
+            if c not in elems:
+                if len(elems) == n or not is_fixed_point_free(c):
+                    return None
+                elems.add(c)
+                frontier.append(c)
     return frozenset(elems)
 
 
@@ -323,25 +336,27 @@ def _regular_search(group: GroupData, n: int):
     fixed-point-free x with x(0) = v, v the least vertex outside H's orbit of
     0, and close H with x. A closure whose non-identity elements are all
     fixed-point-free acts semiregularly, so reaching size n means regular.
+    Each stack entry carries the generators H was closed from; each one at
+    least doubles the order, so there are at most log2(n) of them.
     """
     by_image: dict[int, list[Perm]] = {}
     for a in group.elements:
         if is_fixed_point_free(a):
             by_image.setdefault(a[0], []).append(a)
     seen: set[frozenset[Perm]] = set()
-    stack = [frozenset({identity(n)})]
+    stack: list[tuple[frozenset[Perm], tuple[Perm, ...]]] = [(frozenset({identity(n)}), ())]
     while stack:
-        h = stack.pop()
+        h, gens = stack.pop()
         if len(h) == n:
             yield h  # pushed once: every push is a closure not seen before
             continue
         orbit = {a[0] for a in h}
         v = next(w for w in range(n) if w not in orbit)
         for x in by_image.get(v, ()):
-            k = _closure(h, x, n)
+            k = _closure(h, gens, x, n)
             if k is not None and k not in seen:
                 seen.add(k)
-                stack.append(k)
+                stack.append((k, (*gens, x)))
 
 
 def regular_subgroups(g: Graph, group: GroupData | None = None) -> list[RegularSubgroup] | None:

@@ -32,7 +32,7 @@ from .hamlift import (
     find_symmetric_hamcycle,
 )
 from .numth import divisors, factorize, is_prime
-from .perm import Perm, is_semiregular, order
+from .perm import Perm, semiregular_order
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ def hamilton_compression(g: Graph, mode: str = "lift", limit: int = ENUM_LIMIT) 
         return KappaResult(kappa, arr.certificates.get(kappa), arr.exact, mode)
     if mode != "lift":
         raise ValueError(f"unknown mode {mode!r}")
-    if n < 3:
-        return KappaResult(0, None, True, mode)
+    if n < 3 or min(g.degrees()) < 2 or not g.is_connected():
+        return KappaResult(0, None, True, mode)  # no Hamilton cycle: skip the group
     group = automorphism_group(g)
     note = "lower bound only on the k>=2 sweep" if group.capped else ""
     reps = cyclic_semiregular_reps(group)
@@ -156,8 +156,8 @@ def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
 
 
 def check_cubic(g: Graph) -> None:
-    """Raise ValueError unless every vertex of g has degree 3."""
-    if any(d != 3 for d in g.degrees()):
+    """Raise ValueError unless g has a vertex and every vertex has degree 3."""
+    if not g.n or any(d != 3 for d in g.degrees()):
         raise ValueError("LCF notation requires a cubic graph")
 
 
@@ -229,7 +229,7 @@ def predict_kappa_metapq(inst: FamilyInstance) -> MetaPqPrediction:
         raise ValueError(f"need prime parameters q < p, got ({q}, {p})")
     g = inst.graph
     rho = inst.rho
-    if order(rho) != p or not is_semiregular(rho, p):
+    if semiregular_order(rho) != p:
         raise ValueError("instance rotation is not semiregular of order p")
     if is_petersen(g):
         return MetaPqPrediction(0, "petersen")

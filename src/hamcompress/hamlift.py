@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .graph import Graph
-from .perm import Perm, is_semiregular, orbits, order
+from .perm import Perm, orbits, semiregular_order
 
 HamCycle = tuple[int, ...]
 
@@ -83,9 +83,9 @@ class QuotientGraph:
 def quotient_with_voltages(g: Graph, a: Perm) -> QuotientGraph:
     if len(a) != g.n:
         raise ValueError("degree mismatch")
-    k = order(a)
-    if k < 2 or not is_semiregular(a, k):
-        raise ValueError(f"permutation is not semiregular of order >= 2 (order {k})")
+    k = semiregular_order(a)
+    if k < 2:
+        raise ValueError("permutation is not semiregular of order >= 2")
     part = orbits(a)
     exponent = [0] * g.n
     for orb in part.orbits:
@@ -132,17 +132,6 @@ def lift(qg: QuotientGraph, orbit_cycle, voltages) -> HamCycle:
     if len(set(seq)) != q * k:
         raise AssertionError("lift revisited a vertex")  # unreachable given gcd check
     return tuple(seq)
-
-
-def project_cycle(qg: QuotientGraph, cycle: HamCycle):
-    """Orbit sequence and step voltages of one quotient pass of a lifted cycle."""
-    q = qg.num_orbits
-    seq = [qg.orbit_of[v] for v in cycle[:q]]
-    volts = [
-        (qg.exponent[cycle[(i + 1) % len(cycle)]] - qg.exponent[cycle[i]]) % qg.k
-        for i in range(q)
-    ]
-    return seq, volts
 
 
 def _voltage_choice(volt_sets: list[list[int]], k: int) -> list[int] | None:

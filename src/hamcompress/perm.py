@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter, ne
 
 Perm = tuple[int, ...]
 
@@ -19,7 +20,9 @@ def identity(n: int) -> Perm:
 def compose(a: Perm, b: Perm) -> Perm:
     if len(a) != len(b):
         raise ValueError(f"degree mismatch: {len(a)} vs {len(b)}")
-    return tuple(a[x] for x in b)
+    if len(b) < 2:  # itemgetter returns a scalar for one index, raises for none
+        return tuple(a[x] for x in b)
+    return itemgetter(*b)(a)
 
 
 def inverse(a: Perm) -> Perm:
@@ -88,12 +91,36 @@ def orbits(a: Perm) -> OrbitPartition:
     return OrbitPartition(tuple(orbit_of), tuple(out))
 
 
+def semiregular_order(a: Perm) -> int:
+    """k when every cycle of a has length k, else 0 (1 for the identity).
+
+    The cycle of 0 gives k, and a is rejected unless k divides n; each other
+    cycle's walk stops once it passes k steps or closes at another length.
+    """
+    n = len(a)
+    seen = bytearray(n)
+    k = 0
+    for v in range(n):
+        if seen[v]:
+            continue
+        seen[v] = 1
+        length, w = 1, a[v]
+        while w != v and length != k and not seen[w]:  # seen: a is no permutation
+            seen[w] = 1
+            w = a[w]
+            length += 1
+        if w != v or n % length or k and length != k:
+            return 0
+        k = length
+    return k or 1
+
+
 def is_semiregular(a: Perm, k: int) -> bool:
     """True iff every orbit of a has length exactly k."""
     if k < 1:
         raise ValueError("orbit length must be positive")
-    return all(len(orb) == k for orb in orbits(a).orbits)
+    return semiregular_order(a) == k
 
 
 def is_fixed_point_free(a: Perm) -> bool:
-    return all(a[v] != v for v in range(len(a)))
+    return all(map(ne, a, range(len(a))))

@@ -60,6 +60,18 @@ def acts_as_rotation(a, cycle) -> bool:
     return n // gcd(n, t) == order(a) if t else order(a) == 1
 
 
+def project_cycle(qg, cycle):
+    """Orbit sequence and step voltages of one quotient pass of a cycle lifted
+    from the quotient qg: the inverse of hamlift.lift."""
+    q = qg.num_orbits
+    seq = [qg.orbit_of[v] for v in cycle[:q]]
+    volts = [
+        (qg.exponent[cycle[(i + 1) % len(cycle)]] - qg.exponent[cycle[i]]) % qg.k
+        for i in range(q)
+    ]
+    return seq, volts
+
+
 def graph_k4() -> Graph:
     return Graph.build(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 

@@ -21,7 +21,7 @@ from hamcompress.autgroup import (
     regular_subgroups,
     sem_array,
 )
-from hamcompress.families import cayley_p3, petersen, x_mnr, y_qp
+from hamcompress.families import circulant, cayley_p3, metacirculant_triple_2p, petersen, x_mnr, y_qp
 from hamcompress.graph import Graph
 from hamcompress.perm import compose, identity, is_semiregular, order
 
@@ -243,6 +243,69 @@ def test_regular_subgroups_skip_intransitive_order_n_subgroups():
     subs = regular_subgroups(Graph.build(8, k4 + [(u + 4, v + 4) for u, v in k4]))
     assert subs
     assert all(len({a[0] for a in s.elements}) == 8 for s in subs)
+
+
+def _regular_subgroups_reference(group: GroupData, n: int) -> list[tuple]:
+    """Sorted element tuples of every regular subgroup, by the depth-first
+    search of regular_subgroups with the closure it used before closing by
+    generators: each new element is multiplied, on both sides, by every
+    element found so far."""
+    def close(base, extra):
+        elems = set(base) | {extra}
+        frontier = [extra]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in list(elems):
+                    for c in (compose(a, b), compose(b, a)):
+                        if c not in elems:
+                            if len(elems) == n or any(c[v] == v for v in range(n)):
+                                return None
+                            elems.add(c)
+                            nxt.append(c)
+            frontier = nxt
+        return frozenset(elems)
+
+    moving = [a for a in group.elements if all(a[v] != v for v in range(n))]
+    seen, found = set(), []
+    stack = [frozenset({identity(n)})]
+    while stack:
+        h = stack.pop()
+        if len(h) == n:
+            found.append(tuple(sorted(h)))
+            continue
+        orbit = {a[0] for a in h}
+        v = min(w for w in range(n) if w not in orbit)
+        for x in moving:
+            if x[0] == v and (k := close(h, x)) is not None and k not in seen:
+                seen.add(k)
+                stack.append(k)
+    return sorted(found)
+
+
+def test_regular_subgroups_match_two_sided_closure():
+    """Closing by generators finds the same regular subgroups as the
+    all-pairs closure, on the connected p = 5 triples with a twisted
+    rotation and on census circulants with many regular subgroups."""
+    graphs = []
+    sym = ({1, 4}, {2, 3}, {1, 2, 3, 4})
+    for s_outer, s_inner in itertools.product(sym, repeat=2):
+        for size in (1, 2, 3):
+            for spokes in itertools.combinations(range(5), size):
+                inst = metacirculant_triple_2p(5, s_outer, s_inner, set(spokes))
+                if inst.sigma is not None and inst.graph.is_connected():
+                    graphs.append(inst.graph)
+    assert len(graphs) >= 70
+    graphs += [circulant(n, conn).graph for n, conn in (
+        (8, {1, 3, 5, 7}), (8, {1, 2, 6, 7}), (9, {1, 3, 6, 8}), (10, {1, 2, 8, 9}),
+        (12, {1, 5, 7, 11}), (12, {3, 4, 8, 9}))]
+    total = 0
+    for g in graphs:
+        group = automorphism_group(g)
+        subs = regular_subgroups(g, group=group)
+        assert [s.elements for s in subs] == _regular_subgroups_reference(group, g.n), g.rows
+        total += len(subs)
+    assert total > len(graphs)
 
 
 def test_regular_subgroup_tags():

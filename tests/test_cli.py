@@ -212,12 +212,19 @@ def test_stderr_summaries(tmp_path, capsys):
 
 
 def test_lcf_non_cubic_exit_2(tmp_path, capsys):
+    """A star is not cubic, and neither is any graph on fewer than four
+    vertices: the empty one is vacuously 3-regular but is refused with the
+    same message."""
     from hamcompress.graph import Graph, emit_edgelist
 
-    path = tmp_path / "star.txt"
-    path.write_text(emit_edgelist(Graph.build(4, [(0, 1), (0, 2), (0, 3)])))
-    code, out = run_cli(capsys, "lcf", str(path))
-    assert code == 2 and out == ""
+    path = tmp_path / "g.txt"
+    for g in (Graph.build(4, [(0, 1), (0, 2), (0, 3)]), Graph.build(0, []),
+              Graph.build(1, []), Graph.build(2, [(0, 1)])):
+        path.write_text(emit_edgelist(g))
+        code = cli.main(["lcf", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", g.n
+        assert captured.err == "error: LCF notation requires a cubic graph\n", g.n
 
 
 def test_parse_error_exit_2(tmp_path, capsys):
@@ -416,14 +423,17 @@ def test_runtime_imports_only_the_standard_library():
 
 @pytest.mark.parametrize("command", ["sem", "kappa"])
 def test_search_deeper_than_recursion_limit_exit_2(tmp_path, capsys, command):
-    """The edgeless graph on 1100 vertices needs one nested search call per
-    individualized vertex, more than the interpreter's recursion limit: the
-    CLI names n and the limit and exits 2 instead of printing a traceback."""
-    path = tmp_path / "e1100.txt"
-    path.write_text("1100 0\n")
+    """K_{2,1100} needs one nested search call per individualized vertex of
+    its large side, since refinement splits nothing there, more than the
+    interpreter's recursion limit: the CLI names n and the limit and exits 2
+    instead of printing a traceback. The graph is connected with minimum
+    degree 2, so lift-mode kappa cannot rule out a Hamilton cycle before the
+    search."""
+    path = tmp_path / "k2_1100.txt"
+    path.write_text("1102 2200\n" + "".join(f"{h} {v}\n" for h in (0, 1) for v in range(2, 1102)))
     code = cli.main([command, str(path), "--quiet"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == (f"error: automorphism search on 1100 vertices exceeds the "
+    assert captured.err == (f"error: automorphism search on 1102 vertices exceeds the "
                             f"recursion limit of {sys.getrecursionlimit()}\n")
     assert "Traceback" not in captured.err

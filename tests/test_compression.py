@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import (
@@ -8,6 +10,7 @@ from conftest import (
     graph_k4,
     small_corpus,
 )
+from hamcompress import compression
 from hamcompress.autgroup import automorphism_group, is_automorphism
 from hamcompress.compression import (
     cycle_compression,
@@ -147,12 +150,35 @@ def test_kappa_capped_is_flagged():
 
 
 def test_kappa_capped_without_hamilton_cycle_is_exact():
-    """4K4 and 3K5 are capped but disconnected: the exhaustive plain search
-    finds no Hamilton cycle, so kappa = 0 is exact and carries no note."""
+    """4K4 and 3K5 are capped but disconnected: no Hamilton cycle exists, so
+    kappa = 0 is exact and carries no note."""
     for g in (graph_disjoint_complete(4, 4), graph_disjoint_complete(3, 5)):
         assert automorphism_group(g).capped
         res = hamilton_compression(g, "lift")
         assert (res.kappa, res.certificate, res.exact, res.note) == (0, None, True, "")
+
+
+def test_lift_skips_the_group_without_a_hamilton_cycle(monkeypatch):
+    """A disconnected graph, or one with a vertex of degree below 2, has no
+    Hamilton cycle: lift mode returns the exact 0 without building the
+    automorphism group. 5K3 has 933 120 automorphisms, and listing them took
+    about 10 s."""
+    start = time.perf_counter()
+    res = hamilton_compression(graph_disjoint_complete(5, 3), "lift")
+    assert time.perf_counter() - start < 1
+    assert (res.kappa, res.certificate, res.exact, res.note) == (0, None, True, "")
+
+    def no_group(g):
+        raise AssertionError("automorphism group built")
+
+    pendant = Graph.build(6, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5)])
+    path = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
+    graphs = (graph_disjoint_complete(2, 3), pendant, path, Graph.build(3, []))
+    expected = [hamilton_compression(g, "exhaustive") for g in graphs]
+    monkeypatch.setattr(compression, "automorphism_group", no_group)
+    for g, exh in zip(graphs, expected):
+        res = hamilton_compression(g, "lift")
+        assert (res.kappa, res.certificate, res.exact) == (exh.kappa, None, True) == (0, None, True)
 
 
 def test_ham_array_values():

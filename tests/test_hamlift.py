@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import acts_as_rotation, cycle_edges, graph_cycle, graph_k4
+from conftest import acts_as_rotation, cycle_edges, graph_cycle, graph_k4, project_cycle
 from hamcompress.autgroup import automorphism_group, cyclic_semiregular_reps
 from hamcompress.families import (
     cayley_p3,
@@ -24,7 +24,6 @@ from hamcompress.hamlift import (
     find_hamcycle,
     find_symmetric_hamcycle,
     lift,
-    project_cycle,
     quotient_with_voltages,
 )
 from hamcompress.perm import identity, is_semiregular, order, power

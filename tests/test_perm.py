@@ -1,9 +1,19 @@
+import itertools
 import random
 
 import pytest
 
 from hamcompress.families import grid_rho
-from hamcompress.perm import compose, identity, inverse, is_semiregular, orbits, order, power
+from hamcompress.perm import (
+    compose,
+    identity,
+    inverse,
+    is_semiregular,
+    orbits,
+    order,
+    power,
+    semiregular_order,
+)
 
 
 def random_perm(rng, n):
@@ -25,11 +35,53 @@ def test_group_laws_randomized():
 
 
 def test_compose_convention():
+    """compose(a, b)[x] == a[b[x]] as a tuple, on the degrees 0 and 1 (which
+    itemgetter cannot serve), on degree 2 and on random permutations."""
     a = (1, 2, 0)  # 0->1->2->0
     b = (0, 2, 1)  # swap 1,2
-    assert compose(a, b) == tuple(a[b[x]] for x in range(3))
+    small = [(a, b), ((), ()), ((0,), (0,)), ((0, 1), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (1, 0))]
+    rng = random.Random(16)
+    rand = [(random_perm(rng, n), random_perm(rng, n))
+            for n in (rng.randrange(2, 40) for _ in range(200))]
+    for p, q in small + rand:
+        c = compose(p, q)
+        assert type(c) is tuple and c == tuple(p[q[x]] for x in range(len(p)))
     with pytest.raises(ValueError):
         compose(a, (0, 1))
+
+
+def _semiregular_order_by_orbits(a) -> int:
+    lengths = {len(orb) for orb in orbits(a).orbits}
+    return lengths.pop() if len(lengths) == 1 else 0
+
+
+def _random_semiregular(rng, n, k):
+    """A permutation of degree n whose cycles all have length k, k | n."""
+    verts = random_perm(rng, n)
+    out = [0] * n
+    for i in range(0, n, k):
+        cyc = verts[i:i + k]
+        for j, v in enumerate(cyc):
+            out[v] = cyc[(j + 1) % k]
+    return tuple(out)
+
+
+def test_semiregular_order_matches_orbits():
+    """k when every orbit has length k, else 0: on all of S_6, on random
+    permutations of degree up to 30, and on random semiregular ones."""
+    for a in itertools.permutations(range(6)):
+        assert semiregular_order(a) == _semiregular_order_by_orbits(a), a
+    rng = random.Random(1606)
+    for _ in range(500):
+        a = random_perm(rng, rng.randrange(1, 31))
+        assert semiregular_order(a) == _semiregular_order_by_orbits(a), a
+    for _ in range(200):
+        n = rng.randrange(1, 31)
+        k = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        a = _random_semiregular(rng, n, k)
+        assert semiregular_order(a) == _semiregular_order_by_orbits(a) == k, a
+    assert semiregular_order(()) == 1  # the identity on no points
+    assert semiregular_order((1, 1, 0)) == 0  # not a permutation: rejected, not looped on
 
 
 def test_power_and_order():

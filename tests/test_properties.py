@@ -19,6 +19,7 @@ from conftest import (
     graph_complete_bipartite,
     graph_disjoint_complete,
     graph_star,
+    project_cycle,
 )
 from hamcompress.autgroup import (
     DEFAULT_CAP,
@@ -44,7 +45,6 @@ from hamcompress.hamlift import (
     enumerate_hamcycles,
     find_symmetric_hamcycle,
     lift,
-    project_cycle,
     quotient_with_voltages,
 )
 from hamcompress.numth import factorize
