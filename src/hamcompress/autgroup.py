@@ -44,7 +44,6 @@ from .perm import (
     compose,
     identity,
     is_fixed_point_free,
-    order,
     semiregular_order,
 )
 
@@ -371,13 +370,13 @@ def regular_subgroups(g: Graph, group: GroupData | None = None) -> list[RegularS
     if n == 0:
         return []
     out = []
-    for h in sorted(_regular_search(group, n), key=lambda s: sorted(s)):
+    for elements in sorted(tuple(sorted(h)) for h in _regular_search(group, n)):
         tag = None
-        if any(order(p) == n for p in h):
+        if any(semiregular_order(p) == n for p in elements):
             tag = "cyclic"
         elif n % 2 == 0 and is_prime(n // 2) and n > 4:
             tag = "dihedral"  # non-cyclic groups of order 2p are dihedral
-        out.append(RegularSubgroup(n, tuple(sorted(h)), tag))
+        out.append(RegularSubgroup(n, elements, tag))
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 
 from .autgroup import (
@@ -87,9 +88,9 @@ class KappaResult:
 def hamilton_compression(g: Graph, mode: str = "lift", limit: int = ENUM_LIMIT) -> KappaResult:
     """Hamilton compression of g with a certificate (0 when non-hamiltonian).
 
-    lift mode sweeps the divisors of n descending, running the symmetric
-    search on every cyclic semiregular subgroup of that order; the first hit
-    is the answer. exhaustive mode is the maximum of the Ham array.
+    lift mode sweeps the cyclic semiregular subgroups by descending order,
+    running the symmetric search on each; the first hit is the answer.
+    exhaustive mode is the maximum of the Ham array.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
@@ -105,8 +106,8 @@ def hamilton_compression(g: Graph, mode: str = "lift", limit: int = ENUM_LIMIT) 
     group = automorphism_group(g)
     note = "lower bound only on the k>=2 sweep" if group.capped else ""
     reps = cyclic_semiregular_reps(group)
-    for k in sorted((d for d in divisors(n) if d >= 2), reverse=True):
-        for a in reps.get(k, []):
+    for k in sorted(reps, reverse=True):
+        for a in reps[k]:
             cycle = find_symmetric_hamcycle(g, a)
             if cycle is not None:
                 cert = cycle_compression(g, cycle)
@@ -138,15 +139,13 @@ def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
     certs: dict[int, CompressionCertificate] = {}
     n = g.n
     shifts = divisors(n)[:-1] if n else []
-    exhausted = True
-    for count, cycle in enumerate(_hamilton_cycles(g.rows)):
-        if count >= limit:
-            exhausted = False
-            break
+    cycles = _hamilton_cycles(g.rows)
+    for cycle in islice(cycles, limit):
         shift = _least_shift(g, cycle, shifts)
         k = n // shift
         if k not in certs or cycle < certs[k].cycle:
             certs[k] = CompressionCertificate(cycle, k, shift, rotation_witness(cycle, shift))
+    exhausted = next(cycles, None) is None
     if not certs:
         return HamArray(exhausted, (0,), {})
     return HamArray(exhausted, tuple(sorted(certs)), certs)

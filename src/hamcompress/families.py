@@ -76,12 +76,26 @@ def _finalize(graph: Graph, m: int, n: int, r: int | None, params: dict) -> Fami
     return FamilyInstance(graph, GridLabeling(m, n), rho, sigma, params)
 
 
-def _find_grid_sigma(graph: Graph, m: int, n: int) -> int | None:
-    """Least multiplier r making v_i^j -> v_{i+1}^{rj} an automorphism."""
-    for r in range(1, n):
-        if math.gcd(r, n) == 1 and is_automorphism(graph, grid_sigma(m, n, r)):
-            return r
-    return None
+def _finalize_least_sigma(graph: Graph, m: int, n: int, params: dict) -> FamilyInstance:
+    """_finalize with sigma for the least multiplier r making
+    v_i^j -> v_{i+1}^{rj} an automorphism, recorded as sigma_multiplier;
+    without sigma when no unit r does."""
+    mult = next((r for r in range(1, n)
+                 if math.gcd(r, n) == 1 and is_automorphism(graph, grid_sigma(m, n, r))), None)
+    if mult is not None:
+        params["sigma_multiplier"] = mult
+    return _finalize(graph, m, n, mult, params)
+
+
+def _symmetric(name: str, steps, n: int) -> set[int]:
+    """steps reduced mod n, checked to avoid 0 and to be closed under
+    negation; the error names the set."""
+    steps = {s % n for s in steps}
+    if 0 in steps:
+        raise ValueError(f"{name} contains 0")
+    if {(-s) % n for s in steps} != steps:
+        raise ValueError(f"{name} is not symmetric")
+    return steps
 
 
 def x_mnr(m: int, n: int, r: int) -> FamilyInstance:
@@ -119,13 +133,7 @@ def _yz_instance(q: int, p: int, t: int, family: str, sub_exp: int) -> FamilyIns
     lam = primitive_root(p)
     r = pow(lam, n_cof, p)
     base = pow(r, sub_exp, p)
-    sub = set()
-    x = 1
-    while True:
-        x = x * base % p
-        sub.add(x)
-        if x == 1:
-            break
+    sub = {pow(base, e, p) for e in range(p - 1)}
     steps = sorted(sub | {(-h) % p for h in sub})
     graph = _grid_graph(q, p, [(i, 0, pow(r, i, p) * s) for i in range(q) for s in steps]
                         + [(i, 1, 0) for i in range(q)])
@@ -163,11 +171,7 @@ def circulant(n: int, conn: set[int]) -> FamilyInstance:
     """Cayley graph of Z_n with symmetric connection set conn."""
     if n < 2:
         raise ValueError("need n >= 2")
-    conn = {s % n for s in conn}
-    if 0 in conn:
-        raise ValueError("connection set contains 0")
-    if {(-s) % n for s in conn} != conn:
-        raise ValueError("connection set is not symmetric")
+    conn = _symmetric("connection set", conn, n)
     graph = _grid_graph(1, n, [(0, 0, s) for s in conn])
     params = {"family": "circulant", "n": n, "connection": sorted(conn)}
     return _finalize(graph, 1, n, None, params)
@@ -182,11 +186,7 @@ def generalized_petersen(n: int, r: int) -> FamilyInstance:
     if not 1 <= r < n / 2:
         raise ValueError(f"inner step must satisfy 1 <= r < n/2, got {r}")
     graph = _grid_graph(2, n, [(0, 0, 1), (1, 0, r), (0, 1, 0)])
-    params = {"family": "gp", "n": n, "r": r}
-    mult = _find_grid_sigma(graph, 2, n)
-    if mult is not None:
-        params["sigma_multiplier"] = mult
-    return _finalize(graph, 2, n, mult, params)
+    return _finalize_least_sigma(graph, 2, n, {"family": "gp", "n": n, "r": r})
 
 
 def petersen() -> FamilyInstance:
@@ -198,14 +198,9 @@ def metacirculant_triple_2p(p: int, s_outer, s_inner, spokes) -> FamilyInstance:
     v_1^j ~ v_1^{j+s'} (s' in S'), v_0^j ~ v_1^{j+t} (t in T)."""
     if not is_prime(p) or p < 3:
         raise ValueError("p must be an odd prime")
-    s0 = {s % p for s in s_outer}
-    s1 = {s % p for s in s_inner}
+    s0 = _symmetric("S", s_outer, p)
+    s1 = _symmetric("S'", s_inner, p)
     t_set = {t % p for t in spokes}
-    for name, s in (("S", s0), ("S'", s1)):
-        if 0 in s:
-            raise ValueError(f"{name} contains 0")
-        if {(-x) % p for x in s} != s:
-            raise ValueError(f"{name} is not symmetric")
     if not t_set:
         raise ValueError("spoke set T is empty")
     graph = _grid_graph(2, p, [(0, 0, s) for s in s0] + [(1, 0, s) for s in s1]
@@ -218,10 +213,7 @@ def metacirculant_triple_2p(p: int, s_outer, s_inner, spokes) -> FamilyInstance:
         "S_inner": sorted(s1),
         "T": sorted(t_set),
     }
-    mult = _find_grid_sigma(graph, 2, p)
-    if mult is not None:
-        params["sigma_multiplier"] = mult
-    return _finalize(graph, 2, p, mult, params)
+    return _finalize_least_sigma(graph, 2, p, params)
 
 
 # --- Cayley graphs of the two non-abelian groups of order p^3 ---------------

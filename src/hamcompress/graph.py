@@ -20,6 +20,21 @@ def bits(mask: int):
         mask ^= b
 
 
+def reach(rows, start: int, region: int) -> int:
+    """Bitset of the vertices of region that start reaches, breadth-first,
+    through vertices of region; start must lie in region."""
+    comp = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            nxt |= rows[bit.bit_length() - 1]
+        frontier = nxt & region & ~comp
+        comp |= frontier
+    return comp
+
+
 class Graph:
     __slots__ = ("n", "rows", "m", "nbrs")
 
@@ -63,17 +78,8 @@ class Graph:
         return Graph(self.n, rows, m)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= self.rows[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen == (1 << self.n) - 1
+        full = (1 << self.n) - 1
+        return not full or reach(self.rows, 0, full) == full
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
-from .graph import Graph
+from .graph import Graph, reach
 from .perm import Perm, orbits, semiregular_order
 
 HamCycle = tuple[int, ...]
@@ -219,16 +220,7 @@ def _open_region_ok(rows, head: int, rest: int, lost: int) -> bool:
     if not lost & ~rows[head]:
         return True
     region = rest | 1 << head
-    comp = frontier = 1 << head
-    while frontier:
-        nxt = 0
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            nxt |= rows[bit.bit_length() - 1]
-        frontier = nxt & region & ~comp
-        comp |= frontier
-    return comp == region
+    return reach(rows, head, region) == region
 
 
 def _hamilton_cycles(rows):
@@ -281,9 +273,6 @@ def enumerate_hamcycles(g: Graph, limit: int = ENUM_LIMIT) -> tuple[list[HamCycl
     when the limit cut the enumeration short."""
     if limit < 1:
         raise ValueError("limit must be positive")
-    out: list[HamCycle] = []
-    for cycle in _hamilton_cycles(g.rows):
-        if len(out) >= limit:
-            return out, False
-        out.append(cycle)
-    return out, True
+    cycles = _hamilton_cycles(g.rows)
+    out = list(islice(cycles, limit))
+    return out, next(cycles, None) is None

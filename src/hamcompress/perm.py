@@ -45,24 +45,6 @@ def power(a: Perm, e: int) -> Perm:
     return result
 
 
-def order(a: Perm) -> int:
-    """Least e >= 1 with a**e the identity (lcm of cycle lengths)."""
-    n = len(a)
-    seen = [False] * n
-    out = 1
-    for v in range(n):
-        if seen[v]:
-            continue
-        length = 0
-        w = v
-        while not seen[w]:
-            seen[w] = True
-            w = a[w]
-            length += 1
-        out = math.lcm(out, length)
-    return out
-
-
 @dataclass(frozen=True)
 class OrbitPartition:
     """Orbits of a permutation; each orbit starts at its least vertex and is
@@ -89,6 +71,11 @@ def orbits(a: Perm) -> OrbitPartition:
             w = a[w]
         out.append(tuple(cyc))
     return OrbitPartition(tuple(orbit_of), tuple(out))
+
+
+def order(a: Perm) -> int:
+    """Least e >= 1 with a**e the identity (lcm of cycle lengths)."""
+    return math.lcm(*map(len, orbits(a).orbits))
 
 
 def semiregular_order(a: Perm) -> int:

@@ -37,7 +37,7 @@ from .compression import (
     predict_kappa_metapq,
 )
 from .hamlift import find_symmetric_hamcycle, quotient_with_voltages
-from .numth import element_of_order, primes_in_ap
+from .numth import divisors, element_of_order, primes_in_ap
 from .perm import order, power
 
 DEFAULT_TIME_BUDGET = 300.0
@@ -317,9 +317,7 @@ def probe_zsigma(q: int, p: int, t: int) -> dict:
     sigma = families.grid_sigma(q, p, r)
     perm_order = order(sigma)
     powers = []
-    for d in range(1, perm_order + 1):
-        if perm_order % d:
-            continue
+    for d in divisors(perm_order):
         pw = power(sigma, d)
         powers.append({
             "power": d,

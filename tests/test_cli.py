@@ -236,6 +236,28 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: missing header"),
+    ("-1 0\n", "line 1: negative count in header"),
+    ("3 1\n0 x\n", "line 2: malformed edge '0 x'"),
+    ("3 1\n0 5\n", "line 2: endpoint out of range"),
+], ids=["empty", "negative-count", "malformed-edge", "endpoint-out-of-range"])
+def test_edgelist_error_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code = cli.main(["kappa", str(path), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_edgelist_blank_line_is_skipped(tmp_path, capsys):
+    path = tmp_path / "path.txt"
+    path.write_text("3 2\n0 1\n\n1 2\n")
+    code, out = run_cli(capsys, "kappa", str(path))
+    assert code == 0 and json.loads(out)["graph"] == {"vertices": 3, "edges": 2}
+
+
 @pytest.mark.parametrize("header", ["4611686018427387904 0", "100000000000000000000 0"],
                          ids=["2^62", "10^20"])
 def test_oversized_header_exit_2(tmp_path, capsys, header):
@@ -314,6 +336,13 @@ def test_verify_budget_exit_3(capsys):
     assert code == 3
     rep = json.loads(out)
     assert all(r["status"] == "unknown" for r in rep["records"])
+
+
+def test_verify_time_budget_exit_3(capsys):
+    code, out = run_cli(capsys, "verify", "--claim", "circulant", "--time-budget", "0")
+    assert code == 3
+    rep = json.loads(out)
+    assert [r["status"] for r in rep["records"]] == ["unknown", "unknown"]
 
 
 def test_verify_max_vertices_applies_to_every_claim(capsys):
@@ -397,6 +426,14 @@ def test_construct_all_families(capsys, family):
     out = capsys.readouterr().out
     assert code == 0
     assert parse_edgelist(out) == build().graph
+
+
+def test_construct_triple2p_asymmetric_set_exit_2(capsys):
+    code = cli.main(["construct", "--family", "triple2p", "--p", "5", "--outer", "1,4",
+                     "--inner", "1", "--spokes", "0", "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: S' is not symmetric\n"
 
 
 def test_construct_missing_params_exit_2(capsys):

@@ -70,3 +70,32 @@ def test_traced_bench_run_finds_every_wrapped_function():
         if not hasattr(importlib.import_module(f"hamcompress.{module}"), attribute)
     ]
     assert missing == []
+
+
+def test_every_src_name_is_used_outside_the_tests():
+    """A top-level function, class or constant of src/hamcompress that no
+    src/ module nor hcbench/ names (as a name, attribute or import) lives
+    only for the tests; the package exports are the exception."""
+    used: set[str] = set()
+    defined = []
+    for path in sorted([*(ROOT / "src" / "hamcompress").glob("*.py"),
+                        *(ROOT / "hcbench").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+        if path.parent.name != "hamcompress":
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, stmt.name))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined.extend((path.name, t.id) for t in targets if isinstance(t, ast.Name))
+    exports = set(vars(hamcompress))
+    assert [(module, name) for module, name in defined
+            if name not in used and name not in exports] == []

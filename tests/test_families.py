@@ -187,6 +187,18 @@ def test_triple_2p():
         metacirculant_triple_2p(5, {1, 4}, {1, 4}, set())
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: circulant(6, {0, 1}), "connection set contains 0"),
+    (lambda: circulant(6, {1, 2}), "connection set is not symmetric"),
+    (lambda: metacirculant_triple_2p(5, {0, 1, 4}, {1, 4}, {0}), "S contains 0"),
+    (lambda: metacirculant_triple_2p(5, {1, 4}, {1}, {0}), "S' is not symmetric"),
+], ids=["circulant-zero", "circulant-asymmetric", "triple-zero", "triple-asymmetric"])
+def test_step_set_errors_name_the_set(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_cayley_p3_both_variants():
     for variant in ("heisenberg", "modular"):
         inst = cayley_p3(3, variant)

@@ -49,6 +49,12 @@ def test_max_vertices_budget_marks_unknown():
     assert records and all(r.status == UNKNOWN for r in records)
 
 
+def test_time_budget_marks_unknown():
+    records = run_claim("circulant", Budget(time_budget=0.0))
+    assert [(r.status, r.note) for r in records] == [
+        (UNKNOWN, "time budget 0.0s exceeded")] * 2
+
+
 def test_skipped_record_keeps_its_prediction():
     rec = run_claim("thm22", Budget(max_vertices=40), k=6)[0]
     assert (rec.params, rec.predicted, rec.computed, rec.seconds, rec.note) == (
