@@ -5,11 +5,16 @@ vertices it computes, level by level, the orbit of the base vertex under the
 pointwise stabilizer of the earlier ones, with a witness automorphism per
 orbit member. The group order is the product of the orbit sizes
 (orbit-stabilizer), which stays exact even when the full element list is not
-enumerated. One search step, `_search_one`, finds every witness: it
-individualizes a source and a target vertex, refines both partitions jointly
-and recurses on the first non-singleton cell, one nested call per
-individualized vertex. Groups above DEFAULT_CAP elements are capped: their
-element list is left out. Functions that read a group take it as `group=`.
+enumerated. Groups above DEFAULT_CAP elements are capped: their element list
+is left out. Functions that read a group take it as `group=`.
+
+The base path is refined once (the first path of McKay & Piperno 2014): each
+level keeps its partition from before the base vertex is individualized, the
+base vertex's cell and the trace of the refinement that follows. One search
+step, `_search_one`, finds every witness: it individualizes a target vertex
+on a copy of the level's partition, replays the level's trace on that one
+side (`_replay`) and recurses over the next level's cell, one nested call per
+level, down to the leaf, which `is_automorphism` checks.
 
 Orbit pruning (McKay & Piperno 2014): each witness is kept as the
 transversal entry of its target, and the transversal is closed under the
@@ -25,10 +30,10 @@ The element list serves two scans: `cyclic_semiregular_reps` reads each
 element's cycle type once (`perm.semiregular_order`), and `_regular_search`
 closes each subgroup under its generators (Seress 2003, ch. 2).
 
-Determinism: refinement splits cells by neighbour counts, identically on
-both sides (see `_refine`), so aligned cells keep matching indices; the base
-vertex is always the least vertex of the first non-singleton cell, and
-candidate targets are tried in ascending order.
+Determinism: a replay splits the target side's cells exactly as the trace
+records, so aligned cells keep matching indices; the base vertex is always
+the least vertex of the first non-singleton cell, and candidate targets are
+tried in ascending order.
 """
 
 from __future__ import annotations
@@ -71,10 +76,13 @@ def is_automorphism(g: Graph, a: Perm) -> bool:
     return sorted(a) == list(range(n))
 
 
-# A side of the search is a partition (col, cells): cells[i] lists the
-# members of cell i ascending, and col[v] is the index of v's cell.
+# A partition (col, cells): cells[i] lists the members of cell i ascending,
+# and col[v] is the index of v's cell.
 Side = tuple[list[int], list[list[int]]]
 Nbrs = tuple[tuple[int, ...], ...]
+# One splitter of a refinement: its cell index, the (cell, count) tallies of
+# its neighbour counts, and the cells it split with their ascending counts.
+Step = tuple[int, dict, list[tuple[int, list[int]]]]
 
 
 def _counts(nbrs: Nbrs, col: list[int], members: list[int]) -> tuple[dict, dict]:
@@ -91,52 +99,74 @@ def _counts(nbrs: Nbrs, col: list[int], members: list[int]) -> tuple[dict, dict]
     return cnt, shape
 
 
-def _refine(nbrs: Nbrs, sides: list[Side], queue: list[int]) -> bool:
-    """Jointly refine aligned partitions (a source and a target side, or one
-    side alone), in place, to the coarsest equitable ones below them (McKay
-    & Piperno 2014, after Hopcroft 1971).
+def _split(side: Side, c: int, cnt: dict, keys: list[int] | None = None) -> list[int]:
+    """Split cell c by count, in place: the part of the lowest count keeps
+    the index, the others are appended in ascending count (the given keys,
+    else the sorted counts found). Returns the keys."""
+    col, cells = side
+    by_count: dict[int, list[int]] = {}
+    for x in cells[c]:
+        by_count.setdefault(cnt.get(x, 0), []).append(x)
+    if keys is None:
+        keys = sorted(by_count)
+    cells[c] = by_count[keys[0]]
+    for k in keys[1:]:
+        part = by_count[k]
+        for x in part:
+            col[x] = len(cells)
+        cells.append(part)
+    return keys
+
+
+def _refine(nbrs: Nbrs, side: Side, queue: list[int]) -> list[Step]:
+    """Refine the partition, in place, to the coarsest equitable one below
+    it (McKay & Piperno 2014, after Hopcroft 1971), and return its trace.
 
     queue holds the cells to split by. For a popped splitter W, every cell
-    is split by |N(v) & W|: the parts are ordered by that count, the first
-    keeps the cell's index and the others are appended; all of them are
-    queued. Stops early once the partitions are discrete, leaving the check
-    of that pair to the caller. Returns False as soon as the touched cells,
-    the counts or the part sizes differ between the sides, i.e. no
-    automorphism maps the source cells onto the target cells.
+    is split by |N(v) & W| (`_split`), and the split cell and its new parts
+    are queued. Stops early once the partition is discrete. The trace lists
+    every popped splitter in order; `_replay` repeats it on another
+    partition.
     """
-    col_a, cells_a = sides[0]
+    col, cells = side
     queued = set(queue)
-    while queue and len(cells_a) < len(col_a):
+    trace: list[Step] = []
+    while queue and len(cells) < len(col):
         w = queue.pop()
         queued.discard(w)
-        counted = [_counts(nbrs, col, cells[w]) for col, cells in sides]
-        shape = counted[0][1]
-        if any(other != shape for _, other in counted[1:]):
-            return False
+        cnt, shape = _counts(nbrs, col, cells[w])
         kinds: dict[int, int] = {}  # touched cell -> distinct counts in it
         hit: dict[int, int] = {}  # touched cell -> members with a count
         for (c, _), size in shape.items():
             kinds[c] = kinds.get(c, 0) + 1
             hit[c] = hit.get(c, 0) + size
+        splits = []
         for c, distinct in kinds.items():
-            if distinct == 1 and hit[c] == len(cells_a[c]):
+            if distinct == 1 and hit[c] == len(cells[c]):
                 continue  # one count throughout: no split
-            first = len(cells_a)
-            for (col, cells), (cnt, _) in zip(sides, counted):
-                by_count: dict[int, list[int]] = {}
-                for x in cells[c]:
-                    by_count.setdefault(cnt.get(x, 0), []).append(x)
-                keys = sorted(by_count)
-                cells[c] = by_count[keys[0]]
-                for k in keys[1:]:
-                    part = by_count[k]
-                    for x in part:
-                        col[x] = len(cells)
-                    cells.append(part)
-            for i in (c, *range(first, len(cells_a))):
+            first = len(cells)
+            splits.append((c, _split(side, c, cnt)))
+            for i in (c, *range(first, len(cells))):
                 if i not in queued:
                     queued.add(i)
                     queue.append(i)
+        trace.append((w, shape, splits))
+    return trace
+
+
+def _replay(nbrs: Nbrs, side: Side, trace: list[Step]) -> bool:
+    """Repeat a recorded refinement on a partition aligned with the one it
+    was recorded on, in place. Returns False at the first splitter whose
+    count tallies differ from the recorded ones: no automorphism maps the
+    recorded cells onto these. When every tally matches, every split falls
+    as recorded, so the two partitions stay aligned."""
+    col, cells = side
+    for w, shape, splits in trace:
+        cnt, found = _counts(nbrs, col, cells[w])
+        if found != shape:
+            return False
+        for c, keys in splits:
+            _split(side, c, cnt, keys)
     return True
 
 
@@ -154,22 +184,30 @@ def _first_cell(cells: list[list[int]]) -> int | None:
     return next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
 
 
-def _search_one(g: Graph, a: Side, b: Side, v: int, t: int) -> Perm | None:
-    """The first automorphism sending v to t that respects the aligned
-    partitions a -> b, or None; v and t get a new cell on each side."""
-    a = (list(a[0]), list(a[1]))
-    b = (list(b[0]), list(b[1]))
-    _individualize(a, v)
-    _individualize(b, t)
-    if not _refine(g.nbrs, [a, b], [len(a[1]) - 1]):
+# One level of the base path: the partition before the base point is
+# individualized, the index of the base point's cell, and the trace of the
+# refinement that follows.
+Level = tuple[Side, int, list[Step]]
+
+
+def _search_one(g: Graph, path: list[Level], leaf: list[int], depth: int,
+                side: Side, t: int) -> Perm | None:
+    """The first automorphism that sends the base points of `path` above
+    `depth` to the target points already individualized in `side`, and the
+    base point of `depth` to t; None if there is none. `side` is aligned
+    with the partition of `depth`, and `leaf` gives each vertex's cell in
+    the discrete partition at the end of the path. Each level replays the
+    base path's recorded refinement on the target side alone."""
+    side = (list(side[0]), list(side[1]))
+    _individualize(side, t)
+    if not _replay(g.nbrs, side, path[depth][2]):
         return None
-    c = _first_cell(a[1])
-    if c is None:
-        p = tuple(b[1][i][0] for i in a[0])
+    cells = side[1]
+    if depth + 1 == len(path):
+        p = tuple(cells[i][0] for i in leaf)
         return p if is_automorphism(g, p) else None
-    u = a[1][c][0]
-    for w in b[1][c]:
-        found = _search_one(g, a, b, u, w)
+    for w in cells[path[depth + 1][1]]:
+        found = _search_one(g, path, leaf, depth + 1, side, w)
         if found is not None:
             return found
     return None
@@ -191,18 +229,23 @@ def automorphism_group(g: Graph) -> GroupData:
     elements."""
     n = g.n
     part: Side = ([0] * n, [list(range(n))] if n else [])
-    _refine(g.nbrs, [part], list(range(len(part[1]))))
-    levels: list[dict[int, Perm]] = []
+    _refine(g.nbrs, part, list(range(len(part[1]))))
+    path: list[Level] = []  # the base path, refined once
     while (c := _first_cell(part[1])) is not None:
-        base, *cell = part[1][c]
+        before = (list(part[0]), list(part[1]))
+        _individualize(part, part[1][c][0])  # fix the base point: its stabilizer
+        path.append((before, c, _refine(g.nbrs, part, [len(part[1]) - 1])))
+    levels: list[dict[int, Perm]] = []
+    for depth, (before, c, _) in enumerate(path):
+        base, *cell = before[1][c]
         transversal: dict[int, Perm] = {base: identity(n)}
         witnesses: list[Perm] = []
         for t in cell:
             if t in transversal:
                 continue  # already reached by the closure: same orbit
             try:
-                witness = _search_one(g, part, part, base, t)
-            except RecursionError:  # one nested call per individualized vertex
+                witness = _search_one(g, path, part[0], depth, before, t)
+            except RecursionError:  # one nested call per level below depth
                 raise ValueError(
                     f"automorphism search on {n} vertices exceeds the recursion limit "
                     f"of {sys.getrecursionlimit()}") from None
@@ -218,8 +261,6 @@ def automorphism_group(g: Graph) -> GroupData:
                         transversal[u] = compose(s, transversal[w])
                         known.append(u)
         levels.append(transversal)
-        _individualize(part, base)  # fix the base point: its stabilizer
-        _refine(g.nbrs, [part], [len(part[1]) - 1])
     grp_order = prod(len(t) for t in levels)
     generators = tuple(
         p for t in levels for p in t.values() if any(p[i] != i for i in range(n))

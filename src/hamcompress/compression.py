@@ -21,7 +21,7 @@ from .autgroup import (
     is_automorphism,
     regular_subgroups,
 )
-from .families import FamilyInstance
+from .families import FamilyInstance, _symmetric
 from .graph import Graph, remove_intra_orbit_edges
 from .hamlift import (
     ENUM_LIMIT,
@@ -254,9 +254,7 @@ def predict_kappa_circulant(n: int, conn) -> int:
         raise ValueError(f"{n} is not a product of two distinct primes")
     if n % 2 == 0:
         raise ValueError(f"{n} is even; the rule is stated for odd pq")
-    conn = {s % n for s in conn}
-    if 0 in conn or {(-s) % n for s in conn} != conn:
-        raise ValueError("connection set must be symmetric and avoid 0")
+    conn = _symmetric("connection set", conn, n)
     if math.gcd(n, *conn) != 1:
         raise ValueError("circulant is disconnected")
     return n if any(math.gcd(s, n) == 1 for s in conn) else 1

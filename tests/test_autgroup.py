@@ -13,6 +13,7 @@ from conftest import (
     graph_k33,
 )
 from hamcompress.autgroup import (
+    DEFAULT_CAP,
     GroupData,
     automorphism_group,
     cyclic_semiregular_reps,
@@ -21,7 +22,15 @@ from hamcompress.autgroup import (
     regular_subgroups,
     sem_array,
 )
-from hamcompress.families import circulant, cayley_p3, metacirculant_triple_2p, petersen, x_mnr, y_qp
+from hamcompress.families import (
+    cayley_p3,
+    circulant,
+    generalized_petersen,
+    metacirculant_triple_2p,
+    petersen,
+    x_mnr,
+    y_qp,
+)
 from hamcompress.graph import Graph
 from hamcompress.perm import compose, identity, is_semiregular, order
 
@@ -141,6 +150,155 @@ def test_capped_group_keeps_exact_order():
         assert grp.elements is None
         assert all(is_automorphism(g, a) for a in grp.generators)
 
+
+
+def _automorphism_group_reference(g: Graph) -> GroupData:
+    """automorphism_group as it was before the base path was recorded and
+    replayed: every target search refines its source and target partitions
+    jointly, from the level's partition, with the same splitting queue, the
+    same level loop and the same orbit closure."""
+    n, nbrs = g.n, g.nbrs
+
+    def refine(sides, queue):
+        col_a, cells_a = sides[0]
+        queued = set(queue)
+        while queue and len(cells_a) < len(col_a):
+            w = queue.pop()
+            queued.discard(w)
+            counted = []
+            for col, cells in sides:
+                cnt, shape = {}, {}
+                for x in cells[w]:
+                    for u in nbrs[x]:
+                        cnt[u] = cnt.get(u, 0) + 1
+                for u, k in cnt.items():
+                    shape[col[u], k] = shape.get((col[u], k), 0) + 1
+                counted.append((cnt, shape))
+            shape = counted[0][1]
+            if any(other != shape for _, other in counted[1:]):
+                return False
+            kinds, hit = {}, {}
+            for (c, _), size in shape.items():
+                kinds[c] = kinds.get(c, 0) + 1
+                hit[c] = hit.get(c, 0) + size
+            for c, distinct in kinds.items():
+                if distinct == 1 and hit[c] == len(cells_a[c]):
+                    continue
+                first = len(cells_a)
+                for (col, cells), (cnt, _) in zip(sides, counted):
+                    by_count = {}
+                    for x in cells[c]:
+                        by_count.setdefault(cnt.get(x, 0), []).append(x)
+                    keys = sorted(by_count)
+                    cells[c] = by_count[keys[0]]
+                    for k in keys[1:]:
+                        for x in by_count[k]:
+                            col[x] = len(cells)
+                        cells.append(by_count[k])
+                for i in (c, *range(first, len(cells_a))):
+                    if i not in queued:
+                        queued.add(i)
+                        queue.append(i)
+        return True
+
+    def individualize(side, v):
+        col, cells = side
+        cells[col[v]] = [x for x in cells[col[v]] if x != v]
+        col[v] = len(cells)
+        cells.append([v])
+
+    def first_cell(cells):
+        return next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+
+    def search_one(a, b, v, t):
+        a, b = (list(a[0]), list(a[1])), (list(b[0]), list(b[1]))
+        individualize(a, v)
+        individualize(b, t)
+        if not refine([a, b], [len(a[1]) - 1]):
+            return None
+        c = first_cell(a[1])
+        if c is None:
+            p = tuple(b[1][i][0] for i in a[0])
+            return p if is_automorphism(g, p) else None
+        for w in b[1][c]:
+            found = search_one(a, b, a[1][c][0], w)
+            if found is not None:
+                return found
+        return None
+
+    part = ([0] * n, [list(range(n))] if n else [])
+    refine([part], list(range(len(part[1]))))
+    levels = []
+    while (c := first_cell(part[1])) is not None:
+        base, *cell = part[1][c]
+        transversal, witnesses = {base: identity(n)}, []
+        for t in cell:
+            if t in transversal or (witness := search_one(part, part, base, t)) is None:
+                continue
+            witnesses.append(witness)
+            transversal[t] = witness
+            known = list(transversal)
+            for w in known:
+                for s in witnesses:
+                    if (u := s[w]) not in transversal:
+                        transversal[u] = compose(s, transversal[w])
+                        known.append(u)
+        levels.append(transversal)
+        individualize(part, base)
+        refine([part], [len(part[1]) - 1])
+    grp_order = 1
+    for transversal in levels:
+        grp_order *= len(transversal)
+    generators = tuple(p for t in levels for p in t.values() if p != identity(n))
+    if grp_order > DEFAULT_CAP:
+        return GroupData(generators, None, grp_order, True)
+    elements = [identity(n)]
+    for transversal in reversed(levels):
+        elements = [compose(u, e) for u in transversal.values() for e in elements]
+    return GroupData(generators, tuple(sorted(elements)), grp_order, False)
+
+
+def test_replayed_search_matches_joint_refinement():
+    """Replaying the base path's recorded refinement on the target side
+    visits the same search tree as refining both sides jointly, so the
+    groups are identical, generators included: on the connected p = 5
+    triples with a twisted rotation, GP(n, r) for n <= 12, seeded random
+    graphs with their complements, and the capped graphs."""
+    graphs = []
+    sym = ({1, 4}, {2, 3}, {1, 2, 3, 4})
+    for s_outer, s_inner in itertools.product(sym, repeat=2):
+        for size in (1, 2, 3):
+            for spokes in itertools.combinations(range(5), size):
+                inst = metacirculant_triple_2p(5, s_outer, s_inner, set(spokes))
+                if inst.sigma is not None and inst.graph.is_connected():
+                    graphs.append(inst.graph)
+    assert len(graphs) == 77
+    graphs += [generalized_petersen(n, r).graph
+               for n in range(3, 13) for r in range(1, (n + 1) // 2)]
+    rng = random.Random(18)
+    for _ in range(40):
+        n = rng.randrange(2, 15)
+        g = Graph.build(n, [e for e in itertools.combinations(range(n), 2)
+                            if rng.random() < rng.choice((0.2, 0.35, 0.5))])
+        graphs += [g, g.complement()]
+    graphs += [g for g, _ in CAPPED]
+    for g in graphs:
+        assert automorphism_group(g) == _automorphism_group_reference(g), g.rows
+
+
+def test_asymmetric_graph_rejects_every_target():
+    """The Frucht graph is cubic with a trivial group: its root partition is
+    one cell, so every target of level 0 must be rejected, by the replayed
+    refinement or by the leaf check. GP(10, 3), the Desargues graph, is
+    vertex-transitive of order 240."""
+    lcf = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+    frucht = Graph.build(12, {frozenset((v, (v + d) % 12)) for v in range(12)
+                              for d in (1, lcf[v])})
+    assert all(len(nb) == 3 for nb in frucht.nbrs)
+    assert automorphism_group(frucht) == GroupData((), (identity(12),), 1, False)
+    desargues = automorphism_group(generalized_petersen(10, 3).graph)
+    assert (desargues.order, desargues.capped) == (240, False)
+    assert len({a[0] for a in desargues.elements}) == 20
 
 def test_sem_array_values():
     assert sem_array(petersen().graph).values == (1, 5)

@@ -292,8 +292,10 @@ def test_predict_circulant():
         predict_kappa_circulant(12, {1, 11})  # not squarefree pq
     with pytest.raises(ValueError):
         predict_kappa_circulant(15, {3, 12})  # disconnected
-    with pytest.raises(ValueError):
-        predict_kappa_circulant(15, {1, 2})  # not symmetric
+    with pytest.raises(ValueError, match="^connection set is not symmetric$"):
+        predict_kappa_circulant(15, {1, 2})
+    with pytest.raises(ValueError, match="^connection set contains 0$"):
+        predict_kappa_circulant(15, {1, 14, 15})
 
 
 def test_double_edge_positions():

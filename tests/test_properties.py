@@ -25,6 +25,7 @@ from hamcompress.autgroup import (
     DEFAULT_CAP,
     _individualize,
     _refine,
+    _replay,
     automorphism_group,
     cyclic_semiregular_reps,
     is_automorphism,
@@ -431,10 +432,12 @@ def _equitable(nbrs, side) -> bool:
 
 def test_refinement_is_equitable():
     """The root partition of _refine is equitable, and so is the partition
-    after individualizing any one vertex. A refinement that stops short of
-    equitable leaves the search complete, only slower, so no answer test
-    catches it. On a regular graph the root partition is one cell, which is
-    why the individualized partitions are checked too."""
+    after individualizing any one vertex; replaying either refinement's
+    trace on a copy of its starting partition gives the same partition. A
+    refinement that stops short of equitable leaves the search complete,
+    only slower, so no answer test catches it. On a regular graph the root
+    partition is one cell, which is why the individualized partitions are
+    checked too."""
     rng = random.Random(13)
     graphs = [g for g, _ in CLOSED_FORMS if g.n <= 12] + [graph_star(6)]
     graphs += [generalized_petersen(n, r).graph
@@ -447,11 +450,12 @@ def test_refinement_is_equitable():
         n = g.n
         nbrs = tuple(tuple(bits(row)) for row in g.rows)
         root = ([0] * n, [list(range(n))])
-        assert _refine(nbrs, [root], [0]), g.rows
-        assert _equitable(nbrs, root), g.rows
+        fresh = ([0] * n, [list(range(n))])
+        assert _replay(nbrs, fresh, _refine(nbrs, root, [0])), g.rows
+        assert _equitable(nbrs, root) and fresh == root, g.rows
         for v in range(n):
             a, b = (list(root[0]), list(root[1])), (list(root[0]), list(root[1]))
             _individualize(a, v)
             _individualize(b, v)
-            assert _refine(nbrs, [a, b], [len(a[1]) - 1]), (g.rows, v)
+            assert _replay(nbrs, b, _refine(nbrs, a, [len(a[1]) - 1])), (g.rows, v)
             assert _equitable(nbrs, a) and a == b, (g.rows, v)
