@@ -369,7 +369,7 @@ def _closure(base: frozenset[Perm], gens: tuple[Perm, ...], extra: Perm,
 
 def _regular_search(group: GroupData, n: int):
     """Every order-n subgroup of the uncapped group acting regularly on the
-    n >= 1 vertices, once each, as the search reaches it.
+    n vertices, once each, as the search reaches it; none when n = 0.
 
     Search from vertex 0: a regular subgroup has exactly one element sending
     0 to each vertex. Depth-first from {id}; at a subgroup H, branch over the
@@ -379,6 +379,8 @@ def _regular_search(group: GroupData, n: int):
     Each stack entry carries the generators H was closed from; each one at
     least doubles the order, so there are at most log2(n) of them.
     """
+    if n == 0:
+        return
     by_image: dict[int, list[Perm]] = {}
     for a in group.elements:
         if is_fixed_point_free(a):
@@ -408,8 +410,6 @@ def regular_subgroups(g: Graph, group: GroupData | None = None) -> list[RegularS
     if group.capped:
         return None
     n = g.n
-    if n == 0:
-        return []
     out = []
     for elements in sorted(tuple(sorted(h)) for h in _regular_search(group, n)):
         tag = None
@@ -428,5 +428,5 @@ def is_cayley(g: Graph, group: GroupData | None = None) -> str:
         group = automorphism_group(g)
     if group.capped:
         return "unknown"
-    found = g.n > 0 and next(_regular_search(group, g.n), None) is not None
+    found = next(_regular_search(group, g.n), None) is not None
     return "yes" if found else "no"

@@ -55,8 +55,9 @@ def _rotations(cycle: HamCycle):
     return lambda shift: image(cycle[shift:] + cycle[:shift])
 
 
-def rotation_witness(cycle: HamCycle, shift: int) -> Perm:
-    return _rotations(cycle)(shift)
+def _certificate(cycle: HamCycle, shift: int) -> CompressionCertificate:
+    """The certificate of a cycle whose least working shift is shift."""
+    return CompressionCertificate(cycle, len(cycle) // shift, shift, _rotations(cycle)(shift))
 
 
 def _least_shift(g: Graph, cycle: HamCycle, shifts: list[int]) -> int:
@@ -72,8 +73,7 @@ def cycle_compression(g: Graph, cycle) -> CompressionCertificate:
     """Exact compression factor of one Hamilton cycle of g."""
     check_hamcycle(g, cycle)
     cycle = canonical_cycle(cycle)
-    shift = _least_shift(g, cycle, divisors(g.n)[:-1])
-    return CompressionCertificate(cycle, g.n // shift, shift, rotation_witness(cycle, shift))
+    return _certificate(cycle, _least_shift(g, cycle, divisors(g.n)[:-1]))
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,9 @@ def hamilton_compression(g: Graph, mode: str = "lift", limit: int = ENUM_LIMIT) 
     """Hamilton compression of g with a certificate (0 when non-hamiltonian).
 
     lift mode sweeps the cyclic semiregular subgroups by descending order,
-    running the symmetric search on each; the first hit is the answer.
-    exhaustive mode is the maximum of the Ham array.
+    running the symmetric search on each; the first hit is the answer, and
+    with no hit a plain Hamilton cycle is, at k = 1. exhaustive mode is the
+    maximum of the Ham array.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
@@ -106,20 +107,15 @@ def hamilton_compression(g: Graph, mode: str = "lift", limit: int = ENUM_LIMIT) 
     group = automorphism_group(g)
     note = "lower bound only on the k>=2 sweep" if group.capped else ""
     reps = cyclic_semiregular_reps(group)
-    for k in sorted(reps, reverse=True):
-        for a in reps[k]:
-            cycle = find_symmetric_hamcycle(g, a)
-            if cycle is not None:
-                cert = cycle_compression(g, cycle)
-                if not group.capped and cert.k != k:
-                    raise AssertionError("descending sweep returned a non-maximal hit")
-                return KappaResult(cert.k, cert, not group.capped, mode, note)
-    cycle = find_hamcycle(g)
+    hit = next(((k, c) for k in sorted(reps, reverse=True) for a in reps[k]
+                if (c := find_symmetric_hamcycle(g, a)) is not None), None)
+    k, cycle = hit or (1, find_hamcycle(g))
     if cycle is None:
         return KappaResult(0, None, True, mode)  # exact even when capped
     cert = cycle_compression(g, cycle)
-    if not group.capped and cert.k != 1:
-        raise AssertionError("sweep missed a symmetric cycle")
+    if not group.capped and cert.k != k:
+        raise AssertionError("descending sweep returned a non-maximal hit" if hit
+                             else "sweep missed a symmetric cycle")
     return KappaResult(cert.k, cert, not group.capped, mode, note)
 
 
@@ -144,7 +140,7 @@ def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
         shift = _least_shift(g, cycle, shifts)
         k = n // shift
         if k not in certs or cycle < certs[k].cycle:
-            certs[k] = CompressionCertificate(cycle, k, shift, rotation_witness(cycle, shift))
+            certs[k] = _certificate(cycle, shift)
     exhausted = next(cycles, None) is None
     if not certs:
         return HamArray(exhausted, (0,), {})

@@ -107,10 +107,9 @@ def x_mnr(m: int, n: int, r: int) -> FamilyInstance:
     """
     if m < 2 or n < 2:
         raise ValueError("need m >= 2 and n >= 2")
-    if math.gcd(r, n) != 1:
-        raise ValueError(f"{r} is not a unit mod {n}")
-    if ord_mod(r, n) != m:
-        raise ValueError(f"{r} has order {ord_mod(r, n)} mod {n}, expected {m}")
+    r_order = ord_mod(r, n)  # refuses an r that is not a unit mod n
+    if r_order != m:
+        raise ValueError(f"{r} has order {r_order} mod {n}, expected {m}")
     graph = _grid_graph(m, n, [(i, 0, pow(r, i, n)) for i in range(m)]
                         + [(i, 1, 0) for i in range(m)])
     params = {"family": "xmnr", "m": m, "n": n, "r": r}
@@ -319,8 +318,7 @@ def metacirculant_orbit(m: int, n: int, r: int, neighbors0) -> FamilyInstance:
     """
     if m < 2 or n < 2:
         raise ValueError("need m >= 2 and n >= 2")
-    if math.gcd(r, n) != 1:
-        raise ValueError(f"{r} is not a unit mod {n}")
+    r_order = ord_mod(r, n)  # refuses an r that is not a unit mod n
     neighbors0 = list(neighbors0)
     for i, j in neighbors0:
         if i % m == 0 and j % n == 0:
@@ -329,7 +327,6 @@ def metacirculant_orbit(m: int, n: int, r: int, neighbors0) -> FamilyInstance:
         raise ValueError("empty neighbour set")
     # sigma^b maps v_0^0 ~ v_i^j to v_b^0 ~ v_{b+i}^{r^b j}, and rho moves
     # that edge along the columns, so the orbit is these offset classes
-    r_order = ord_mod(r, n)
     classes = {(b % m, i % m, pow(r, b, n) * j % n)
                for b in range(m * r_order) for i, j in neighbors0}
     params = {

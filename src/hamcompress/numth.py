@@ -102,8 +102,7 @@ def primitive_root(p: int) -> int:
 
 def element_of_order(k: int, p: int) -> int:
     """lambda**((p-1)/k) mod p for the least primitive root lambda; has exact order k."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    root = primitive_root(p)  # refuses a p that is not prime
     if k < 1 or (p - 1) % k != 0:
         raise ValueError(f"{k} does not divide {p} - 1")
-    return pow(primitive_root(p), (p - 1) // k, p)
+    return pow(root, (p - 1) // k, p)

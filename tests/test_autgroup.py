@@ -389,6 +389,7 @@ def test_regular_subgroups_trivial_graphs():
     assert [(s.order, s.elements) for s in regular_subgroups(k1)] == [(1, ((0,),))]
     assert is_cayley(k1) == "yes"
     assert regular_subgroups(Graph.build(0, [])) == []
+    assert is_cayley(Graph.build(0, [])) == "no"
 
 
 def test_regular_subgroups_skip_intransitive_order_n_subgroups():

@@ -11,8 +11,9 @@ from conftest import (
     small_corpus,
 )
 from hamcompress import compression
-from hamcompress.autgroup import automorphism_group, is_automorphism
+from hamcompress.autgroup import automorphism_group, cyclic_semiregular_reps, is_automorphism
 from hamcompress.compression import (
+    KappaResult,
     cycle_compression,
     double_edge_positions,
     ham_array,
@@ -34,7 +35,12 @@ from hamcompress.families import (
     y_qp,
 )
 from hamcompress.graph import Graph
-from hamcompress.hamlift import enumerate_hamcycles, find_hamcycle, quotient_with_voltages
+from hamcompress.hamlift import (
+    enumerate_hamcycles,
+    find_hamcycle,
+    find_symmetric_hamcycle,
+    quotient_with_voltages,
+)
 
 
 def test_cycle_compression_cycle_graph():
@@ -125,6 +131,18 @@ def test_kappa_modes_agree_small():
         exh_res = hamilton_compression(g, "exhaustive")
         assert exh_res.exact
         assert lift_res.kappa == exh_res.kappa
+
+
+def test_lift_fallback_without_symmetric_hit():
+    """GP(13, 5) has one cyclic semiregular subgroup, of order 13, and no
+    cycle symmetric under it; the sweep falls back to a plain Hamilton cycle
+    and certifies kappa = 1."""
+    g = y_qp(2, 13, 2).graph
+    reps = cyclic_semiregular_reps(automorphism_group(g))
+    assert list(reps) == [13]
+    assert [find_symmetric_hamcycle(g, a) for a in reps[13]] == [None]
+    assert hamilton_compression(g) == KappaResult(
+        1, cycle_compression(g, find_hamcycle(g)), True, "lift")
 
 
 def test_kappa_fewer_than_three_vertices_is_zero():

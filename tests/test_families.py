@@ -87,6 +87,8 @@ def test_x_mnr_rejects_wrong_order():
     with pytest.raises(ValueError):
         x_mnr(2, 8, 2)  # not a unit
     assert "warnings" in x_mnr(2, 8, 3).params  # r-1 = 2 not a unit mod 8
+    with pytest.raises(ValueError, match="^2 is not a unit mod 14$"):
+        x_mnr(3, 14, 2)
 
 
 def test_y_qp_2_13_is_gp_13_5():
@@ -335,6 +337,9 @@ def test_metacirculant_orbit_gp_13_5():
 def test_metacirculant_orbit_rejects_loop():
     with pytest.raises(ValueError):
         metacirculant_orbit(2, 5, 4, [(0, 0)])
+    # a non-unit r is refused before the neighbour set is read
+    with pytest.raises(ValueError, match="^3 is not a unit mod 6$"):
+        metacirculant_orbit(2, 6, 3, [(0, 0)])
 
 
 def test_circulant_15_is_the_cycle():

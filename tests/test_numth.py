@@ -90,6 +90,9 @@ def test_element_of_order():
         assert element_of_order(p - 1, p) == primitive_root(p)
     with pytest.raises(ValueError):
         element_of_order(4, 7)
+    # primality is checked first: 3 does not divide 15 - 1 = 14 either
+    with pytest.raises(ValueError, match="^15 is not prime$"):
+        element_of_order(3, 15)
 
 
 def test_factorize_divisors():
