@@ -19,9 +19,9 @@ level, down to the leaf, which `is_automorphism` checks.
 Orbit pruning (McKay & Piperno 2014): each witness is kept as the
 transversal entry of its target, and the transversal is closed under the
 level's witnesses (a new point u = s[w] gets compose(s, transversal[w])), so
-a target already in it is not searched. `generators` is every non-identity
-transversal entry, level by level, in the order added; capped groups read
-their semiregular pool from them.
+a target already in it is not searched. `generators` is every transversal
+entry after the first, the base point's identity, level by level, in the
+order added; capped groups read their semiregular pool from them.
 
 Refinement counts neighbours from the graph's neighbour tuples, `Graph.nbrs`,
 and so does the leaf check `is_automorphism`.
@@ -262,9 +262,8 @@ def automorphism_group(g: Graph) -> GroupData:
                         known.append(u)
         levels.append(transversal)
     grp_order = prod(len(t) for t in levels)
-    generators = tuple(
-        p for t in levels for p in t.values() if any(p[i] != i for i in range(n))
-    )
+    # each level's first entry is its only identity: the others move the base point
+    generators = tuple(p for t in levels for p in list(t.values())[1:])
     if grp_order > DEFAULT_CAP:
         return GroupData(generators, None, grp_order, True)
     elements = [identity(n)]
@@ -274,32 +273,28 @@ def automorphism_group(g: Graph) -> GroupData:
     return GroupData(generators, tuple(elements), grp_order, False)
 
 
-def _semiregular_pool(group: GroupData) -> list[Perm]:
-    """Elements available for semiregularity scans; for capped groups only
-    the cyclic subgroups of the generators are visible."""
-    if not group.capped:
-        return list(group.elements)
-    pool: set[Perm] = set()
-    for gen in group.generators:
-        p = gen
-        while any(p[i] != i for i in range(len(p))):
-            pool.add(p)
-            p = compose(gen, p)
-    return sorted(pool)
-
-
 def cyclic_semiregular_reps(group: GroupData) -> dict[int, list[Perm]]:
     """One generator per cyclic semiregular subgroup of order >= 2, keyed by
     order: the least generator of each subgroup, ascending.
 
-    One pass over the sorted pool: an element not yet claimed whose cycles
+    One pass over the sorted element list (for capped groups, the cyclic
+    subgroups of the generators): an element not yet claimed whose cycles
     all have one length k >= 2 (`semiregular_order`) is the least generator
     of its subgroup, and claims that subgroup's other generators a^e,
     gcd(e, k) = 1, read off the successive products a^2, ..., a^(k-1).
     """
+    pool = group.elements
+    if group.capped:
+        powers: set[Perm] = set()
+        for gen in group.generators:
+            p, one = gen, identity(len(gen))
+            while p != one:
+                powers.add(p)
+                p = compose(gen, p)
+        pool = sorted(powers)
     reps: dict[int, list[Perm]] = {}
     claimed: set[Perm] = set()
-    for a in _semiregular_pool(group):
+    for a in pool:
         if a in claimed:
             continue
         k = semiregular_order(a)
@@ -342,8 +337,8 @@ class RegularSubgroup:
     tag: str | None
 
 
-def _closure(base: frozenset[Perm], gens: tuple[Perm, ...], extra: Perm,
-             n: int) -> frozenset[Perm] | None:
+def _closure(base: set[Perm], gens: tuple[Perm, ...], extra: Perm,
+             n: int) -> set[Perm] | None:
     """Subgroup generated by base, the subgroup generated by gens, and extra;
     None as soon as a non-identity element fixes a point or the size exceeds
     n.
@@ -364,7 +359,7 @@ def _closure(base: frozenset[Perm], gens: tuple[Perm, ...], extra: Perm,
                     return None
                 elems.add(c)
                 frontier.append(c)
-    return frozenset(elems)
+    return elems
 
 
 def _regular_search(group: GroupData, n: int):
@@ -378,6 +373,12 @@ def _regular_search(group: GroupData, n: int):
     fixed-point-free acts semiregularly, so reaching size n means regular.
     Each stack entry carries the generators H was closed from; each one at
     least doubles the order, so there are at most log2(n) of them.
+
+    No subgroup is reached twice, so none is recorded: each step on the way
+    to a subgroup K closes some H inside K with some x in K, the v it picks
+    depends only on H, and x must be the one element of the semiregular K
+    sending 0 to v. So K is reached along one path, and distinct x close to
+    distinct subgroups.
     """
     if n == 0:
         return
@@ -385,19 +386,17 @@ def _regular_search(group: GroupData, n: int):
     for a in group.elements:
         if is_fixed_point_free(a):
             by_image.setdefault(a[0], []).append(a)
-    seen: set[frozenset[Perm]] = set()
-    stack: list[tuple[frozenset[Perm], tuple[Perm, ...]]] = [(frozenset({identity(n)}), ())]
+    stack: list[tuple[set[Perm], tuple[Perm, ...]]] = [({identity(n)}, ())]
     while stack:
         h, gens = stack.pop()
         if len(h) == n:
-            yield h  # pushed once: every push is a closure not seen before
+            yield h
             continue
         orbit = {a[0] for a in h}
         v = next(w for w in range(n) if w not in orbit)
         for x in by_image.get(v, ()):
             k = _closure(h, gens, x, n)
-            if k is not None and k not in seen:
-                seen.add(k)
+            if k is not None:
                 stack.append((k, (*gens, x)))
 
 

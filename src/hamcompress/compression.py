@@ -139,7 +139,7 @@ def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
     for cycle in islice(cycles, limit):
         shift = _least_shift(g, cycle, shifts)
         k = n // shift
-        if k not in certs or cycle < certs[k].cycle:
+        if k not in certs:  # the cycles ascend: the first with k is its least
             certs[k] = _certificate(cycle, shift)
     exhausted = next(cycles, None) is None
     if not certs:

@@ -11,11 +11,11 @@ which the automorphism acts as a rotation.
 
 One search serves both uses: _hamilton_cycles, a non-recursive depth-first
 generator over bitset adjacency rows, yields each Hamilton cycle once, in
-the direction whose second vertex is below its last. Each step is cut
-unless vertex 0 keeps an open neighbour above the second vertex to close
-the cycle, the open neighbours of the vertex the step left keep two live
-links each, and the open region stays connected; the connectivity search
-runs only when the step could have cut the region. Plain enumeration takes
+ascending order, in the direction whose second vertex is below its last.
+Each step is cut unless vertex 0 keeps an open neighbour above the second
+vertex to close the cycle, the open neighbours of the vertex the step left
+keep two live links each, and the open region stays connected; the
+connectivity search runs only when the step could have cut the region. Plain enumeration takes
 the cycles of the graph; the quotient search takes those of the orbit
 support rows and stops at the first whose voltages can be chosen to
 generate Z_k. Reversing a quotient cycle negates its voltages, so one
@@ -72,8 +72,6 @@ class QuotientGraph:
 
     k: int
     orbit_lists: tuple[tuple[int, ...], ...]
-    orbit_of: tuple[int, ...]
-    exponent: tuple[int, ...]
     voltages: dict[tuple[int, int], list[int]]
 
     @property
@@ -99,7 +97,7 @@ def quotient_with_voltages(g: Graph, a: Perm) -> QuotientGraph:
             found.setdefault((orbit_of[u], orbit_of[v]), set()).add(
                 (exponent[v] - exponent[u]) % k)
     voltages = {pair: sorted(vs) for pair, vs in found.items()}
-    return QuotientGraph(k, part.orbits, orbit_of, tuple(exponent), voltages)
+    return QuotientGraph(k, part.orbits, voltages)
 
 
 def lift(qg: QuotientGraph, orbit_cycle, voltages) -> HamCycle:
@@ -141,17 +139,17 @@ def _voltage_choice(volt_sets: list[list[int]], k: int) -> list[int] | None:
     Reachable subsets are propagated forward; the least achievable generator
     is reconstructed backwards, greedily taking the least voltage per step.
     """
-    reach = [{0}]
+    sums = [{0}]
     for vs in volt_sets:
-        reach.append({(x + s) % k for x in reach[-1] for s in vs})
-    targets = sorted(t for t in reach[-1] if math.gcd(t, k) == 1)
+        sums.append({(x + s) % k for x in sums[-1] for s in vs})
+    targets = sorted(t for t in sums[-1] if math.gcd(t, k) == 1)
     if not targets:
         return None
     cur = targets[0]
     choice = [0] * len(volt_sets)
     for i in range(len(volt_sets) - 1, -1, -1):
         for s in volt_sets[i]:
-            if (cur - s) % k in reach[i]:
+            if (cur - s) % k in sums[i]:
                 choice[i] = s
                 cur = (cur - s) % k
                 break
@@ -225,8 +223,8 @@ def _open_region_ok(rows, head: int, rest: int, lost: int) -> bool:
 
 def _hamilton_cycles(rows):
     """Every Hamilton cycle of the graph with bitset adjacency rows, once,
-    as a vertex tuple from 0 in the direction whose second vertex is below
-    its last.
+    in ascending order, as a vertex tuple from 0 in the direction whose
+    second vertex is below its last.
 
     Depth-first with an explicit stack, neighbours in ascending order. A
     step is cut when vertex 0 keeps no open closer (above the second vertex)

@@ -327,6 +327,6 @@ def probe_zsigma(q: int, p: int, t: int) -> dict:
     return {
         "q": q, "p": p, "t": t, "r": r,
         "map_order": perm_order,
-        "sigma_is_automorphism": bool(powers and powers[0]["automorphism"]),
+        "sigma_is_automorphism": powers[0]["automorphism"],  # divisors starts at 1
         "powers": powers,
     }

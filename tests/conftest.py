@@ -64,9 +64,13 @@ def project_cycle(qg, cycle):
     """Orbit sequence and step voltages of one quotient pass of a cycle lifted
     from the quotient qg: the inverse of hamlift.lift."""
     q = qg.num_orbits
-    seq = [qg.orbit_of[v] for v in cycle[:q]]
+    orbit_of, exponent = {}, {}
+    for a, orb in enumerate(qg.orbit_lists):
+        for e, v in enumerate(orb):
+            orbit_of[v], exponent[v] = a, e
+    seq = [orbit_of[v] for v in cycle[:q]]
     volts = [
-        (qg.exponent[cycle[(i + 1) % len(cycle)]] - qg.exponent[cycle[i]]) % qg.k
+        (exponent[cycle[(i + 1) % len(cycle)]] - exponent[cycle[i]]) % qg.k
         for i in range(q)
     ]
     return seq, volts

@@ -152,6 +152,22 @@ def test_capped_group_keeps_exact_order():
 
 
 
+def chang_graphs() -> list[Graph]:
+    """The three Chang graphs: the triangular graph T(8), on the 28 pairs of
+    range(8), Seidel-switched with respect to the pairs forming 4K2, C8 and
+    C3 + C5."""
+    pairs = list(itertools.combinations(range(8), 2))
+    cycle8 = [(i, (i + 1) % 8) for i in range(8)]
+    c3_c5 = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)]
+    out = []
+    for switched in ([(0, 1), (2, 3), (4, 5), (6, 7)], cycle8, c3_c5):
+        s = {pairs.index(tuple(sorted(e))) for e in switched}
+        out.append(Graph.build(28, [
+            (a, b) for a, b in itertools.combinations(range(28), 2)
+            if (len(set(pairs[a]) & set(pairs[b])) == 1) != ((a in s) != (b in s))]))
+    return out
+
+
 def _automorphism_group_reference(g: Graph) -> GroupData:
     """automorphism_group as it was before the base path was recorded and
     replayed: every target search refines its source and target partitions
@@ -263,7 +279,8 @@ def test_replayed_search_matches_joint_refinement():
     visits the same search tree as refining both sides jointly, so the
     groups are identical, generators included: on the connected p = 5
     triples with a twisted rotation, GP(n, r) for n <= 12, seeded random
-    graphs with their complements, and the capped graphs."""
+    graphs with their complements, the capped graphs and the Chang graphs,
+    whose searches back out of a level without a witness."""
     graphs = []
     sym = ({1, 4}, {2, 3}, {1, 2, 3, 4})
     for s_outer, s_inner in itertools.product(sym, repeat=2):
@@ -282,8 +299,10 @@ def test_replayed_search_matches_joint_refinement():
                             if rng.random() < rng.choice((0.2, 0.35, 0.5))])
         graphs += [g, g.complement()]
     graphs += [g for g, _ in CAPPED]
-    for g in graphs:
+    chang = chang_graphs()
+    for g in graphs + chang:
         assert automorphism_group(g) == _automorphism_group_reference(g), g.rows
+    assert [automorphism_group(g).order for g in chang] == [384, 96, 360]
 
 
 def test_asymmetric_graph_rejects_every_target():
@@ -486,6 +505,7 @@ def test_is_cayley_examples():
         assert is_cayley(cayley_p3(3, variant).graph) == "yes", variant
     for g, _ in CAPPED:
         assert is_cayley(g) == "unknown"
+        assert regular_subgroups(g) is None
 
 
 def test_vertex_transitive_instances_have_order_divisible_by_n():

@@ -14,6 +14,7 @@ from hamcompress import compression
 from hamcompress.autgroup import automorphism_group, cyclic_semiregular_reps, is_automorphism
 from hamcompress.compression import (
     KappaResult,
+    MetaPqPrediction,
     cycle_compression,
     double_edge_positions,
     ham_array,
@@ -292,6 +293,10 @@ def test_predict_metapq_cases():
     complement = metacirculant_triple_2p(5, {2, 3}, {1, 4}, {1, 2, 3, 4})
     assert complement.graph == petersen().graph.complement()
     assert predict_kappa_metapq(complement).kappa == 5
+    # every spoke and both connection sets full: K10, whose group is capped
+    k10 = metacirculant_triple_2p(5, {1, 2, 3, 4}, {1, 2, 3, 4}, {0, 1, 2, 3, 4})
+    assert k10.graph == graph_complete(10)
+    assert predict_kappa_metapq(k10) == MetaPqPrediction(None, "unknown")
 
 
 def test_predict_metapq_rejects_bad_instance():
