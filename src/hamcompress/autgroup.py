@@ -81,8 +81,8 @@ def is_automorphism(g: Graph, a: Perm) -> bool:
 Side = tuple[list[int], list[list[int]]]
 Nbrs = tuple[tuple[int, ...], ...]
 # One splitter of a refinement: its cell index, the (cell, count) tallies of
-# its neighbour counts, and the cells it split with their ascending counts.
-Step = tuple[int, dict, list[tuple[int, list[int]]]]
+# its neighbour counts, and the indices of the cells it split.
+Step = tuple[int, dict, list[int]]
 
 
 def _counts(nbrs: Nbrs, col: list[int], members: list[int]) -> tuple[dict, dict]:
@@ -99,23 +99,21 @@ def _counts(nbrs: Nbrs, col: list[int], members: list[int]) -> tuple[dict, dict]
     return cnt, shape
 
 
-def _split(side: Side, c: int, cnt: dict, keys: list[int] | None = None) -> list[int]:
-    """Split cell c by count, in place: the part of the lowest count keeps
-    the index, the others are appended in ascending count (the given keys,
-    else the sorted counts found). Returns the keys."""
+def _split(side: Side, c: int, cnt: dict) -> None:
+    """Split cell c by count (absent is 0), in place: the lowest count keeps
+    the index, the others are appended in ascending count. The one change a
+    partition undergoes; individualizing v is the split by {v: 1}."""
     col, cells = side
     by_count: dict[int, list[int]] = {}
     for x in cells[c]:
         by_count.setdefault(cnt.get(x, 0), []).append(x)
-    if keys is None:
-        keys = sorted(by_count)
-    cells[c] = by_count[keys[0]]
-    for k in keys[1:]:
+    low, *rest = sorted(by_count)
+    cells[c] = by_count[low]
+    for k in rest:
         part = by_count[k]
         for x in part:
             col[x] = len(cells)
         cells.append(part)
-    return keys
 
 
 def _refine(nbrs: Nbrs, side: Side, queue: list[int]) -> list[Step]:
@@ -145,7 +143,8 @@ def _refine(nbrs: Nbrs, side: Side, queue: list[int]) -> list[Step]:
             if distinct == 1 and hit[c] == len(cells[c]):
                 continue  # one count throughout: no split
             first = len(cells)
-            splits.append((c, _split(side, c, cnt)))
+            _split(side, c, cnt)
+            splits.append(c)
             for i in (c, *range(first, len(cells))):
                 if i not in queued:
                     queued.add(i)
@@ -155,27 +154,21 @@ def _refine(nbrs: Nbrs, side: Side, queue: list[int]) -> list[Step]:
 
 
 def _replay(nbrs: Nbrs, side: Side, trace: list[Step]) -> bool:
-    """Repeat a recorded refinement on a partition aligned with the one it
-    was recorded on, in place. Returns False at the first splitter whose
+    """Repeat a recorded refinement, in place, on a partition aligned with
+    the one it was recorded on. Returns False at the first splitter whose
     count tallies differ from the recorded ones: no automorphism maps the
-    recorded cells onto these. When every tally matches, every split falls
-    as recorded, so the two partitions stay aligned."""
+    recorded cells onto these. Once they match, each split cell holds the
+    counts of its recorded twin (the zeros too: aligned cells have equal
+    sizes), so `_split` sorts them into the recorded parts and the two
+    partitions stay aligned."""
     col, cells = side
     for w, shape, splits in trace:
         cnt, found = _counts(nbrs, col, cells[w])
         if found != shape:
             return False
-        for c, keys in splits:
-            _split(side, c, cnt, keys)
+        for c in splits:
+            _split(side, c, cnt)
     return True
-
-
-def _individualize(side: Side, v: int) -> None:
-    """Move v out of its cell into a new singleton cell, in place."""
-    col, cells = side
-    cells[col[v]] = [x for x in cells[col[v]] if x != v]
-    col[v] = len(cells)
-    cells.append([v])
 
 
 def _first_cell(cells: list[list[int]]) -> int | None:
@@ -199,7 +192,7 @@ def _search_one(g: Graph, path: list[Level], leaf: list[int], depth: int,
     the discrete partition at the end of the path. Each level replays the
     base path's recorded refinement on the target side alone."""
     side = (list(side[0]), list(side[1]))
-    _individualize(side, t)
+    _split(side, side[0][t], {t: 1})  # individualize t
     if not _replay(g.nbrs, side, path[depth][2]):
         return None
     cells = side[1]
@@ -233,7 +226,7 @@ def automorphism_group(g: Graph) -> GroupData:
     path: list[Level] = []  # the base path, refined once
     while (c := _first_cell(part[1])) is not None:
         before = (list(part[0]), list(part[1]))
-        _individualize(part, part[1][c][0])  # fix the base point: its stabilizer
+        _split(part, c, {part[1][c][0]: 1})  # individualize the base point: its stabilizer
         path.append((before, c, _refine(g.nbrs, part, [len(part[1]) - 1])))
     levels: list[dict[int, Perm]] = []
     for depth, (before, c, _) in enumerate(path):

@@ -144,7 +144,7 @@ def prop21():
             if kappa < m:
                 return lower, kappa, FAIL, ""
             # cross-check the double-arc positions against the quotient
-            qg = quotient_with_voltages(inst.graph, families.grid_sigma(m, n, r))
+            qg = quotient_with_voltages(inst.graph, inst.sigma)
             doubled = sorted((a, b) for (a, b), vs in qg.voltages.items()
                              if a < b and len(vs) > 1)
             expected = sorted(

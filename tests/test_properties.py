@@ -23,9 +23,9 @@ from conftest import (
 )
 from hamcompress.autgroup import (
     DEFAULT_CAP,
-    _individualize,
     _refine,
     _replay,
+    _split,
     automorphism_group,
     cyclic_semiregular_reps,
     is_automorphism,
@@ -455,7 +455,7 @@ def test_refinement_is_equitable():
         assert _equitable(nbrs, root) and fresh == root, g.rows
         for v in range(n):
             a, b = (list(root[0]), list(root[1])), (list(root[0]), list(root[1]))
-            _individualize(a, v)
-            _individualize(b, v)
-            assert _replay(nbrs, b, _refine(nbrs, a, [len(a[1]) - 1])), (g.rows, v)
+            _split(a, a[0][v], {v: 1})  # individualize v
+            _split(b, b[0][v], {v: 1})
+            assert _replay(nbrs, b, _refine(nbrs, a, [a[0][v]])), (g.rows, v)
             assert _equitable(nbrs, a) and a == b, (g.rows, v)

@@ -1,8 +1,11 @@
 import pytest
 
+from hamcompress import verify
+from hamcompress.compression import KappaResult, MetaPqPrediction
 from hamcompress.verify import (
     Budget,
     DISCREPANCY,
+    FAIL,
     PASS,
     UNKNOWN,
     probe_zsigma,
@@ -113,3 +116,25 @@ def test_probe_zsigma_records():
     assert rec["sigma_is_automorphism"] is True and rec["map_order"] == 9
     rec = probe_zsigma(2, 17, 4)
     assert rec["sigma_is_automorphism"] is False
+
+
+@pytest.mark.parametrize("pred_kappa, case, exact, status, note", [
+    (2, "disconnected-cayley", False, UNKNOWN, "enumeration limit reached"),
+    (None, "connected-default", True, UNKNOWN, "prediction unknown (capped group)"),
+    (3, "connected-bicayley", True, DISCREPANCY,
+     "predicted 3 via connected-bicayley; the connected-case split is recorded "
+     "rather than asserted"),
+    (3, "disconnected-noncayley", True, FAIL, "predicted 3 via disconnected-noncayley"),
+])
+def test_thm43_outcomes_other_than_pass(monkeypatch, pred_kappa, case, exact, status, note):
+    """Each non-pass branch of thm43, reached with a stubbed prediction and
+    a stubbed computation of 1."""
+    monkeypatch.setattr(verify, "predict_kappa_metapq",
+                        lambda inst: MetaPqPrediction(pred_kappa, case))
+    monkeypatch.setattr(verify, "hamilton_compression",
+                        lambda g, mode: KappaResult(1, None, exact, mode))
+    records = run_claim("thm43")
+    assert len(records) == len(verify._thm43_corpus())
+    for rec in records:
+        assert (rec.status, rec.note) == (status, f"{verify.THM43_NOTE}; {note}")
+        assert (rec.predicted, rec.computed, rec.params["case"]) == (pred_kappa, 1, case)
