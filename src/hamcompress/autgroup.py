@@ -28,7 +28,8 @@ and so does the leaf check `is_automorphism`.
 
 The element list serves two scans: `cyclic_semiregular_reps` reads each
 element's cycle type once (`perm.semiregular_order`), and `_regular_search`
-closes each subgroup under its generators (Seress 2003, ch. 2).
+closes each subgroup under its generators (Seress 2003, ch. 2); a regular
+subgroup is returned as its sorted element tuple, with no classification.
 
 Determinism: a replay splits the target side's cells exactly as the trace
 records, so aligned cells keep matching indices; the base vertex is always
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .graph import Graph
-from .numth import is_prime
 from .perm import (
     Perm,
     compose,
@@ -99,14 +99,17 @@ def _counts(nbrs: Nbrs, col: list[int], members: list[int]) -> tuple[dict, dict]
     return cnt, shape
 
 
-def _split(side: Side, c: int, cnt: dict) -> None:
+def _split(side: Side, c: int, cnt: dict) -> bool:
     """Split cell c by count (absent is 0), in place: the lowest count keeps
-    the index, the others are appended in ascending count. The one change a
-    partition undergoes; individualizing v is the split by {v: 1}."""
+    the index, the others are appended in ascending count. False, with the
+    cell untouched, when one count fills it. The one change a partition
+    undergoes; individualizing v is the split by {v: 1}."""
     col, cells = side
     by_count: dict[int, list[int]] = {}
     for x in cells[c]:
         by_count.setdefault(cnt.get(x, 0), []).append(x)
+    if len(by_count) == 1:
+        return False
     low, *rest = sorted(by_count)
     cells[c] = by_count[low]
     for k in rest:
@@ -114,6 +117,7 @@ def _split(side: Side, c: int, cnt: dict) -> None:
         for x in part:
             col[x] = len(cells)
         cells.append(part)
+    return True
 
 
 def _refine(nbrs: Nbrs, side: Side, queue: list[int]) -> list[Step]:
@@ -133,17 +137,11 @@ def _refine(nbrs: Nbrs, side: Side, queue: list[int]) -> list[Step]:
         w = queue.pop()
         queued.discard(w)
         cnt, shape = _counts(nbrs, col, cells[w])
-        kinds: dict[int, int] = {}  # touched cell -> distinct counts in it
-        hit: dict[int, int] = {}  # touched cell -> members with a count
-        for (c, _), size in shape.items():
-            kinds[c] = kinds.get(c, 0) + 1
-            hit[c] = hit.get(c, 0) + size
         splits = []
-        for c, distinct in kinds.items():
-            if distinct == 1 and hit[c] == len(cells[c]):
-                continue  # one count throughout: no split
+        for c in dict.fromkeys(c for c, _ in shape):  # touched cells, in order
             first = len(cells)
-            _split(side, c, cnt)
+            if not _split(side, c, cnt):
+                continue
             splits.append(c)
             for i in (c, *range(first, len(cells))):
                 if i not in queued:
@@ -321,15 +319,6 @@ def sem_array(g: Graph, group: GroupData | None = None) -> SemArray:
     return SemArray(tuple(sorted(found)), found, exact=not group.capped)
 
 
-@dataclass(frozen=True)
-class RegularSubgroup:
-    order: int
-    elements: tuple[Perm, ...]
-    # "cyclic" when some element has order n; else "dihedral" when n = 2p,
-    # p an odd prime (the non-cyclic group of that order); else None
-    tag: str | None
-
-
 def _closure(base: set[Perm], gens: tuple[Perm, ...], extra: Perm,
              n: int) -> set[Perm] | None:
     """Subgroup generated by base, the subgroup generated by gens, and extra;
@@ -393,24 +382,15 @@ def _regular_search(group: GroupData, n: int):
                 stack.append((k, (*gens, x)))
 
 
-def regular_subgroups(g: Graph, group: GroupData | None = None) -> list[RegularSubgroup] | None:
-    """All order-n subgroups acting regularly on g, ordered by their sorted
-    elements, or None when the group enumeration was capped (status
-    unknown)."""
+def regular_subgroups(g: Graph, group: GroupData | None = None) -> list[tuple[Perm, ...]] | None:
+    """All order-n subgroups acting regularly on g, each as its sorted
+    element tuple, in ascending order, or None when the group enumeration
+    was capped (status unknown)."""
     if group is None:
         group = automorphism_group(g)
     if group.capped:
         return None
-    n = g.n
-    out = []
-    for elements in sorted(tuple(sorted(h)) for h in _regular_search(group, n)):
-        tag = None
-        if any(semiregular_order(p) == n for p in elements):
-            tag = "cyclic"
-        elif n % 2 == 0 and is_prime(n // 2) and n > 4:
-            tag = "dihedral"  # non-cyclic groups of order 2p are dihedral
-        out.append(RegularSubgroup(n, elements, tag))
-    return out
+    return sorted(tuple(sorted(h)) for h in _regular_search(group, g.n))
 
 
 def is_cayley(g: Graph, group: GroupData | None = None) -> str:

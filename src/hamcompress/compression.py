@@ -215,9 +215,10 @@ def predict_kappa_metapq(inst: FamilyInstance) -> MetaPqPrediction:
 
     Decision tree: the Petersen graph is 0; otherwise split on whether
     deleting the rotation-orbit edges disconnects the graph. Disconnected:
-    q for Cayley graphs, 1 for non-Cayley. Connected: 2p when both a cyclic
-    and a dihedral regular subgroup of order 2p exist, else p. The deleted
-    subgraph is the orbit-edge-free graph of the order-p rotation.
+    q for Cayley graphs, 1 for non-Cayley. Connected: 2p when q = 2 and both
+    a cyclic (holding an n-cycle) and a dihedral regular subgroup exist, else
+    p. The deleted subgraph is the orbit-edge-free graph of the order-p
+    rotation.
     """
     q, p = inst.labeling.m, inst.labeling.n
     if not (is_prime(q) and is_prime(p) and q < p):
@@ -235,8 +236,9 @@ def predict_kappa_metapq(inst: FamilyInstance) -> MetaPqPrediction:
         if subs:
             return MetaPqPrediction(q, "disconnected-cayley")
         return MetaPqPrediction(1, "disconnected-noncayley")
-    tags = {s.tag for s in subs}
-    if q == 2 and "cyclic" in tags and "dihedral" in tags:
+    # cyclic iff it holds an n-cycle; at q = 2, n = 2p (p an odd prime): non-cyclic is dihedral
+    cyclic = {any(semiregular_order(a) == g.n for a in h) for h in subs}
+    if q == 2 and cyclic == {True, False}:
         return MetaPqPrediction(2 * p, "connected-bicayley")
     return MetaPqPrediction(p, "connected-default")
 

@@ -99,3 +99,24 @@ def test_every_src_name_is_used_outside_the_tests():
     exports = set(vars(hamcompress))
     assert [(module, name) for module, name in defined
             if name not in used and name not in exports] == []
+
+
+def test_no_src_module_imports_a_name_it_never_reads():
+    """Every name a src/hamcompress module imports is read in that module
+    (as a name or the root of an attribute chain); the package root, whose
+    imports are the Library API, and `from __future__` are the exceptions."""
+    unread = []
+    for path in sorted((ROOT / "src" / "hamcompress").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [(path.name, name) for name in imported if name not in read]
+    assert unread == []

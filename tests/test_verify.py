@@ -138,3 +138,44 @@ def test_thm43_outcomes_other_than_pass(monkeypatch, pred_kappa, case, exact, st
     for rec in records:
         assert (rec.status, rec.note) == (status, f"{verify.THM43_NOTE}; {note}")
         assert (rec.predicted, rec.computed, rec.params["case"]) == (pred_kappa, 1, case)
+
+
+def _kappa_stub(lift: int, exhaustive: int | None = None):
+    """A hamilton_compression that answers lift in lift mode and exhaustive
+    (by default lift as well) in exhaustive mode."""
+    def stub(g, mode="lift"):
+        kappa = exhaustive if mode == "exhaustive" and exhaustive is not None else lift
+        return KappaResult(kappa, None, True, mode)
+    return stub
+
+
+TWIST_BOUND = {"case": "twist-bound"}
+
+
+@pytest.mark.parametrize("claim, stubs, keep, expected", [
+    ("prop21", {"hamilton_compression": _kappa_stub(1)}, TWIST_BOUND,
+     [({"lower_bound": m}, 1, FAIL, "") for m in (3, 3, 4, 4, 6)]),
+    ("prop21", {"hamilton_compression": _kappa_stub(6),
+                "double_edge_positions": lambda m, n, r: (0, 0)}, TWIST_BOUND,
+     [({"lower_bound": m}, 6, FAIL, f"double arcs at {arcs}, predicted [(0, 1), (0, 1)]")
+      for m, arcs in ((3, [(1, 2), (5, 6)]), (3, [(5, 6), (7, 8)]), (4, [(1, 2), (3, 4)]),
+                      (4, [(2, 3), (10, 11)]), (6, [(2, 3), (4, 5)]))]),
+    ("thm31", {"hamilton_compression": _kappa_stub(2, exhaustive=1)}, {},
+     [(1, 1, FAIL, "lift and exhaustive modes disagree")]),
+    ("prop42", {"find_symmetric_hamcycle": lambda g, a: None}, {},
+     [({"lower_bound": 3}, 0, FAIL, "no rotation-symmetric Hamilton cycle at k=3")] * 2),
+    ("circulant", {"hamilton_compression": _kappa_stub(15),
+                   "predict_kappa_circulant": lambda n, conn: 7}, {},
+     [(15, 15, FAIL, "rule predicts 7, expected 15"),
+      (1, 15, FAIL, "rule predicts 7, expected 1")]),
+], ids=["prop21-kappa-below-m", "prop21-double-arcs-differ", "thm31-modes-disagree",
+        "prop42-no-symmetric-cycle", "circulant-rule-mismatch"])
+def test_fail_outcomes_of_the_other_claims(monkeypatch, claim, stubs, keep, expected):
+    """Each FAIL branch of prop21, thm31, prop42 and circulant that the real
+    computations never reach, reached with stubbed ones; keep selects the
+    records of the instances that have the branch."""
+    for name, stub in stubs.items():
+        monkeypatch.setattr(verify, name, stub)
+    records = [rec for rec in run_claim(claim)
+               if all(rec.params.get(k) == v for k, v in keep.items())]
+    assert [(rec.predicted, rec.computed, rec.status, rec.note) for rec in records] == expected
