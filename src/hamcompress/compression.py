@@ -258,7 +258,7 @@ def predict_kappa_circulant(n: int, conn) -> int:
     return n if any(math.gcd(s, n) == 1 for s in conn) else 1
 
 
-def double_edge_positions(m: int, n: int, r: int) -> tuple[int, int]:
+def double_edge_positions(n: int, r: int) -> tuple[int, int]:
     """The two orbit indices j = r/(1-r) and j = 1/(r-1) mod n where the
     twisted-rotation quotient of the 2m-generator metacirculant carries a
     double arc; requires r - 1 invertible mod n."""

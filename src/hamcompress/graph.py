@@ -95,12 +95,12 @@ def remove_intra_orbit_edges(g: Graph, a: Perm) -> Graph:
     """Drop every edge whose endpoints lie in the same orbit of a."""
     if len(a) != g.n:
         raise ValueError(f"degree mismatch: permutation on {len(a)}, graph on {g.n}")
-    part = orbits(a)
-    masks = [0] * len(part.orbits)
-    for i, orb in enumerate(part.orbits):
+    rows = list(g.rows)
+    for orb in orbits(a):
+        mask = sum(1 << v for v in orb)
         for v in orb:
-            masks[i] |= 1 << v
-    rows = tuple(r & ~masks[part.orbit_of[v]] for v, r in enumerate(g.rows))
+            rows[v] &= ~mask
+    rows = tuple(rows)
     m = sum(r.bit_count() for r in rows) // 2
     return Graph(g.n, rows, m)
 

@@ -82,22 +82,21 @@ class QuotientGraph:
 def quotient_with_voltages(g: Graph, a: Perm) -> QuotientGraph:
     if len(a) != g.n:
         raise ValueError("degree mismatch")
-    k = semiregular_order(a)
+    k = semiregular_order(a)  # first: on a non-permutation the orbit walk never ends
     if k < 2:
         raise ValueError("permutation is not semiregular of order >= 2")
-    part = orbits(a)
-    exponent = [0] * g.n
-    for orb in part.orbits:
+    orbit_lists = orbits(a)
+    orbit_of, exponent = [0] * g.n, [0] * g.n
+    for idx, orb in enumerate(orbit_lists):
         for e, v in enumerate(orb):
-            exponent[v] = e
-    orbit_of = part.orbit_of
+            orbit_of[v], exponent[v] = idx, e
     found: dict[tuple[int, int], set[int]] = {}
     for u, nb in enumerate(g.nbrs):  # both ends of an edge: s one way, -s back
         for v in nb:
             found.setdefault((orbit_of[u], orbit_of[v]), set()).add(
                 (exponent[v] - exponent[u]) % k)
     voltages = {pair: sorted(vs) for pair, vs in found.items()}
-    return QuotientGraph(k, part.orbits, voltages)
+    return QuotientGraph(k, orbit_lists, voltages)
 
 
 def lift(qg: QuotientGraph, orbit_cycle, voltages) -> HamCycle:
@@ -123,14 +122,12 @@ def lift(qg: QuotientGraph, orbit_cycle, voltages) -> HamCycle:
     exps = [0] * q
     for i in range(1, q):
         exps[i] = exps[i - 1] + voltages[i - 1]
-    seq = [
+    # gcd(net, k) = 1: orbit i is entered at exps[i] + j*net, k distinct indices
+    return tuple(
         qg.orbit_lists[orb][(exps[i] + j * net) % k]
         for j in range(k)
         for i, orb in enumerate(orbit_cycle)
-    ]
-    if len(set(seq)) != q * k:
-        raise AssertionError("lift revisited a vertex")  # unreachable given gcd check
-    return tuple(seq)
+    )
 
 
 def _voltage_choice(volt_sets: list[list[int]], k: int) -> list[int] | None:

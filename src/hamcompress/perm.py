@@ -1,13 +1,13 @@
 """Permutations as dense image tables on {0, ..., n-1}.
 
 A permutation is a plain tuple of images; ``compose(a, b)`` applies b first,
-then a, so ``compose(a, b)[x] == a[b[x]]``.
+then a, so ``compose(a, b)[x] == a[b[x]]``. ``orbits(a)`` returns the cycles
+of a as vertex tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter, ne
 
 Perm = tuple[int, ...]
@@ -45,37 +45,27 @@ def power(a: Perm, e: int) -> Perm:
     return result
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
-    """Orbits of a permutation; each orbit starts at its least vertex and is
-    ordered by successive application of the permutation."""
-
-    orbit_of: tuple[int, ...]
-    orbits: tuple[tuple[int, ...], ...]
-
-
-def orbits(a: Perm) -> OrbitPartition:
-    n = len(a)
-    orbit_of = [-1] * n
-    out: list[tuple[int, ...]] = []
-    for v in range(n):
-        if orbit_of[v] >= 0:
+def orbits(a: Perm) -> tuple[tuple[int, ...], ...]:
+    """The cycles of a, each starting at its least vertex and following a,
+    in ascending order of that vertex."""
+    seen = bytearray(len(a))
+    out = []
+    for v in range(len(a)):
+        if seen[v]:
             continue
-        idx = len(out)
         cyc = [v]
-        orbit_of[v] = idx
         w = a[v]
         while w != v:
-            orbit_of[w] = idx
+            seen[w] = 1
             cyc.append(w)
             w = a[w]
         out.append(tuple(cyc))
-    return OrbitPartition(tuple(orbit_of), tuple(out))
+    return tuple(out)
 
 
 def order(a: Perm) -> int:
     """Least e >= 1 with a**e the identity (lcm of cycle lengths)."""
-    return math.lcm(*map(len, orbits(a).orbits))
+    return math.lcm(*map(len, orbits(a)))
 
 
 def semiregular_order(a: Perm) -> int:

@@ -148,7 +148,7 @@ def prop21():
             doubled = sorted((a, b) for (a, b), vs in qg.voltages.items()
                              if a < b and len(vs) > 1)
             expected = sorted(
-                tuple(sorted((j, (j + 1) % n))) for j in double_edge_positions(m, n, r)
+                tuple(sorted((j, (j + 1) % n))) for j in double_edge_positions(n, r)
             )
             if doubled != expected:
                 return lower, kappa, FAIL, f"double arcs at {doubled}, predicted {expected}"

@@ -322,10 +322,10 @@ def test_predict_circulant():
 
 
 def test_double_edge_positions():
-    assert sorted(double_edge_positions(3, 7, 2)) == [1, 5]
-    assert sorted(double_edge_positions(4, 5, 2)) == [1, 3]
+    assert sorted(double_edge_positions(7, 2)) == [1, 5]
+    assert sorted(double_edge_positions(5, 2)) == [1, 3]
     with pytest.raises(ValueError):
-        double_edge_positions(2, 8, 3)  # r-1 even
+        double_edge_positions(8, 3)  # r-1 even
 
 
 def test_double_edge_positions_match_quotient():
@@ -337,10 +337,10 @@ def test_double_edge_positions_match_quotient():
         assert all(len({min(s, qg.k - s) for s in vs}) == 1
                    for (a, b), vs in qg.voltages.items() if a == b)
         expected = sorted(
-            tuple(sorted((j, (j + 1) % n))) for j in double_edge_positions(m, n, r)
+            tuple(sorted((j, (j + 1) % n))) for j in double_edge_positions(n, r)
         )
         assert doubled == expected
-        j1, j2 = double_edge_positions(m, n, r)
+        j1, j2 = double_edge_positions(n, r)
         assert j1 != j2  # distinct positions on these instances
 
 

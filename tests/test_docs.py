@@ -120,3 +120,34 @@ def test_no_src_module_imports_a_name_it_never_reads():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [(path.name, name) for name in imported if name not in read]
     assert unread == []
+
+
+def test_no_src_function_ignores_a_parameter():
+    """Every parameter of a src/hamcompress function or lambda is read in
+    its body. cli.py's report_* functions, (g, args), and the lambdas of
+    its FAMILIES table, (args), are the exceptions: each group shares one
+    calling convention, whether or not a member reads every argument."""
+    unread = []
+    for path in sorted((ROOT / "src" / "hamcompress").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = set()
+        if path.name == "cli.py":
+            for stmt in tree.body:
+                if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("report_"):
+                    exempt.add(stmt)
+                elif isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "FAMILIES" for t in stmt.targets):
+                    exempt.update(n for n in ast.walk(stmt) if isinstance(n, ast.Lambda))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if node in exempt:
+                continue
+            body = [node.body] if isinstance(node, ast.Lambda) else node.body
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", f"lambda at line {node.lineno}")
+            unread += [(path.name, name, p.arg) for p in params if p.arg not in read]
+    assert unread == []

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 
@@ -16,6 +18,7 @@ from hamcompress.families import (
     z_qp,
 )
 from hamcompress.graph import Graph, bits
+from hamcompress.numth import ord_mod
 from hamcompress.perm import compose, inverse, is_semiregular, order, power
 
 ALL_INSTANCES = [
@@ -32,6 +35,8 @@ ALL_INSTANCES = [
     lambda: metacirculant_triple_2p(7, {1, 6}, {1, 6}, {0, 1, 6}),
     lambda: cayley_p3(3, "heisenberg"),
     lambda: cayley_p3(3, "modular"),
+    lambda: metacirculant_orbit(2, 13, 8, [(1, 0), (0, 1), (0, 12)]),
+    lambda: generalized_petersen(7, 2),  # no unit r gives a twisted rotation
 ]
 
 
@@ -48,6 +53,37 @@ def test_every_instance_well_formed():
             if r is not None:
                 conj = compose(inst.sigma, compose(inst.rho, inverse(inst.sigma)))
                 assert conj == power(inst.rho, r)
+
+
+def _assert_rotations(inst, r):
+    """rho and sigma are automorphisms and sigma rho sigma^-1 = rho^r: the
+    facts the constructors guarantee and no longer re-check."""
+    g, rho, sigma = inst.graph, inst.rho, inst.sigma
+    assert is_automorphism(g, rho) and is_automorphism(g, sigma)
+    assert compose(sigma, compose(rho, inverse(sigma))) == power(rho, r)
+
+
+def test_x_mnr_rotations_hold_by_construction():
+    """Every n <= 40 and every unit r of order 2..6 mod n, with m that order."""
+    count = 0
+    for n in range(2, 41):
+        for r in range(1, n):
+            if math.gcd(r, n) == 1 and 2 <= (m := ord_mod(r, n)) <= 6:
+                _assert_rotations(x_mnr(m, n, r), r)
+                count += 1
+    assert count > 200
+
+
+def test_metacirculant_orbit_rotations_hold_by_construction():
+    """300 seeded inputs: m 2-4, n 2-15, any unit r (its order need not be
+    m), one to three neighbours of v_0^0 other than itself."""
+    rng = random.Random(2303)
+    for _ in range(300):
+        m, n = rng.randint(2, 4), rng.randint(2, 15)
+        r = rng.choice([u for u in range(1, n) if math.gcd(u, n) == 1])
+        cells = [(i, j) for i in range(m) for j in range(n) if (i, j) != (0, 0)]
+        nbrs = rng.sample(cells, rng.randint(1, 3))
+        _assert_rotations(metacirculant_orbit(m, n, r, nbrs), r)
 
 
 def test_x_mnr_shape():

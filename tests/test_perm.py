@@ -51,7 +51,7 @@ def test_compose_convention():
 
 
 def _semiregular_order_by_orbits(a) -> int:
-    lengths = {len(orb) for orb in orbits(a).orbits}
+    lengths = {len(orb) for orb in orbits(a)}
     return lengths.pop() if len(lengths) == 1 else 0
 
 
@@ -101,19 +101,19 @@ def test_power_and_order():
 
 
 def test_orbits_identity_and_transposition():
-    part = orbits(identity(4))
-    assert part.orbits == ((0,), (1,), (2,), (3,))
+    assert orbits(identity(4)) == ((0,), (1,), (2,), (3,))
     swap = (1, 0, 2, 3)
-    part = orbits(swap)
-    assert sorted(len(o) for o in part.orbits) == [1, 1, 2]
+    assert sorted(len(o) for o in orbits(swap)) == [1, 1, 2]
+    assert orbits(swap) == ((0, 1), (2,), (3,))
+    assert orbits(()) == ()
 
 
 def test_orbits_rotation_grid():
     # three rows of length seven, each an orbit traversed in application order
     rho = grid_rho(3, 7)
-    part = orbits(rho)
-    assert [len(o) for o in part.orbits] == [7, 7, 7]
-    for orb in part.orbits:
+    cycles = orbits(rho)
+    assert [len(o) for o in cycles] == [7, 7, 7]
+    for orb in cycles:
         assert orb[0] == min(orb)
         for a, b in zip(orb, orb[1:]):
             assert rho[a] == b
@@ -123,11 +123,24 @@ def test_orbit_partition_covers_everything():
     rng = random.Random(99)
     for _ in range(100):
         a = random_perm(rng, rng.randrange(1, 15))
-        part = orbits(a)
-        flat = sorted(v for orb in part.orbits for v in orb)
+        cycles = orbits(a)
+        flat = sorted(v for orb in cycles for v in orb)
         assert flat == list(range(len(a)))
-        for idx, orb in enumerate(part.orbits):
-            assert all(part.orbit_of[v] == idx for v in orb)
+
+
+def test_orbits_are_the_cycles_from_their_least_vertex_ascending():
+    """Each cycle starts at its least vertex, follows a and closes back
+    there; the cycles ascend by that vertex."""
+    rng = random.Random(2303)
+    for _ in range(200):
+        a = random_perm(rng, rng.randrange(1, 20))
+        cycles = orbits(a)
+        assert type(cycles) is tuple and all(type(c) is tuple for c in cycles)
+        starts = [c[0] for c in cycles]
+        assert starts == sorted(starts)
+        for c in cycles:
+            assert c[0] == min(c)
+            assert [a[v] for v in c] == [*c[1:], c[0]]
 
 
 def test_is_semiregular():
@@ -141,4 +154,4 @@ def test_is_semiregular():
         for k in range(1, n + 1):
             if is_semiregular(a, k):
                 assert n % k == 0
-                assert k * len(orbits(a).orbits) == n
+                assert k * len(orbits(a)) == n

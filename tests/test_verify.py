@@ -156,7 +156,7 @@ TWIST_BOUND = {"case": "twist-bound"}
     ("prop21", {"hamilton_compression": _kappa_stub(1)}, TWIST_BOUND,
      [({"lower_bound": m}, 1, FAIL, "") for m in (3, 3, 4, 4, 6)]),
     ("prop21", {"hamilton_compression": _kappa_stub(6),
-                "double_edge_positions": lambda m, n, r: (0, 0)}, TWIST_BOUND,
+                "double_edge_positions": lambda n, r: (0, 0)}, TWIST_BOUND,
      [({"lower_bound": m}, 6, FAIL, f"double arcs at {arcs}, predicted [(0, 1), (0, 1)]")
       for m, arcs in ((3, [(1, 2), (5, 6)]), (3, [(5, 6), (7, 8)]), (4, [(1, 2), (3, 4)]),
                       (4, [(2, 3), (10, 11)]), (6, [(2, 3), (4, 5)]))]),
