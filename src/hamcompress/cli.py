@@ -21,7 +21,6 @@ from .autgroup import automorphism_group, sem_array
 from .compression import (
     CompressionCertificate,
     check_cubic,
-    cycle_compression,
     ham_array,
     hamilton_compression,
     lcf_compressed,
@@ -122,7 +121,7 @@ def cmd_construct(args) -> int:
     sidecar = {
         "schema": 1,
         "params": inst.params,
-        "labeling": {"m": inst.labeling.m, "n": inst.labeling.n},
+        "labeling": {"m": inst.m, "n": inst.n},
         "rho": _perm_text(inst.rho),
         "sigma": _perm_text(inst.sigma) if inst.sigma is not None else None,
         "vertices": inst.graph.n,
@@ -143,13 +142,10 @@ def cmd_construct(args) -> int:
 
 def report_kappa(g, args):
     res = hamilton_compression(g, args.mode, limit=args.limit)
-    cert = res.certificate
-    if cert is not None and cycle_compression(g, cert.cycle).k != cert.k:
-        raise AssertionError("certificate replay mismatch")
-    payload = {"mode": res.mode, "kappa": res.kappa, "exact": res.exact,
-               "certificate": _cert_json(cert)}
-    if res.note:
-        payload["note"] = res.note
+    payload = {"mode": args.mode, "kappa": res.kappa, "exact": res.exact,
+               "certificate": _cert_json(res.certificate)}
+    if args.mode == "lift" and not res.exact:
+        payload["note"] = "lower bound only on the k>=2 sweep"
     return payload, f"kappa = {res.kappa} ({'exact' if res.exact else 'bound'})"
 
 

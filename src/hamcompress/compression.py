@@ -11,6 +11,7 @@ subgroups (lift mode) or by exhaustive cycle enumeration.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -78,11 +79,14 @@ def cycle_compression(g: Graph, cycle) -> CompressionCertificate:
 
 @dataclass(frozen=True)
 class KappaResult:
+    """kappa with its certificate (None when kappa is 0). exact is False in
+    lift mode when a cycle was found under a capped automorphism group, so
+    kappa is only a lower bound from the k >= 2 sweep, and in exhaustive
+    mode when the limit cut the enumeration short."""
+
     kappa: int
     certificate: CompressionCertificate | None
     exact: bool
-    mode: str
-    note: str = ""
 
 
 def hamilton_compression(g: Graph, mode: str = "lift", limit: int = ENUM_LIMIT) -> KappaResult:
@@ -99,24 +103,23 @@ def hamilton_compression(g: Graph, mode: str = "lift", limit: int = ENUM_LIMIT) 
     if mode == "exhaustive":
         arr = ham_array(g, limit)
         kappa = arr.values[-1]
-        return KappaResult(kappa, arr.certificates.get(kappa), arr.exact, mode)
+        return KappaResult(kappa, arr.certificates.get(kappa), arr.exact)
     if mode != "lift":
         raise ValueError(f"unknown mode {mode!r}")
     if n < 3 or min(g.degrees()) < 2 or not g.is_connected():
-        return KappaResult(0, None, True, mode)  # no Hamilton cycle: skip the group
+        return KappaResult(0, None, True)  # no Hamilton cycle: skip the group
     group = automorphism_group(g)
-    note = "lower bound only on the k>=2 sweep" if group.capped else ""
     reps = cyclic_semiregular_reps(group)
     hit = next(((k, c) for k in sorted(reps, reverse=True) for a in reps[k]
                 if (c := find_symmetric_hamcycle(g, a)) is not None), None)
     k, cycle = hit or (1, find_hamcycle(g))
     if cycle is None:
-        return KappaResult(0, None, True, mode)  # exact even when capped
+        return KappaResult(0, None, True)  # exact even when capped
     cert = cycle_compression(g, cycle)
     if not group.capped and cert.k != k:
         raise AssertionError("descending sweep returned a non-maximal hit" if hit
                              else "sweep missed a symmetric cycle")
-    return KappaResult(cert.k, cert, not group.capped, mode, note)
+    return KappaResult(cert.k, cert, not group.capped)
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
     n = g.n
     shifts = divisors(n)[:-1] if n else []
     cycles = _hamilton_cycles(g.rows)
-    for cycle in islice(cycles, limit):
+    for cycle in islice(cycles, min(limit, sys.maxsize)):  # islice refuses a larger stop
         shift = _least_shift(g, cycle, shifts)
         k = n // shift
         if k not in certs:  # the cycles ascend: the first with k is its least
@@ -220,7 +223,7 @@ def predict_kappa_metapq(inst: FamilyInstance) -> MetaPqPrediction:
     p. The deleted subgraph is the orbit-edge-free graph of the order-p
     rotation.
     """
-    q, p = inst.labeling.m, inst.labeling.n
+    q, p = inst.m, inst.n
     if not (is_prime(q) and is_prime(p) and q < p):
         raise ValueError(f"need prime parameters q < p, got ({q}, {p})")
     g = inst.graph

@@ -6,12 +6,14 @@ offset classes (i, d, s), each putting an edge v_i^j ~ v_{i+d}^{j+s} in
 every column j. The offset classes of row i are that row's connection sets,
 and one builder, _grid_graph, turns them into edges; the order-p^3 Cayley
 graphs read theirs off the group law (see cayley_p3). Every constructor
-returns a FamilyInstance carrying the graph, the grid labelling, the
-rotation rho: v_i^j -> v_i^{j+1}, the twisted rotation sigma:
+returns a FamilyInstance carrying the graph, m and n, the rotation
+rho: v_i^j -> v_i^{j+1}, the twisted rotation sigma:
 v_i^j -> v_{i+1}^{r*j} when one exists, and the constructor parameters.
 Nothing is re-checked at construction: rho is an automorphism by
 _grid_graph, sigma by its constructor's test or sigma-closed classes, and
 sigma rho sigma^-1 = rho^r because r is a unit; _finalize gives each reason.
+That c = 1 is central of order p in p3_group, with left multiplication by c
+the grid rotation, follows from its two formulas and is pinned by tests.
 """
 
 from __future__ import annotations
@@ -23,14 +25,6 @@ from .autgroup import is_automorphism
 from .graph import Graph
 from .numth import is_prime, ord_mod, primitive_root
 from .perm import Perm, order
-
-
-@dataclass(frozen=True)
-class GridLabeling:
-    """Bijection (i, j) -> i*n + j between Z_m x Z_n and vertex ids."""
-
-    m: int
-    n: int
 
 
 def grid_rho(m: int, n: int) -> Perm:
@@ -45,8 +39,11 @@ def grid_sigma(m: int, n: int, r: int) -> Perm:
 
 @dataclass(frozen=True)
 class FamilyInstance:
+    """A family member on Z_m x Z_n: vertex (i, j) is i*n + j."""
+
     graph: Graph
-    labeling: GridLabeling
+    m: int
+    n: int
     rho: Perm
     sigma: Perm | None
     params: dict = field(default_factory=dict)
@@ -76,7 +73,7 @@ def _finalize(graph: Graph, m: int, n: int, r: int | None, params: dict) -> Fami
     sigma rho sigma^-1 (i+1, rj) = sigma (i, j+1) = (i+1, rj+r) = rho^r (i+1, rj).
     """
     sigma = None if r is None else grid_sigma(m, n, r)
-    return FamilyInstance(graph, GridLabeling(m, n), grid_rho(m, n), sigma, params)
+    return FamilyInstance(graph, m, n, grid_rho(m, n), sigma, params)
 
 
 def _finalize_least_sigma(graph: Graph, m: int, n: int, params: dict) -> FamilyInstance:
@@ -296,11 +293,6 @@ def cayley_p3(
         raise ValueError("connection set contains the identity")
     if any(all(mul(s, t) for t in conn) for s in conn):
         raise ValueError("connection set is not inverse-closed")
-    n = p**3
-    if tuple(mul(1, g) for g in range(n)) != grid_rho(p * p, p):
-        raise AssertionError("central rotation does not match the grid labelling")
-    if any(mul(1, g) != mul(g, 1) for g in range(n)) or len(powers(1)) != p:
-        raise AssertionError("canonical element is not central of order p")
     classes = [(i, t // p - i, t % p) for i in range(p * p) for t in (mul(i * p, s) for s in conn)]
     params = {
         "family": "cayleyp3",

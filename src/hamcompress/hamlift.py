@@ -25,6 +25,7 @@ direction finds a generating net voltage exactly when the other does.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import islice
 
@@ -269,5 +270,5 @@ def enumerate_hamcycles(g: Graph, limit: int = ENUM_LIMIT) -> tuple[list[HamCycl
     if limit < 1:
         raise ValueError("limit must be positive")
     cycles = _hamilton_cycles(g.rows)
-    out = list(islice(cycles, limit))
+    out = list(islice(cycles, min(limit, sys.maxsize)))  # islice refuses a larger stop
     return out, next(cycles, None) is None

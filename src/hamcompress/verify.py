@@ -209,7 +209,7 @@ def thm43():
     order-pq metacirculants; the connected-case split is cross-checked, with
     disagreement there recorded, not failed."""
     for name, inst in _thm43_corpus():
-        params = {"graph": name, "q": inst.labeling.m, "p": inst.labeling.n,
+        params = {"graph": name, "q": inst.m, "p": inst.n,
                   "vertices": inst.graph.n}
 
         def run(inst=inst, params=params):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import graph_complete, graph_disjoint_complete
 from hamcompress import cli, families
 from hamcompress.families import petersen
 from hamcompress.graph import parse_edgelist
@@ -108,6 +109,17 @@ def test_limit_below_one_exit_2(tmp_path, capsys, argv):
     assert "limit must be positive" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["ham"], ["kappa", "--mode", "exhaustive"], ["kappa"]])
+def test_limit_above_maxsize_is_no_limit(tmp_path, capsys, argv):
+    """A limit beyond sys.maxsize enumerates everything, like the default."""
+    from hamcompress.graph import emit_edgelist
+
+    path = tmp_path / "comp.txt"
+    path.write_text(emit_edgelist(petersen().graph.complement()))
+    code, out = run_cli(capsys, argv[0], str(path), *argv[1:], "--limit", str(10**20))
+    assert code == 0 and json.loads(out)["exact"] is True
+
+
 def test_kappa_certificate_replays(tmp_path, capsys):
     from hamcompress.compression import cycle_compression
     from hamcompress.families import x_mnr
@@ -189,6 +201,34 @@ def test_group_report_shape(tmp_path, capsys):
     assert set(group) == {"order", "capped", "generators"}
     assert group["order"] == 120 and group["capped"] is False
     assert all(isinstance(gen, list) and len(gen) == 10 for gen in group["generators"])
+
+
+@pytest.mark.parametrize("graph, argv, exact, note", [
+    ("k10", [], False, True),  # capped group: the sweep's kappa is a lower bound
+    ("4k4", [], True, False),  # capped, but no Hamilton cycle: kappa = 0 is exact
+    ("k10", ["--mode", "exhaustive", "--limit", "1"], False, False),
+    ("xmnr", [], True, False),
+])
+def test_kappa_report_mode_and_note(tmp_path, capsys, graph, argv, exact, note):
+    """The report echoes --mode, and carries the lift bound note exactly when
+    a lift kappa is not exact."""
+    from hamcompress.graph import emit_edgelist
+
+    graphs = {
+        "k10": lambda: graph_complete(10),
+        "4k4": lambda: graph_disjoint_complete(4, 4),
+        "xmnr": lambda: families.x_mnr(3, 7, 2).graph,
+    }
+    path = tmp_path / "g.txt"
+    path.write_text(emit_edgelist(graphs[graph]()))
+    code, out = run_cli(capsys, "kappa", str(path), *argv)
+    rep = json.loads(out)
+    assert code == 0 and rep["exact"] is exact
+    assert rep["mode"] == (argv[1] if argv else "lift")
+    if note:
+        assert rep["note"] == "lower bound only on the k>=2 sweep"
+    else:
+        assert "note" not in rep
 
 
 def test_stderr_summaries(tmp_path, capsys):

@@ -143,7 +143,7 @@ def test_lift_fallback_without_symmetric_hit():
     assert list(reps) == [13]
     assert [find_symmetric_hamcycle(g, a) for a in reps[13]] == [None]
     assert hamilton_compression(g) == KappaResult(
-        1, cycle_compression(g, find_hamcycle(g)), True, "lift")
+        1, cycle_compression(g, find_hamcycle(g)), True)
 
 
 def test_kappa_fewer_than_three_vertices_is_zero():
@@ -160,21 +160,20 @@ def test_exhaustive_kappa_long_cycle():
 
 def test_kappa_capped_is_flagged():
     """K7,7 and K10 have groups above the default cap: the sweep's hit is a
-    lower bound only, and says so."""
+    lower bound only."""
     for g in (graph_complete_bipartite(7, 7), graph_complete(10)):
         assert automorphism_group(g).capped
         res = hamilton_compression(g, "lift")
-        assert res.note == "lower bound only on the k>=2 sweep"
         assert not res.exact
 
 
 def test_kappa_capped_without_hamilton_cycle_is_exact():
     """4K4 and 3K5 are capped but disconnected: no Hamilton cycle exists, so
-    kappa = 0 is exact and carries no note."""
+    kappa = 0 is exact."""
     for g in (graph_disjoint_complete(4, 4), graph_disjoint_complete(3, 5)):
         assert automorphism_group(g).capped
         res = hamilton_compression(g, "lift")
-        assert (res.kappa, res.certificate, res.exact, res.note) == (0, None, True, "")
+        assert (res.kappa, res.certificate, res.exact) == (0, None, True)
 
 
 def test_lift_skips_the_group_without_a_hamilton_cycle(monkeypatch):
@@ -185,7 +184,7 @@ def test_lift_skips_the_group_without_a_hamilton_cycle(monkeypatch):
     start = time.perf_counter()
     res = hamilton_compression(graph_disjoint_complete(5, 3), "lift")
     assert time.perf_counter() - start < 1
-    assert (res.kappa, res.certificate, res.exact, res.note) == (0, None, True, "")
+    assert (res.kappa, res.certificate, res.exact) == (0, None, True)
 
     def no_group(g):
         raise AssertionError("automorphism group built")

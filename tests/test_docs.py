@@ -101,6 +101,28 @@ def test_every_src_name_is_used_outside_the_tests():
             if name not in used and name not in exports] == []
 
 
+def test_every_dataclass_field_is_read_outside_the_tests():
+    """Every annotated field of a src/hamcompress dataclass is read as an
+    attribute somewhere in src/ or hcbench/; a field only the tests read
+    holds a fact the program never uses."""
+    read: set[str] = set()
+    fields = []
+    for path in sorted([*(ROOT / "src" / "hamcompress").glob("*.py"),
+                        *(ROOT / "hcbench").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+        if path.parent.name != "hamcompress":
+            continue
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    (d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+                    for d in cls.decorator_list):
+                fields += [(path.name, cls.name, stmt.target.id) for stmt in cls.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    assert fields and [f for f in fields if f[2] not in read] == []
+
+
 def test_no_src_module_imports_a_name_it_never_reads():
     """Every name a src/hamcompress module imports is read in that module
     (as a name or the root of an attribute chain); the package root, whose

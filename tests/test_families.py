@@ -9,6 +9,7 @@ from hamcompress.families import (
     cayley_p3,
     circulant,
     generalized_petersen,
+    grid_rho,
     metacirculant_orbit,
     metacirculant_triple_2p,
     p3_group,
@@ -44,7 +45,7 @@ def test_every_instance_well_formed():
     for build in ALL_INSTANCES:
         inst = build()
         g = inst.graph
-        assert inst.labeling.m * inst.labeling.n == g.n
+        assert inst.m * inst.n == g.n
         assert is_automorphism(g, inst.rho)
         assert is_semiregular(inst.rho, order(inst.rho))
         if inst.sigma is not None:
@@ -345,6 +346,17 @@ def test_p3_group_commutator_central_of_order_p():
             assert mul(a, b) != mul(b, a)
             # a and b generate p^3 distinct elements
             assert _generated(mul, 0, (a, b)) == set(range(n))
+
+
+def test_p3_group_central_rotation():
+    """cayley_p3 relies on these without re-checking them: left
+    multiplication by c = 1 is the grid rotation, and c is central of order p."""
+    for p in (3, 5, 7):
+        for variant in ("heisenberg", "modular"):
+            mul = p3_group(p, variant)
+            assert tuple(mul(1, g) for g in range(p**3)) == grid_rho(p * p, p)
+            assert all(mul(1, g) == mul(g, 1) for g in range(p**3))
+            assert _element_order(mul, 1) == p
 
 
 def test_p3_group_orders():

@@ -203,6 +203,11 @@ def test_enumerate_limit_flag():
     assert not exact and len(cycles) == 10
 
 
+def test_enumerate_limit_above_maxsize_is_no_limit():
+    for g in (graph_cycle(7), petersen().graph.complement()):
+        assert enumerate_hamcycles(g, 10**20) == enumerate_hamcycles(g)
+
+
 def test_enumerate_limit_below_one_raises():
     for g in (graph_cycle(7), petersen().graph):
         for limit in (0, -1):

@@ -132,7 +132,7 @@ def test_thm43_outcomes_other_than_pass(monkeypatch, pred_kappa, case, exact, st
     monkeypatch.setattr(verify, "predict_kappa_metapq",
                         lambda inst: MetaPqPrediction(pred_kappa, case))
     monkeypatch.setattr(verify, "hamilton_compression",
-                        lambda g, mode: KappaResult(1, None, exact, mode))
+                        lambda g, mode: KappaResult(1, None, exact))
     records = run_claim("thm43")
     assert len(records) == len(verify._thm43_corpus())
     for rec in records:
@@ -145,7 +145,7 @@ def _kappa_stub(lift: int, exhaustive: int | None = None):
     (by default lift as well) in exhaustive mode."""
     def stub(g, mode="lift"):
         kappa = exhaustive if mode == "exhaustive" and exhaustive is not None else lift
-        return KappaResult(kappa, None, True, mode)
+        return KappaResult(kappa, None, True)
     return stub
 
 
