@@ -61,11 +61,6 @@ def _cert_json(cert: CompressionCertificate | None) -> dict | None:
     }
 
 
-def _load_graph(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_edgelist(fh.read())
-
-
 def _parse_int_set(text: str, flag: str) -> set[int]:
     out = set()
     for tok in text.replace(",", " ").split():
@@ -180,7 +175,8 @@ def report_lcf(g, args):
 def run_report(args) -> int:
     """The one path of the graph commands: load the file, time the report,
     print it with the graph's size and the seconds, then the summary."""
-    g = _load_graph(args.graph)
+    with open(args.graph, encoding="utf-8") as fh:
+        g = parse_edgelist(fh.read())
     start = time.monotonic()
     payload, summary = args.report(g, args)
     _emit({**payload, "graph": {"vertices": g.n, "edges": g.m},

@@ -72,8 +72,7 @@ def _least_shift(g: Graph, cycle: HamCycle, shifts: list[int]) -> int:
 
 def cycle_compression(g: Graph, cycle) -> CompressionCertificate:
     """Exact compression factor of one Hamilton cycle of g."""
-    check_hamcycle(g, cycle)
-    cycle = canonical_cycle(cycle)
+    cycle = canonical_cycle(check_hamcycle(g, cycle))
     return _certificate(cycle, _least_shift(g, cycle, divisors(g.n)[:-1]))
 
 
@@ -163,8 +162,7 @@ def lcf(g: Graph, cycle) -> tuple[int, ...]:
     """Chord offsets d_i along a Hamilton cycle of a cubic graph, normalised
     into (-n/2, n/2]; entries avoid {0, +-1} by simplicity."""
     check_cubic(g)
-    check_hamcycle(g, cycle)
-    cycle = tuple(cycle)
+    cycle = check_hamcycle(g, cycle)
     n = g.n
     pos = {v: i for i, v in enumerate(cycle)}
     out = []

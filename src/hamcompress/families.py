@@ -19,7 +19,7 @@ the grid rotation, follows from its two formulas and is pinned by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .autgroup import is_automorphism
 from .graph import Graph
@@ -46,7 +46,7 @@ class FamilyInstance:
     n: int
     rho: Perm
     sigma: Perm | None
-    params: dict = field(default_factory=dict)
+    params: dict
 
 
 def _grid_graph(m: int, n: int, offsets) -> Graph:
@@ -261,7 +261,7 @@ def cayley_p3(
     """Cayley graph g ~ g*s of a non-abelian group of order p^3 (see
     p3_group) on word generators.
 
-    connection is a tuple of words over a, b (uppercase = inverse), e.g.
+    connection is an iterable of words over a, b (uppercase = inverse), e.g.
     ("a", "A", "b", "B"). Must be inverse-closed and avoid the identity.
     Since c = 1 is central, (g*c^j)*s = (g*s)*c^j: right multiplication by
     s sends every column of row i the same way, the offset class
@@ -278,6 +278,7 @@ def cayley_p3(
 
     a, b = p * p, p
     letters = {"a": a, "A": powers(a)[-2], "b": b, "B": powers(b)[-2]}
+    connection = tuple(connection)
     conn = []
     for w in connection:
         if not isinstance(w, str):

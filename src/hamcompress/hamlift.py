@@ -20,6 +20,9 @@ the cycles of the graph; the quotient search takes those of the orbit
 support rows and stops at the first whose voltages can be chosen to
 generate Z_k. Reversing a quotient cycle negates its voltages, so one
 direction finds a generating net voltage exactly when the other does.
+
+check_hamcycle, the one check that a sequence is a Hamilton cycle, returns
+the tuple it checked; find_symmetric_hamcycle does not check its lift again.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ HamCycle = tuple[int, ...]
 ENUM_LIMIT = 10**7
 
 
-def check_hamcycle(g: Graph, seq) -> None:
+def check_hamcycle(g: Graph, seq) -> HamCycle:
+    """The sequence as a tuple, once checked to be a Hamilton cycle of g."""
     seq = tuple(seq)
     if len(seq) < 3:
         raise ValueError("a Hamilton cycle needs at least 3 vertices")
@@ -46,6 +50,7 @@ def check_hamcycle(g: Graph, seq) -> None:
     for i, u in enumerate(seq):
         if not g.has_edge(u, seq[(i + 1) % g.n]):
             raise ValueError(f"vertices {u} and {seq[(i + 1) % g.n]} are not adjacent")
+    return seq
 
 
 def canonical_cycle(seq) -> HamCycle:
@@ -74,10 +79,6 @@ class QuotientGraph:
     k: int
     orbit_lists: tuple[tuple[int, ...], ...]
     voltages: dict[tuple[int, int], list[int]]
-
-    @property
-    def num_orbits(self) -> int:
-        return len(self.orbit_lists)
 
 
 def quotient_with_voltages(g: Graph, a: Perm) -> QuotientGraph:
@@ -110,7 +111,7 @@ def lift(qg: QuotientGraph, orbit_cycle, voltages) -> HamCycle:
     """
     orbit_cycle = list(orbit_cycle)
     voltages = list(voltages)
-    k, q = qg.k, qg.num_orbits
+    k, q = qg.k, len(qg.orbit_lists)
     if sorted(orbit_cycle) != list(range(q)) or len(voltages) != q:
         raise ValueError("not a closed quotient cycle visiting every orbit once")
     for i, a in enumerate(orbit_cycle):
@@ -161,7 +162,7 @@ def _quotient_ham_search(qg: QuotientGraph):
     pair of parallel arcs, taken lexicographically; a single orbit is the
     path (0,) closed by a loop, and loops take no part in longer cycles.
     """
-    k, q = qg.k, qg.num_orbits
+    k, q = qg.k, len(qg.orbit_lists)
     avail = qg.voltages
     if q == 2:
         volts = avail.get((0, 1), [])
@@ -186,15 +187,15 @@ def find_symmetric_hamcycle(g: Graph, a: Perm) -> HamCycle | None:
     """A Hamilton cycle on which a acts as a rotation, or None.
 
     Searches Hamilton cycles of the quotient multigraph, accepting one iff
-    its net voltage generates Z_k, then lifts.
+    its net voltage generates Z_k, then lifts. The lift needs no check:
+    lift refuses a quotient cycle missing an orbit, an absent arc and a net
+    voltage that does not generate Z_k, and with a generating net voltage
+    the walk visits each vertex once along edges. Callers making a
+    certificate replay it through compression.cycle_compression.
     """
     qg = quotient_with_voltages(g, a)
     found = _quotient_ham_search(qg) if g.n >= 3 else None
-    if found is None:
-        return None
-    cycle = lift(qg, *found)
-    check_hamcycle(g, cycle)
-    return cycle
+    return None if found is None else lift(qg, *found)
 
 
 def _open_region_ok(rows, head: int, rest: int, lost: int) -> bool:

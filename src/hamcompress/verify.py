@@ -57,7 +57,7 @@ class VerificationRecord:
     computed: object
     status: str
     seconds: float
-    note: str = ""
+    note: str
 
 
 @dataclass

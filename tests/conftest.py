@@ -63,7 +63,7 @@ def acts_as_rotation(a, cycle) -> bool:
 def project_cycle(qg, cycle):
     """Orbit sequence and step voltages of one quotient pass of a cycle lifted
     from the quotient qg: the inverse of hamlift.lift."""
-    q = qg.num_orbits
+    q = len(qg.orbit_lists)
     orbit_of, exponent = {}, {}
     for a, orb in enumerate(qg.orbit_lists):
         for e, v in enumerate(orb):

@@ -262,6 +262,20 @@ def test_lcf_compressed_periodicity():
     assert word == block * repeat
 
 
+def test_lcf_reads_an_iterator_once():
+    """lcf uses the tuple check_hamcycle made: a cycle given as an iterator
+    answers as the same cycle given as a tuple."""
+    g = generalized_petersen(8, 3).graph
+    cycle = find_hamcycle(g)
+    assert lcf(g, iter(cycle)) == lcf(g, cycle)
+
+
+def test_cycle_compression_reads_an_iterator_once():
+    g = generalized_petersen(8, 3).graph
+    cycle = find_hamcycle(g)
+    assert cycle_compression(g, iter(cycle)) == cycle_compression(g, cycle)
+
+
 def test_lcf_k4_is_cubic_edge_case():
     # K4 is cubic; every chord points at the antipode
     assert lcf(graph_k4(), (0, 1, 2, 3)) == (2, 2, 2, 2)

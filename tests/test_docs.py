@@ -123,6 +123,44 @@ def test_every_dataclass_field_is_read_outside_the_tests():
     assert fields and [f for f in fields if f[2] not in read] == []
 
 
+def test_every_dataclass_default_is_used_outside_the_tests():
+    """Every default of a src/hamcompress dataclass field is taken by some
+    construction in src/ or hcbench/: a call that passes the field neither
+    by position nor by keyword. A default every construction overrides is
+    a second, unused statement of the field."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted([*(ROOT / "src" / "hamcompress").glob("*.py"),
+                                 *(ROOT / "hcbench").glob("*.py")])}
+    defaults = {}  # class name -> (field names in order, indices of defaulted fields)
+    for path, tree in trees.items():
+        if path.parent.name != "hamcompress":
+            continue
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    (d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+                    for d in cls.decorator_list):
+                body = [stmt for stmt in cls.body
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+                defaults[cls.name] = ([s.target.id for s in body],
+                                      [i for i, s in enumerate(body) if s.value is not None])
+    used = set()
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name not in defaults:
+                continue
+            names, defaulted = defaults[name]
+            passed = {kw.arg for kw in call.keywords}
+            assert None not in passed and not any(isinstance(a, ast.Starred) for a in call.args)
+            used.update((name, names[i]) for i in defaulted
+                        if i >= len(call.args) and names[i] not in passed)
+    declared = {(name, names[i]) for name, (names, defaulted) in defaults.items()
+                for i in defaulted}
+    assert ("Budget", "time_budget") in declared and declared - used == set()
+
+
 def test_no_src_module_imports_a_name_it_never_reads():
     """Every name a src/hamcompress module imports is read in that module
     (as a name or the root of an attribute chain); the package root, whose

@@ -6,6 +6,7 @@ import pytest
 
 from hamcompress.autgroup import is_automorphism
 from hamcompress.families import (
+    P3_DEFAULT_CONNECTION,
     cayley_p3,
     circulant,
     generalized_petersen,
@@ -250,6 +251,13 @@ def test_cayley_p3_both_variants():
         cayley_p3(3, "heisenberg", ("a", "b"))  # not inverse-closed
     with pytest.raises(ValueError):
         cayley_p3(3, "heisenberg", ("a", "A", "aA"))  # identity word
+
+
+def test_cayley_p3_reads_an_iterator_once():
+    """An iterator of words builds the default graph and records its words."""
+    inst = cayley_p3(3, "heisenberg", iter(P3_DEFAULT_CONNECTION))
+    assert inst.params["connection"] == list(P3_DEFAULT_CONNECTION)
+    assert inst.graph == cayley_p3(3, "heisenberg").graph
 
 
 @pytest.mark.parametrize("connection, named", [

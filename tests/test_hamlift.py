@@ -42,7 +42,7 @@ def test_quotient_rejects_non_semiregular():
 def test_quotient_x372_double_arcs():
     inst = x_mnr(3, 7, 2)
     qg = quotient_with_voltages(inst.graph, inst.sigma)
-    assert qg.k == 3 and qg.num_orbits == 7
+    assert qg.k == 3 and len(qg.orbit_lists) == 7
     doubled = sorted((a, b) for (a, b), vs in qg.voltages.items() if a < b and len(vs) > 1)
     # double arcs exactly at the orbit pairs (V_1, V_2) and (V_5, V_6)
     assert doubled == [(1, 2), (5, 6)]
@@ -54,7 +54,7 @@ def test_quotient_cycle_by_rotation_power():
     g = graph_cycle(6)
     a = power(grid_rho(1, 6), 2)  # rotation by two, order three
     qg = quotient_with_voltages(g, a)
-    assert qg.k == 3 and qg.num_orbits == 2
+    assert qg.k == 3 and len(qg.orbit_lists) == 2
     volts = qg.voltages[(0, 1)]
     assert len(volts) == 2  # parallel arcs carrying the net generator
 
@@ -62,7 +62,7 @@ def test_quotient_cycle_by_rotation_power():
 def test_quotient_prism_by_rho():
     inst = x_mnr(2, 5, 4)
     qg = quotient_with_voltages(inst.graph, inst.rho)
-    assert qg.k == 5 and qg.num_orbits == 2
+    assert qg.k == 5 and len(qg.orbit_lists) == 2
     # a loop of voltage +-1 on each orbit and one spoke arc of voltage 0
     assert qg.voltages == {(0, 0): [1, 4], (0, 1): [0], (1, 0): [0], (1, 1): [1, 4]}
 
@@ -264,7 +264,7 @@ def _reference_quotient_search(qg):
     takes its least generating loop voltage, two orbits the lexicographically
     first pair of distinct parallel arcs, and more orbits the first cycle of
     the unpruned reference DFS on the support whose voltages can generate."""
-    k, q = qg.k, qg.num_orbits
+    k, q = qg.k, len(qg.orbit_lists)
     avail = qg.voltages
     if q == 1:
         for s in avail.get((0, 0), []):
@@ -305,7 +305,10 @@ def test_symmetric_search_matches_both_direction_reference():
                 qg = quotient_with_voltages(g, a)
                 ref = _reference_quotient_search(qg)
                 expected = lift(qg, *ref) if ref is not None else None
-                assert find_symmetric_hamcycle(g, a) == expected, (index, a)
+                found = find_symmetric_hamcycle(g, a)
+                assert found == expected, (index, a)
+                if found is not None:  # the lift is a Hamilton cycle unchecked by the search
+                    check_hamcycle(g, found)
                 pairs += 1
     assert pairs == 726
 
