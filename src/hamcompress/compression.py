@@ -5,7 +5,10 @@ positive position-shift along the cycle that is an automorphism of the
 graph; the shifts that work form a subgroup of Z_n, so only the divisors of
 n are tried. The graph invariant is the maximum over all Hamilton cycles,
 computed either by a descending divisor sweep over cyclic semiregular
-subgroups (lift mode) or by exhaustive cycle enumeration.
+subgroups (lift mode) or as the maximum of the Ham array (exhaustive mode).
+The Ham array takes factor 1 from the plain search and every factor k >= 2
+from the lifts of quotient Hamilton cycles, since a cycle with factor k is
+symmetric under its rotation by n/k.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .hamlift import (
     check_hamcycle,
     find_hamcycle,
     find_symmetric_hamcycle,
+    symmetric_hamcycles,
 )
 from .numth import divisors, factorize, is_prime
 from .perm import Perm, semiregular_order
@@ -81,7 +85,7 @@ class KappaResult:
     """kappa with its certificate (None when kappa is 0). exact is False in
     lift mode when a cycle was found under a capped automorphism group, so
     kappa is only a lower bound from the k >= 2 sweep, and in exhaustive
-    mode when the limit cut the enumeration short."""
+    mode when the limit cut the Ham array short."""
 
     kappa: int
     certificate: CompressionCertificate | None
@@ -132,18 +136,40 @@ class HamArray:
 
 
 def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
+    """Each cycle with factor k >= 2 lifts from the quotient by its rotation
+    of order k, so the plain search stops at the first cycle with factor 1
+    and the lifts over the cyclic semiregular reps give the other values;
+    each value keeps its least canonical cycle. A capped group's reps can
+    miss subgroups, so there the plain search runs on. limit counts the
+    cycles examined, plain and lifted."""
     if limit < 1:
         raise ValueError("limit must be positive")
     certs: dict[int, CompressionCertificate] = {}
     n = g.n
     shifts = divisors(n)[:-1] if n else []
-    cycles = _hamilton_cycles(g.rows)
-    for cycle in islice(cycles, min(limit, sys.maxsize)):  # islice refuses a larger stop
+
+    def examine(cycle: HamCycle) -> int:
         shift = _least_shift(g, cycle, shifts)
         k = n // shift
-        if k not in certs:  # the cycles ascend: the first with k is its least
+        if k not in certs or cycle < certs[k].cycle:
             certs[k] = _certificate(cycle, shift)
-    exhausted = next(cycles, None) is None
+        return k
+
+    budget = min(limit, sys.maxsize)  # islice refuses a larger stop
+    rest = plain = _hamilton_cycles(g.rows)
+    for seen, cycle in enumerate(islice(plain, budget), 1):
+        if examine(cycle) == 1:
+            budget -= seen
+            group = automorphism_group(g)
+            if not group.capped:
+                rest = (canonical_cycle(c) for gens in cyclic_semiregular_reps(group).values()
+                        for a in gens for c in symmetric_hamcycles(g, a))
+            break
+    else:
+        budget = 0  # the plain search ended or used the whole limit
+    for cycle in islice(rest, budget):
+        examine(cycle)
+    exhausted = next(rest, None) is None
     if not certs:
         return HamArray(exhausted, (0,), {})
     return HamArray(exhausted, tuple(sorted(certs)), certs)

@@ -20,6 +20,9 @@ the cycles of the graph; the quotient search takes those of the orbit
 support rows and stops at the first whose voltages can be chosen to
 generate Z_k. Reversing a quotient cycle negates its voltages, so one
 direction finds a generating net voltage exactly when the other does.
+symmetric_hamcycles walks the same quotient cycles but lifts every voltage
+choice that generates Z_k, so it yields every Hamilton cycle on which the
+automorphism acts as a rotation.
 
 check_hamcycle, the one check that a sequence is a Hamilton cycle, returns
 the tuple it checked; find_symmetric_hamcycle does not check its lift again.
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
 
 from .graph import Graph, reach
 from .perm import Perm, orbits, semiregular_order
@@ -57,11 +60,9 @@ def canonical_cycle(seq) -> HamCycle:
     """Rotate the least vertex to the front and fix the direction, collapsing
     the 2n equivalent presentations of one cycle."""
     seq = tuple(seq)
-    n = len(seq)
     i0 = seq.index(min(seq))
-    fwd = tuple(seq[(i0 + i) % n] for i in range(n))
-    rev = tuple(seq[(i0 - i) % n] for i in range(n))
-    return fwd if fwd[1] <= rev[1] else rev
+    fwd = seq[i0:] + seq[:i0]
+    return fwd if fwd[1] <= fwd[-1] else fwd[:1] + fwd[:0:-1]
 
 
 @dataclass(frozen=True)
@@ -155,22 +156,24 @@ def _voltage_choice(volt_sets: list[list[int]], k: int) -> list[int] | None:
     return choice
 
 
-def _quotient_ham_search(qg: QuotientGraph):
-    """First quotient Hamilton cycle admitting a generating net voltage.
+def _parallel_pairs(qg: QuotientGraph):
+    """The quotient cycles on two orbits: a pair of parallel arcs s0, s1 from
+    orbit 0 to orbit 1, out on s0 and back on s1, whose net voltage s0 - s1
+    generates Z_k; pairs in lexicographic order."""
+    k = qg.k
+    volts = qg.voltages.get((0, 1), [])
+    return (([0, 1], [s0, (-s1) % k]) for s0 in volts for s1 in volts
+            if math.gcd(s0 - s1, k) == 1)
 
-    Arcs are explored in (orbit, voltage) ascending order. Two orbits need a
-    pair of parallel arcs, taken lexicographically; a single orbit is the
-    path (0,) closed by a loop, and loops take no part in longer cycles.
-    """
+
+def _support_cycles(qg: QuotientGraph):
+    """The quotient Hamilton cycles on one orbit or three or more whose
+    voltages can be chosen to generate Z_k, each with the voltage sets of its
+    arcs and _voltage_choice's choice. A single orbit is the path (0,) closed
+    by a loop; loops take no part in longer cycles, which come from
+    _hamilton_cycles on the orbit support rows."""
     k, q = qg.k, len(qg.orbit_lists)
     avail = qg.voltages
-    if q == 2:
-        volts = avail.get((0, 1), [])
-        for s0 in volts:
-            for s1 in volts:
-                if math.gcd(s0 - s1, k) == 1:
-                    return [0, 1], [s0, (-s1) % k]
-        return None
     support = [0] * q
     for a, b in avail:
         if a != b:
@@ -179,23 +182,46 @@ def _quotient_ham_search(qg: QuotientGraph):
         volt_sets = [avail.get((path[i], path[(i + 1) % q]), []) for i in range(q)]
         choice = _voltage_choice(volt_sets, k)
         if choice is not None:
-            return list(path), choice
-    return None
+            yield path, volt_sets, choice
 
 
 def find_symmetric_hamcycle(g: Graph, a: Perm) -> HamCycle | None:
     """A Hamilton cycle on which a acts as a rotation, or None.
 
     Searches Hamilton cycles of the quotient multigraph, accepting one iff
-    its net voltage generates Z_k, then lifts. The lift needs no check:
-    lift refuses a quotient cycle missing an orbit, an absent arc and a net
-    voltage that does not generate Z_k, and with a generating net voltage
-    the walk visits each vertex once along edges. Callers making a
-    certificate replay it through compression.cycle_compression.
+    its net voltage generates Z_k, then lifts: on two orbits the first pair
+    of parallel arcs, else the first of _support_cycles with its
+    _voltage_choice. The lift needs no check: lift refuses a quotient cycle
+    missing an orbit, an absent arc and a net voltage that does not
+    generate Z_k, and with a generating net voltage the walk visits each
+    vertex once along edges. Callers making a certificate replay it through
+    compression.cycle_compression.
     """
     qg = quotient_with_voltages(g, a)
-    found = _quotient_ham_search(qg) if g.n >= 3 else None
+    if g.n < 3:
+        return None
+    if len(qg.orbit_lists) == 2:
+        found = next(_parallel_pairs(qg), None)
+    else:
+        found = next(((list(path), choice) for path, _, choice in _support_cycles(qg)), None)
     return None if found is None else lift(qg, *found)
+
+
+def symmetric_hamcycles(g: Graph, a: Perm):
+    """Every Hamilton cycle on which a acts as a rotation, not canonicalized:
+    find_symmetric_hamcycle's quotient cycles, each lifted with every
+    voltage choice whose net generates Z_k. A cycle on one or two orbits
+    comes once per direction."""
+    qg = quotient_with_voltages(g, a)
+    if g.n < 3:
+        return
+    if len(qg.orbit_lists) == 2:
+        found = _parallel_pairs(qg)
+    else:
+        found = ((path, choice) for path, volt_sets, _ in _support_cycles(qg)
+                 for choice in product(*volt_sets) if math.gcd(sum(choice), qg.k) == 1)
+    for path, choice in found:
+        yield lift(qg, path, choice)
 
 
 def _open_region_ok(rows, head: int, rest: int, lost: int) -> bool:

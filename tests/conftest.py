@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from hamcompress.compression import cycle_compression
 from hamcompress.families import (
     circulant,
     generalized_petersen,
@@ -14,6 +15,7 @@ from hamcompress.families import (
     x_mnr,
 )
 from hamcompress.graph import Graph
+from hamcompress.hamlift import ENUM_LIMIT, enumerate_hamcycles
 
 
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -74,6 +76,29 @@ def project_cycle(qg, cycle):
         for i in range(q)
     ]
     return seq, volts
+
+
+def plain_ham(g: Graph, limit: int = ENUM_LIMIT) -> tuple[dict, bool]:
+    """The plain oracle for the Ham array, which uses no group: every cycle
+    enumerate_hamcycles lists, compressed by cycle_compression, and per
+    factor the least cycle with it. Returns ({k: certificate}, exhaustive)."""
+    cycles, exhaustive = enumerate_hamcycles(g, limit)
+    least = {}
+    for cycle in cycles:
+        cert = cycle_compression(g, cycle)
+        if cert.k not in least or cert.cycle < least[cert.k].cycle:
+            least[cert.k] = cert
+    return least, exhaustive
+
+
+def assert_plain_ham(g: Graph, arr, label, limit: int = ENUM_LIMIT) -> None:
+    """A Ham array equals the plain oracle: values, exact flag, and each
+    value's certificate cycle and shift."""
+    least, exhaustive = plain_ham(g, limit)
+    assert arr.exact == exhaustive, label
+    assert arr.values == (tuple(sorted(least)) or (0,)), label
+    assert {k: (c.cycle, c.shift) for k, c in arr.certificates.items()} == {
+        k: (c.cycle, c.shift) for k, c in least.items()}, label
 
 
 def graph_k4() -> Graph:

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from conftest import (
+    assert_plain_ham,
     graph_complete,
     graph_complete_bipartite,
     graph_cycle,
@@ -41,6 +42,7 @@ from hamcompress.hamlift import (
     find_hamcycle,
     find_symmetric_hamcycle,
     quotient_with_voltages,
+    symmetric_hamcycles,
 )
 
 
@@ -355,6 +357,56 @@ def test_double_edge_positions_match_quotient():
         assert doubled == expected
         j1, j2 = double_edge_positions(n, r)
         assert j1 != j2  # distinct positions on these instances
+
+
+def test_ham_array_builds_no_group_without_a_cycle_of_factor_one(monkeypatch):
+    """Every Hamilton cycle of K_n has factor n and Petersen has none, so
+    the plain search runs to its end and the group is never built. K10's
+    group would be capped; cut by a small limit, the array is the plain
+    one."""
+    def refuse(g):
+        raise AssertionError("automorphism_group called")
+
+    monkeypatch.setattr(compression, "automorphism_group", refuse)
+    k7 = ham_array(graph_complete(7))
+    assert k7.values == (7,) and k7.exact
+    assert_plain_ham(graph_complete(7), k7, "K7")
+    assert ham_array(petersen().graph) == compression.HamArray(True, (0,), {})
+    k10 = ham_array(graph_complete(10), limit=5)
+    assert k10.values == (10,) and not k10.exact
+    assert_plain_ham(graph_complete(10), k10, "K10", limit=5)
+
+
+def test_ham_array_capped_group_finishes_the_plain_search(monkeypatch):
+    """K12 plus a vertex joined to 0 and 1: |Aut| = 2 * 10! is capped, and
+    the first cycle has factor 1. The reps of a capped group can miss
+    subgroups, so the array is the plain search's, to the limit."""
+    g = Graph.build(13, [(u, v) for u in range(12) for v in range(u + 1, 12)]
+                    + [(0, 12), (1, 12)])
+    groups = []
+    monkeypatch.setattr(compression, "automorphism_group",
+                        lambda g: groups.append(automorphism_group(g)) or groups[-1])
+    arr = ham_array(g, limit=50)
+    assert [grp.capped for grp in groups] == [True]
+    assert arr.values == (1,) and not arr.exact
+    assert_plain_ham(g, arr, "K12 + v", limit=50)
+
+
+def test_ham_array_limit_counts_plain_and_lifted_cycles():
+    """limit counts the plain cycles up to the first with factor 1 and then
+    every lift. On Petersen's complement a cut array holds some of the full
+    values, and the limit that covers every examined cycle is exact."""
+    g = petersen().graph.complement()
+    full = ham_array(g)
+    assert full.values == (1, 5) and full.exact
+    cut = ham_array(g, limit=5)
+    assert not cut.exact and set(cut.values) <= set(full.values)
+    cycles, _ = enumerate_hamcycles(g)
+    plain = next(i for i, c in enumerate(cycles, 1) if cycle_compression(g, c).k == 1)
+    reps = cyclic_semiregular_reps(automorphism_group(g))
+    lifted = sum(1 for gens in reps.values() for a in gens for _ in symmetric_hamcycles(g, a))
+    assert ham_array(g, limit=plain + lifted) == full
+    assert not ham_array(g, limit=plain + lifted - 1).exact
 
 
 def test_exhaustive_mode_limit_marks_inexact():
