@@ -137,39 +137,35 @@ class HamArray:
 
 def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
     """Each cycle with factor k >= 2 lifts from the quotient by its rotation
-    of order k, so the plain search stops at the first cycle with factor 1
-    and the lifts over the cyclic semiregular reps give the other values;
-    each value keeps its least canonical cycle. A capped group's reps can
-    miss subgroups, so there the plain search runs on. limit counts the
-    cycles examined, plain and lifted."""
+    of order k, so one stream of cycles is examined: the plain search up to
+    its first cycle with factor 1, then the lifts over the cyclic
+    semiregular reps, or the rest of the plain search when the group is
+    capped, since its reps can miss subgroups. Each value keeps its least
+    canonical cycle; limit counts the cycles examined."""
     if limit < 1:
         raise ValueError("limit must be positive")
     certs: dict[int, CompressionCertificate] = {}
     n = g.n
     shifts = divisors(n)[:-1] if n else []
 
-    def examine(cycle: HamCycle) -> int:
+    def stream():
+        plain = _hamilton_cycles(g.rows)
+        for cycle in plain:
+            yield cycle
+            if 1 in certs:  # the cycle just examined has factor 1
+                break
+        if 1 in certs and not (group := automorphism_group(g)).capped:
+            plain = (canonical_cycle(c) for gens in cyclic_semiregular_reps(group).values()
+                     for a in gens for c in symmetric_hamcycles(g, a))
+        yield from plain
+
+    cycles = stream()
+    for cycle in islice(cycles, min(limit, sys.maxsize)):  # islice refuses a larger stop
         shift = _least_shift(g, cycle, shifts)
         k = n // shift
         if k not in certs or cycle < certs[k].cycle:
             certs[k] = _certificate(cycle, shift)
-        return k
-
-    budget = min(limit, sys.maxsize)  # islice refuses a larger stop
-    rest = plain = _hamilton_cycles(g.rows)
-    for seen, cycle in enumerate(islice(plain, budget), 1):
-        if examine(cycle) == 1:
-            budget -= seen
-            group = automorphism_group(g)
-            if not group.capped:
-                rest = (canonical_cycle(c) for gens in cyclic_semiregular_reps(group).values()
-                        for a in gens for c in symmetric_hamcycles(g, a))
-            break
-    else:
-        budget = 0  # the plain search ended or used the whole limit
-    for cycle in islice(rest, budget):
-        examine(cycle)
-    exhausted = next(rest, None) is None
+    exhausted = next(cycles, None) is None
     if not certs:
         return HamArray(exhausted, (0,), {})
     return HamArray(exhausted, tuple(sorted(certs)), certs)

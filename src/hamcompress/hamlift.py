@@ -5,9 +5,10 @@ multigraph on the orbits whose arcs carry voltages in Z_k: voltage s from
 orbit A to orbit B records that the representative of A is adjacent to the
 s-th power image of the representative of B. The quotient keeps the
 ascending voltages of each ordered orbit pair, read in one pass over the
-graph's neighbour tuples. A Hamilton cycle of the quotient whose net
-voltage generates Z_k lifts to a Hamilton cycle of the source graph on
-which the automorphism acts as a rotation.
+graph's neighbour tuples, and refuses a permutation that is not an
+automorphism. A Hamilton cycle of the quotient whose net voltage generates
+Z_k lifts to a Hamilton cycle of the source graph on which the
+automorphism acts as a rotation.
 
 One search serves both uses: _hamilton_cycles, a non-recursive depth-first
 generator over bitset adjacency rows, yields each Hamilton cycle once, in
@@ -16,16 +17,15 @@ Each step is cut unless vertex 0 keeps an open neighbour above the second
 vertex to close the cycle, the open neighbours of the vertex the step left
 keep two live links each, and the open region stays connected; the
 connectivity search runs only when the step could have cut the region. Plain enumeration takes
-the cycles of the graph; the quotient search takes those of the orbit
-support rows and stops at the first whose voltages can be chosen to
-generate Z_k. Reversing a quotient cycle negates its voltages, so one
-direction finds a generating net voltage exactly when the other does.
-symmetric_hamcycles walks the same quotient cycles but lifts every voltage
+the cycles of the graph. The one symmetric search, symmetric_hamcycles,
+takes those of the orbit support rows and lifts each with every voltage
 choice that generates Z_k, so it yields every Hamilton cycle on which the
-automorphism acts as a rotation.
+automorphism acts as a rotation; find_symmetric_hamcycle is its first
+lift. Reversing a quotient cycle negates its voltages, so one direction
+has a generating choice exactly when the other does.
 
 check_hamcycle, the one check that a sequence is a Hamilton cycle, returns
-the tuple it checked; find_symmetric_hamcycle does not check its lift again.
+the tuple it checked; the symmetric search does not check its lifts.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 
 from .graph import Graph, reach
 from .perm import Perm, orbits, semiregular_order
@@ -99,6 +99,10 @@ def quotient_with_voltages(g: Graph, a: Perm) -> QuotientGraph:
             found.setdefault((orbit_of[u], orbit_of[v]), set()).add(
                 (exponent[v] - exponent[u]) % k)
     voltages = {pair: sorted(vs) for pair, vs in found.items()}
+    # a vertex sees one voltage per neighbour, so k arcs per voltage cover the
+    # 2m arcs iff every vertex of an orbit sees all of them: a maps edges to edges
+    if k * sum(map(len, voltages.values())) != 2 * g.m:
+        raise ValueError("permutation is not an automorphism")
     return QuotientGraph(k, orbit_lists, voltages)
 
 
@@ -133,27 +137,33 @@ def lift(qg: QuotientGraph, orbit_cycle, voltages) -> HamCycle:
     )
 
 
-def _voltage_choice(volt_sets: list[list[int]], k: int) -> list[int] | None:
-    """Pick one voltage per step so the total generates Z_k, or None.
+def _voltage_choices(volt_sets: list[list[int]], k: int):
+    """Every choice of one voltage per step whose total generates Z_k, once.
 
-    Reachable subsets are propagated forward; the least achievable generator
-    is reconstructed backwards, greedily taking the least voltage per step.
+    The sums reachable after each step are propagated forward. Totals come
+    in ascending order; within a total the steps are filled from the last
+    one back, taking the least voltage that leaves a sum the earlier steps
+    reach, so every branch completes. The search keeps an explicit stack of
+    (step, voltage, sum the steps up to it must reach): q can be thousands.
     """
     sums = [{0}]
     for vs in volt_sets:
         sums.append({(x + s) % k for x in sums[-1] for s in vs})
-    targets = sorted(t for t in sums[-1] if math.gcd(t, k) == 1)
-    if not targets:
-        return None
-    cur = targets[0]
     choice = [0] * len(volt_sets)
-    for i in range(len(volt_sets) - 1, -1, -1):
-        for s in volt_sets[i]:
-            if (cur - s) % k in sums[i]:
-                choice[i] = s
-                cur = (cur - s) % k
-                break
-    return choice
+    i = len(volt_sets) - 1
+    todo = [(i, s, t) for t in sorted(sums[-1], reverse=True) if math.gcd(t, k) == 1
+            for s in reversed(volt_sets[i]) if (t - s) % k in sums[i]]
+    while todo:
+        i, s, need = todo.pop()
+        choice[i] = s
+        need = (need - s) % k
+        if i > 1:
+            i -= 1
+            todo += [(i, s, need) for s in reversed(volt_sets[i]) if (need - s) % k in sums[i]]
+            continue
+        if i:  # the first step takes what is left, which sums[1] holds
+            choice[0] = need
+        yield tuple(choice)
 
 
 def _parallel_pairs(qg: QuotientGraph):
@@ -167,61 +177,45 @@ def _parallel_pairs(qg: QuotientGraph):
 
 
 def _support_cycles(qg: QuotientGraph):
-    """The quotient Hamilton cycles on one orbit or three or more whose
-    voltages can be chosen to generate Z_k, each with the voltage sets of its
-    arcs and _voltage_choice's choice. A single orbit is the path (0,) closed
-    by a loop; loops take no part in longer cycles, which come from
+    """The quotient Hamilton cycles on one orbit or three or more, each with
+    the voltage sets of its arcs. A single orbit is the path (0,) closed by a
+    loop; loops take no part in longer cycles, which come from
     _hamilton_cycles on the orbit support rows."""
-    k, q = qg.k, len(qg.orbit_lists)
+    q = len(qg.orbit_lists)
     avail = qg.voltages
     support = [0] * q
     for a, b in avail:
         if a != b:
             support[a] |= 1 << b
     for path in [(0,)] if q == 1 else _hamilton_cycles(support):
-        volt_sets = [avail.get((path[i], path[(i + 1) % q]), []) for i in range(q)]
-        choice = _voltage_choice(volt_sets, k)
-        if choice is not None:
-            yield path, volt_sets, choice
-
-
-def find_symmetric_hamcycle(g: Graph, a: Perm) -> HamCycle | None:
-    """A Hamilton cycle on which a acts as a rotation, or None.
-
-    Searches Hamilton cycles of the quotient multigraph, accepting one iff
-    its net voltage generates Z_k, then lifts: on two orbits the first pair
-    of parallel arcs, else the first of _support_cycles with its
-    _voltage_choice. The lift needs no check: lift refuses a quotient cycle
-    missing an orbit, an absent arc and a net voltage that does not
-    generate Z_k, and with a generating net voltage the walk visits each
-    vertex once along edges. Callers making a certificate replay it through
-    compression.cycle_compression.
-    """
-    qg = quotient_with_voltages(g, a)
-    if g.n < 3:
-        return None
-    if len(qg.orbit_lists) == 2:
-        found = next(_parallel_pairs(qg), None)
-    else:
-        found = next(((list(path), choice) for path, _, choice in _support_cycles(qg)), None)
-    return None if found is None else lift(qg, *found)
+        yield path, [avail.get((path[i], path[(i + 1) % q]), []) for i in range(q)]
 
 
 def symmetric_hamcycles(g: Graph, a: Perm):
     """Every Hamilton cycle on which a acts as a rotation, not canonicalized:
-    find_symmetric_hamcycle's quotient cycles, each lifted with every
-    voltage choice whose net generates Z_k. A cycle on one or two orbits
-    comes once per direction."""
+    the lifts of the parallel-arc pairs on two orbits, else of each cycle of
+    _support_cycles with every choice of _voltage_choices. A cycle on one or
+    two orbits comes once per direction. No lift needs a check: lift refuses
+    a quotient cycle missing an orbit, an absent arc and a net voltage that
+    does not generate Z_k, and for an automorphism a generating net voltage
+    makes the walk visit each vertex once along edges. Callers making a
+    certificate replay a lift through compression.cycle_compression."""
     qg = quotient_with_voltages(g, a)
     if g.n < 3:
         return
     if len(qg.orbit_lists) == 2:
         found = _parallel_pairs(qg)
     else:
-        found = ((path, choice) for path, volt_sets, _ in _support_cycles(qg)
-                 for choice in product(*volt_sets) if math.gcd(sum(choice), qg.k) == 1)
+        found = ((path, choice) for path, volt_sets in _support_cycles(qg)
+                 for choice in _voltage_choices(volt_sets, qg.k))
     for path, choice in found:
         yield lift(qg, path, choice)
+
+
+def find_symmetric_hamcycle(g: Graph, a: Perm) -> HamCycle | None:
+    """A Hamilton cycle on which a acts as a rotation, or None: the first
+    of symmetric_hamcycles."""
+    return next(symmetric_hamcycles(g, a), None)
 
 
 def _open_region_ok(rows, head: int, rest: int, lost: int) -> bool:

@@ -392,21 +392,29 @@ def test_ham_array_capped_group_finishes_the_plain_search(monkeypatch):
     assert_plain_ham(g, arr, "K12 + v", limit=50)
 
 
-def test_ham_array_limit_counts_plain_and_lifted_cycles():
+def test_ham_array_limit_counts_plain_and_lifted_cycles(monkeypatch):
     """limit counts the plain cycles up to the first with factor 1 and then
-    every lift. On Petersen's complement a cut array holds some of the full
-    values, and the limit that covers every examined cycle is exact."""
+    every lift, and the array examines no more: on Petersen's complement
+    it takes the least shift of min(limit, 73) cycles, a cut array holds
+    some of the full values, and the limit that covers every examined cycle
+    is exact. The probe for exhaustion pulls one more cycle but does not
+    examine it."""
     g = petersen().graph.complement()
     full = ham_array(g)
     assert full.values == (1, 5) and full.exact
-    cut = ham_array(g, limit=5)
-    assert not cut.exact and set(cut.values) <= set(full.values)
     cycles, _ = enumerate_hamcycles(g)
     plain = next(i for i, c in enumerate(cycles, 1) if cycle_compression(g, c).k == 1)
     reps = cyclic_semiregular_reps(automorphism_group(g))
     lifted = sum(1 for gens in reps.values() for a in gens for _ in symmetric_hamcycles(g, a))
-    assert ham_array(g, limit=plain + lifted) == full
-    assert not ham_array(g, limit=plain + lifted - 1).exact
+    assert plain + lifted == 73
+    least_shift, examined = compression._least_shift, []
+    monkeypatch.setattr(compression, "_least_shift",
+                        lambda *args: examined.append(args) or least_shift(*args))
+    for limit in range(1, 80):
+        examined.clear()
+        arr = ham_array(g, limit)
+        assert len(examined) == min(limit, 73), limit
+        assert arr == full if limit >= 73 else not arr.exact and set(arr.values) <= {1, 5}
 
 
 def test_exhaustive_mode_limit_marks_inexact():

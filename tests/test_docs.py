@@ -1,13 +1,16 @@
 """README checks: the quickstart states true values, the package root exports
 exactly the documented Library API, the CLI section names every subcommand,
-and the traced bench run can still find every function it wraps."""
+the traced bench run can still find every function it wraps, and every
+private name the docs mention exists."""
 
 import argparse
 import ast
 import importlib
 import importlib.util
 import inspect
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import hamcompress
@@ -211,3 +214,26 @@ def test_no_src_function_ignores_a_parameter():
             name = getattr(node, "name", f"lambda at line {node.lineno}")
             unread += [(path.name, name, p.arg) for p in params if p.arg not in read]
     assert unread == []
+
+
+def test_every_private_name_the_docs_mention_is_defined():
+    """Every underscore-prefixed name that README.md, a src/hamcompress
+    docstring or a src/ comment mentions is defined (as a function, class or
+    assigned name) in src/hamcompress: a renamed or deleted helper leaves
+    no stale mention. ROADMAP.md and CHANGES.md are history and stay out."""
+    private = re.compile(r"(?<![\w.])_[A-Za-z]\w*")
+    mentioned = {(name, "README.md") for name in private.findall(README)}
+    defined = set()
+    for path in sorted((ROOT / "src" / "hamcompress").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        texts = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                 if tok.type == tokenize.COMMENT]
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
+                texts.append(ast.get_docstring(node) or "")
+        mentioned.update((name, path.name) for text in texts for name in private.findall(text))
+    assert len(mentioned) > 10 and sorted(m for m in mentioned if m[0] not in defined) == []

@@ -1,10 +1,11 @@
 import itertools
 import math
+import random
 
 import pytest
 
 from conftest import acts_as_rotation, cycle_edges, graph_cycle, graph_k4, project_cycle
-from hamcompress.autgroup import automorphism_group, cyclic_semiregular_reps
+from hamcompress.autgroup import automorphism_group, cyclic_semiregular_reps, is_automorphism
 from hamcompress.families import (
     cayley_p3,
     generalized_petersen,
@@ -17,7 +18,7 @@ from hamcompress.families import (
 from hamcompress.graph import Graph
 from hamcompress.hamlift import (
     _hamilton_cycles,
-    _voltage_choice,
+    _voltage_choices,
     canonical_cycle,
     check_hamcycle,
     enumerate_hamcycles,
@@ -25,6 +26,7 @@ from hamcompress.hamlift import (
     find_symmetric_hamcycle,
     lift,
     quotient_with_voltages,
+    symmetric_hamcycles,
 )
 from hamcompress.perm import identity, is_semiregular, order, power
 
@@ -37,6 +39,32 @@ def test_quotient_rejects_non_semiregular():
     swap[0], swap[1] = swap[1], swap[0]
     with pytest.raises(ValueError):
         quotient_with_voltages(g, tuple(swap))
+
+
+def test_quotient_refuses_exactly_the_non_automorphisms():
+    """Every semiregular permutation of a few graphs on 4 and 6 vertices:
+    the quotient exists exactly for the automorphisms. The first one below
+    is not an automorphism of C6; lifted, it would run through the non-edge
+    5-2."""
+    c6 = graph_cycle(6)
+    with pytest.raises(ValueError, match="permutation is not an automorphism"):
+        find_symmetric_hamcycle(c6, (5, 4, 3, 1, 0, 2))
+    graphs = [c6, generalized_petersen(3, 1).graph, graph_k4(),
+              Graph.build(6, [(u, v) for u in range(3) for v in range(3, 6)]),
+              Graph.build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (0, 3), (2, 5)])]
+    counts = [0, 0]
+    for g in graphs:
+        for a in itertools.permutations(range(g.n)):
+            if order(a) < 2 or not is_semiregular(a, order(a)):
+                continue
+            auto = is_automorphism(g, a)
+            counts[auto] += 1
+            if auto:
+                quotient_with_voltages(g, a)
+            else:
+                with pytest.raises(ValueError, match="permutation is not an automorphism"):
+                    quotient_with_voltages(g, a)
+    assert min(counts) > 0
 
 
 def test_quotient_x372_double_arcs():
@@ -259,11 +287,39 @@ def test_hamilton_search_matches_unpruned_reference_on_atlas():
         _assert_search_matches_reference(Graph.build(h.number_of_nodes(), h.edges()), index)
 
 
+def _brute_voltage_choices(volt_sets, k):
+    """Every choice of one voltage per step whose total generates Z_k, by
+    ascending total and then by the reversed choice."""
+    return sorted((c for c in itertools.product(*volt_sets) if math.gcd(sum(c), k) == 1),
+                  key=lambda c: (sum(c) % k, c[::-1]))
+
+
+def test_voltage_choices_match_brute_force():
+    """Seeded random voltage sets, ascending and free of duplicates as in a
+    quotient: the choices are exactly the generating ones of the product,
+    once each, the first being the least by (total mod k, reversed tuple).
+    The order is that key's throughout, on a few thousand steps too."""
+    rng = random.Random(27)
+    yielded = 0
+    for _ in range(3000):
+        k, q = rng.randint(2, 12), rng.randint(1, 6)
+        volt_sets = [sorted(rng.sample(range(k), rng.randint(0, min(k, 4)))) for _ in range(q)]
+        got = list(_voltage_choices(volt_sets, k))
+        assert len(set(got)) == len(got)
+        assert got == _brute_voltage_choices(volt_sets, k), (volt_sets, k)
+        yielded += len(got)
+    assert yielded > 10_000
+    # no recursion: quotients reach thousands of orbits (GP(2000, 1) by an
+    # order-2 rotation has 2000)
+    assert next(_voltage_choices([[0, 1]] * 5000, 2)) == (1,) + (0,) * 4999
+
+
 def _reference_quotient_search(qg):
     """The quotient search with no pruning and both directions: one orbit
     takes its least generating loop voltage, two orbits the lexicographically
     first pair of distinct parallel arcs, and more orbits the first cycle of
-    the unpruned reference DFS on the support whose voltages can generate."""
+    the unpruned reference DFS on the support whose voltages can generate,
+    with the brute-force least choice."""
     k, q = qg.k, len(qg.orbit_lists)
     avail = qg.voltages
     if q == 1:
@@ -279,9 +335,10 @@ def _reference_quotient_search(qg):
         return None
     support = Graph.build(q, [(a, b) for a, b in avail if a < b])
     for path in _reference_cycles(support):
-        choice = _voltage_choice([avail[(path[i], path[(i + 1) % q])] for i in range(q)], k)
-        if choice is not None:
-            return list(path), choice
+        choices = _brute_voltage_choices([avail[(path[i], path[(i + 1) % q])]
+                                          for i in range(q)], k)
+        if choices:
+            return list(path), choices[0]
     return None
 
 
@@ -289,7 +346,8 @@ def test_symmetric_search_matches_both_direction_reference():
     """find_symmetric_hamcycle lifts the certificate the unpruned
     both-direction reference picks, for every cyclic semiregular generator:
     the one-way search keeps the first accepted quotient cycle and its
-    voltage choice, and the two-orbit case keeps its own pair order."""
+    voltage choice, and the two-orbit case keeps its own pair order. It is
+    the first cycle symmetric_hamcycles yields."""
     graphs = [generalized_petersen(n, r).graph
               for n in range(3, 13) for r in range(1, (n + 1) // 2)]
     sym = ((1, 4), (2, 3), (1, 2, 3, 4))
@@ -307,6 +365,7 @@ def test_symmetric_search_matches_both_direction_reference():
                 expected = lift(qg, *ref) if ref is not None else None
                 found = find_symmetric_hamcycle(g, a)
                 assert found == expected, (index, a)
+                assert found == next(symmetric_hamcycles(g, a), None), (index, a)
                 if found is not None:  # the lift is a Hamilton cycle unchecked by the search
                     check_hamcycle(g, found)
                 pairs += 1
