@@ -48,6 +48,7 @@ from .perm import (
     Perm,
     compose,
     identity,
+    inverse,
     is_fixed_point_free,
     semiregular_order,
 )
@@ -274,6 +275,12 @@ def cyclic_semiregular_reps(group: GroupData) -> dict[int, list[Perm]]:
     of its subgroup, and claims that subgroup's other generators a^e,
     gcd(e, k) = 1, read off the successive products a^2, ..., a^(k-1).
     """
+    return _semiregular_subgroups(group)[0]
+
+
+def _semiregular_subgroups(group: GroupData) -> tuple[dict[int, list[Perm]], dict[Perm, Perm]]:
+    """The reps of `cyclic_semiregular_reps`, and the rep of the subgroup of
+    each generator a^e, gcd(e, k) = 1, that the pass reads."""
     pool = group.elements
     if group.capped:
         powers: set[Perm] = set()
@@ -284,20 +291,56 @@ def cyclic_semiregular_reps(group: GroupData) -> dict[int, list[Perm]]:
                 p = compose(gen, p)
         pool = sorted(powers)
     reps: dict[int, list[Perm]] = {}
-    claimed: set[Perm] = set()
+    rep_of: dict[Perm, Perm] = {}
     for a in pool:
-        if a in claimed:
+        if a in rep_of:
             continue
         k = semiregular_order(a)
         if k < 2:
             continue
         reps.setdefault(k, []).append(a)
-        p = a
+        rep_of[a] = p = a
         for e in range(2, k):
             p = compose(a, p)
             if gcd(e, k) == 1:
-                claimed.add(p)
-    return reps
+                rep_of[p] = a
+    return reps, rep_of
+
+
+def _semiregular_classes(group: GroupData) -> dict[int, dict[Perm, tuple[Perm, Perm]]]:
+    """The reps of `cyclic_semiregular_reps` of an uncapped group, keyed by
+    order and then ascending, each mapped to (a, x): a is the least rep
+    whose subgroup is conjugate to its own, and x<a>x^-1 = <b> for the rep
+    b; a maps to itself and the identity.
+
+    Breadth-first from each a not yet reached: conjugating a reached rep b
+    by a generator s gives an element of s<b>s^-1, whose rep the pass that
+    found the reps recorded, with s·x as its conjugator. The generators
+    generate the group, so the search reaches a's whole class; an order
+    stops once each of its reps is reached.
+    """
+    reps, rep_of = _semiregular_subgroups(group)
+    gens = [(s, inverse(s)) for s in group.generators]
+    classes: dict[int, dict[Perm, tuple[Perm, Perm]]] = {}
+    for k, ks in reps.items():
+        source: dict[Perm, tuple[Perm, Perm]] = {}
+        for a in ks:
+            if a in source:
+                continue
+            one = identity(len(a))
+            source[a] = (a, one)
+            todo = [(a, one)]
+            for b, x in todo:  # grows as the search goes
+                if len(source) == len(ks):
+                    break
+                for s, s_inv in gens:
+                    c = rep_of[compose(s, compose(b, s_inv))]
+                    if c not in source:
+                        y = compose(s, x)
+                        source[c] = (a, y)
+                        todo.append((c, y))
+        classes[k] = {b: source[b] for b in ks}
+    return classes
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,15 @@
 The compression factor of a Hamilton cycle is n divided by the least
 positive position-shift along the cycle that is an automorphism of the
 graph; the shifts that work form a subgroup of Z_n, so only the divisors of
-n are tried. The graph invariant is the maximum over all Hamilton cycles,
+a shift known to work are tried: n, or n/k for a lift from a subgroup of
+order k. The graph invariant is the maximum over all Hamilton cycles,
 computed either by a descending divisor sweep over cyclic semiregular
 subgroups (lift mode) or as the maximum of the Ham array (exhaustive mode).
 The Ham array takes factor 1 from the plain search and every factor k >= 2
 from the lifts of quotient Hamilton cycles, since a cycle with factor k is
-symmetric under its rotation by n/k.
+symmetric under its rotation by n/k. One symmetric search runs per
+conjugacy class of those subgroups: an automorphism carries the lifts of
+one subgroup onto those of its conjugate, with the same factors.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from itertools import islice
 from operator import itemgetter
 
 from .autgroup import (
+    GroupData,
+    _semiregular_classes,
     automorphism_group,
     cyclic_semiregular_reps,
     is_automorphism,
@@ -38,7 +43,7 @@ from .hamlift import (
     symmetric_hamcycles,
 )
 from .numth import divisors, factorize, is_prime
-from .perm import Perm, semiregular_order
+from .perm import Perm, compose, semiregular_order
 
 
 @dataclass(frozen=True)
@@ -65,19 +70,22 @@ def _certificate(cycle: HamCycle, shift: int) -> CompressionCertificate:
     return CompressionCertificate(cycle, len(cycle) // shift, shift, _rotations(cycle)(shift))
 
 
-def _least_shift(g: Graph, cycle: HamCycle, shifts: list[int]) -> int:
+def _least_shift(g: Graph, cycle: HamCycle, shifts) -> int:
     """Least position shift whose rotation along the cycle is an automorphism
-    of g. The working shifts form a subgroup of Z_n, so the least one divides
-    n: shifts are the proper divisors of n, and the shift n (the identity)
-    always works."""
+    of g. shifts are the ascending divisors of a shift known to work, which
+    is returned untested: the working shifts form a subgroup of Z_n, so the
+    least one divides every other."""
+    *tried, known = shifts
+    if not tried:
+        return known
     rotate = _rotations(cycle)
-    return next((s for s in shifts if is_automorphism(g, rotate(s))), len(cycle))
+    return next((s for s in tried if is_automorphism(g, rotate(s))), known)
 
 
 def cycle_compression(g: Graph, cycle) -> CompressionCertificate:
     """Exact compression factor of one Hamilton cycle of g."""
     cycle = canonical_cycle(check_hamcycle(g, cycle))
-    return _certificate(cycle, _least_shift(g, cycle, divisors(g.n)[:-1]))
+    return _certificate(cycle, _least_shift(g, cycle, divisors(g.n)))
 
 
 @dataclass(frozen=True)
@@ -135,33 +143,59 @@ class HamArray:
     certificates: dict[int, CompressionCertificate]
 
 
+def _lifts(g: Graph, group: GroupData):
+    """Every lift of the cyclic semiregular reps of the uncapped group, as
+    (canonical cycle, shifts, kept) for ham_array's loop, rep by rep in
+    ascending order within each order k. shifts are the divisors of n/k:
+    the rotation by n/k positions is a power of the rep. The symmetric
+    search runs once per conjugacy class, on its least rep a; a rep b with
+    <b> = x<a>x^-1 takes x's images of a's lifts, in a's order, with their
+    least shifts as the only candidates, since x keeps them. The loop
+    appends each lift of a with its shift to kept, which is held until the
+    order is done, and None where no other rep reads it."""
+    n = g.n
+    for k, source in _semiregular_classes(group).items():
+        shifts = divisors(n // k)
+        kept = {a: [] for b, (a, _) in source.items() if a != b}
+        for b, (a, x) in source.items():
+            if a == b:
+                for cycle in symmetric_hamcycles(g, a):
+                    yield canonical_cycle(cycle), shifts, kept.get(a)
+            else:
+                for cycle, shift in kept[a]:
+                    yield canonical_cycle(compose(x, cycle)), (shift,), None
+
+
 def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
     """Each cycle with factor k >= 2 lifts from the quotient by its rotation
     of order k, so one stream of cycles is examined: the plain search up to
     its first cycle with factor 1, then the lifts over the cyclic
-    semiregular reps, or the rest of the plain search when the group is
-    capped, since its reps can miss subgroups. Each value keeps its least
-    canonical cycle; limit counts the cycles examined."""
+    semiregular reps, from one symmetric search per conjugacy class
+    (`_lifts`), or the rest of the plain search when the group is capped,
+    since its reps can miss subgroups. Each value keeps its least canonical
+    cycle; limit counts the cycles examined, a mapped lift too."""
     if limit < 1:
         raise ValueError("limit must be positive")
     certs: dict[int, CompressionCertificate] = {}
     n = g.n
-    shifts = divisors(n)[:-1] if n else []
 
     def stream():
         plain = _hamilton_cycles(g.rows)
+        shifts = divisors(n) if n else []
         for cycle in plain:
-            yield cycle
+            yield cycle, shifts, None
             if 1 in certs:  # the cycle just examined has factor 1
                 break
         if 1 in certs and not (group := automorphism_group(g)).capped:
-            plain = (canonical_cycle(c) for gens in cyclic_semiregular_reps(group).values()
-                     for a in gens for c in symmetric_hamcycles(g, a))
-        yield from plain
+            yield from _lifts(g, group)
+        else:
+            yield from ((cycle, shifts, None) for cycle in plain)
 
     cycles = stream()
-    for cycle in islice(cycles, min(limit, sys.maxsize)):  # islice refuses a larger stop
+    for cycle, shifts, kept in islice(cycles, min(limit, sys.maxsize)):  # islice refuses a larger stop
         shift = _least_shift(g, cycle, shifts)
+        if kept is not None:
+            kept.append((cycle, shift))
         k = n // shift
         if k not in certs or cycle < certs[k].cycle:
             certs[k] = _certificate(cycle, shift)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
+import random
 
 import pytest
 
+from hamcompress.autgroup import cyclic_semiregular_reps
 from hamcompress.compression import cycle_compression
 from hamcompress.families import (
     circulant,
@@ -16,6 +19,7 @@ from hamcompress.families import (
 )
 from hamcompress.graph import Graph
 from hamcompress.hamlift import ENUM_LIMIT, enumerate_hamcycles
+from hamcompress.perm import compose, inverse, power, semiregular_order
 
 
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -39,6 +43,29 @@ def brute_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def conjugacy_sources(group) -> dict[tuple[int, ...], tuple]:
+    """Brute force over the element list of an uncapped group: each cyclic
+    semiregular rep b mapped to (a, x), where a is the least rep whose
+    subgroup is conjugate to b's and x is the first element with
+    x<a>x^-1 = <b>."""
+    rep_of = {}
+    for gens in cyclic_semiregular_reps(group).values():
+        for b in gens:
+            k = semiregular_order(b)
+            rep_of.update((power(b, e), b) for e in range(1, k) if math.gcd(e, k) == 1)
+    reps = sorted(set(rep_of.values()))
+    inverses = {x: inverse(x) for x in group.elements}
+    sources = {}
+    for a in reps:
+        if a in sources:
+            continue
+        for x in group.elements:
+            sources.setdefault(rep_of[compose(x, compose(a, inverses[x]))], (a, x))
+            if len(sources) == len(reps):
+                return sources
+    return sources
 
 
 def cycle_edges(seq) -> set[frozenset[int]]:
@@ -99,6 +126,77 @@ def assert_plain_ham(g: Graph, arr, label, limit: int = ENUM_LIMIT) -> None:
     assert arr.values == (tuple(sorted(least)) or (0,)), label
     assert {k: (c.cycle, c.shift) for k, c in arr.certificates.items()} == {
         k: (c.cycle, c.shift) for k, c in least.items()}, label
+
+
+def _perm(degree: int, *cycles) -> tuple[int, ...]:
+    """The permutation of range(degree) with the given cycles."""
+    img = list(range(degree))
+    for cyc in cycles:
+        for i, v in enumerate(cyc):
+            img[v] = cyc[(i + 1) % len(cyc)]
+    return tuple(img)
+
+
+def _dihedral(m: int) -> list[tuple[int, ...]]:
+    return [_perm(m, tuple(range(m))), _perm(m, *[(i, m - i) for i in range(1, (m + 1) // 2)])]
+
+
+# Generators of small groups as permutations: the dihedral groups of the
+# m-gon, Q8 on its eight units, A4 on four points, C3 x| C4 as a 3-cycle
+# inverted by a transposition times a commuting 4-cycle, and two abelian
+# groups as products of cycles on disjoint points.
+SMALL_GROUPS = {
+    **{f"D{m}": _dihedral(m) for m in range(3, 9)},
+    "Q8": [_perm(8, (0, 1, 2, 3), (4, 5, 6, 7)), _perm(8, (0, 4, 2, 6), (1, 7, 3, 5))],
+    "A4": [_perm(4, (0, 1, 2)), _perm(4, (0, 1), (2, 3))],
+    "C3:C4": [_perm(7, (0, 1, 2)), _perm(7, (1, 2), (3, 4, 5, 6))],
+    "C2xC6": [_perm(8, (0, 1)), _perm(8, (2, 3, 4, 5, 6, 7))],
+    "C3xC4": [_perm(7, (0, 1, 2)), _perm(7, (3, 4, 5, 6))],
+}
+
+
+def _group_elements(gens) -> list[tuple[int, ...]]:
+    """The group the permutations generate, by closure, sorted."""
+    found = {tuple(range(len(gens[0])))}
+    todo = list(found)
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            y = tuple(s[v] for v in x)
+            if y not in found:
+                found.add(y)
+                todo.append(y)
+    return sorted(found)
+
+
+def random_cayley_census():
+    """(label, graph) for seeded random connected Cayley graphs of small
+    groups, ten per group: the vertices are the group elements in a
+    shuffled order, and x ~ xs for each s of a symmetric connection set of
+    degree 2 to 4 (the left-regular representation acts by automorphisms)."""
+    rng = random.Random(26)
+    expected_orders = {"D3": 6, "D4": 8, "D5": 10, "D6": 12, "D7": 14, "D8": 16, "Q8": 8,
+                       "A4": 12, "C3:C4": 12, "C2xC6": 12, "C3xC4": 12}
+    for name, gens in SMALL_GROUPS.items():
+        elems = _group_elements(gens)
+        assert len(elems) == expected_orders[name], name
+        one = elems[0]
+        inv = {x: tuple(sorted(range(len(x)), key=x.__getitem__)) for x in elems}
+        made = 0
+        while made < 10:
+            rng.shuffle(elems)
+            degree = rng.randint(2, 4)
+            conn: set = set()
+            for x in rng.sample([x for x in elems if x != one], len(elems) - 1):
+                if len(conn | {x, inv[x]}) <= degree:
+                    conn |= {x, inv[x]}
+            idx = {x: i for i, x in enumerate(elems)}
+            g = Graph.build(len(elems), {tuple(sorted((idx[x], idx[tuple(s[v] for v in x)])))
+                                         for x in elems for s in conn})
+            if not g.is_connected():
+                continue
+            made += 1
+            yield (name, sorted(idx[s] for s in conn), [idx[x] for x in sorted(elems)]), g
 
 
 def graph_k4() -> Graph:

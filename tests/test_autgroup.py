@@ -5,16 +5,20 @@ import pytest
 
 from conftest import (
     brute_automorphisms,
+    conjugacy_sources,
     graph_complete,
     graph_complete_bipartite,
     graph_cycle,
     graph_disjoint_complete,
     graph_k4,
     graph_k33,
+    random_cayley_census,
+    small_corpus,
 )
 from hamcompress.autgroup import (
     DEFAULT_CAP,
     GroupData,
+    _semiregular_classes,
     automorphism_group,
     cyclic_semiregular_reps,
     is_automorphism,
@@ -32,7 +36,15 @@ from hamcompress.families import (
     y_qp,
 )
 from hamcompress.graph import Graph
-from hamcompress.perm import compose, identity, is_semiregular, order, semiregular_order
+from hamcompress.perm import (
+    compose,
+    identity,
+    inverse,
+    is_semiregular,
+    order,
+    power,
+    semiregular_order,
+)
 
 
 def test_is_automorphism_basic():
@@ -374,6 +386,28 @@ def test_cyclic_semiregular_reps_one_least_generator_per_subgroup():
     the least generator of each is the rotation by 15/k."""
     reps = cyclic_semiregular_reps(automorphism_group(graph_cycle(15)))
     assert reps == {k: [tuple((v + 15 // k) % 15 for v in range(15))] for k in (3, 5, 15)}
+
+
+def test_semiregular_classes_match_brute_force_conjugacy():
+    """_semiregular_classes maps each cyclic semiregular rep b to the least
+    rep a whose subgroup is conjugate to b's, as conjugating by every element
+    finds, and to an automorphism x with x<a>x^-1 = <b>, keeping each
+    order's reps ascending."""
+    graphs = [g for _, g in random_cayley_census()] + [g for _, g in small_corpus()]
+    conjugated = 0
+    for g in graphs:
+        group = automorphism_group(g)
+        classes = _semiregular_classes(group)
+        assert {k: list(src) for k, src in classes.items()} == cyclic_semiregular_reps(group)
+        brute = conjugacy_sources(group)
+        for src in classes.values():
+            for b, (a, x) in src.items():
+                assert a == brute[b][0]
+                assert is_automorphism(g, x)
+                c = compose(x, compose(a, inverse(x)))  # of a's order, so it generates <b>
+                assert c in {power(b, e) for e in range(semiregular_order(b))}
+                conjugated += a != b
+    assert conjugated == 3500
 
 
 def _holds_n_cycle(sub: tuple) -> bool:

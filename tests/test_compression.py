@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     assert_plain_ham,
+    conjugacy_sources,
     graph_complete,
     graph_complete_bipartite,
     graph_cycle,
@@ -394,11 +395,15 @@ def test_ham_array_capped_group_finishes_the_plain_search(monkeypatch):
 
 def test_ham_array_limit_counts_plain_and_lifted_cycles(monkeypatch):
     """limit counts the plain cycles up to the first with factor 1 and then
-    every lift, and the array examines no more: on Petersen's complement
-    it takes the least shift of min(limit, 73) cycles, a cut array holds
-    some of the full values, and the limit that covers every examined cycle
-    is exact. The probe for exhaustion pulls one more cycle but does not
-    examine it."""
+    every lift, and the array examines no more. Each examined cycle takes
+    one `_least_shift` call, a mapped lift too, with its source's shift as
+    the only candidate, which is returned untested; so the calls count the
+    examined cycles. On Petersen's complement they are min(limit, 73): one
+    plain cycle, with the divisors of 10, the 12 lifts of the one rep of
+    order 5 that is searched, with the divisors of 2, and 60 images of them
+    for its five conjugates. A cut array holds some of the full values, and
+    the limit that covers every examined cycle is exact. The probe for
+    exhaustion pulls one more cycle but does not examine it."""
     g = petersen().graph.complement()
     full = ham_array(g)
     assert full.values == (1, 5) and full.exact
@@ -409,12 +414,33 @@ def test_ham_array_limit_counts_plain_and_lifted_cycles(monkeypatch):
     assert plain + lifted == 73
     least_shift, examined = compression._least_shift, []
     monkeypatch.setattr(compression, "_least_shift",
-                        lambda *args: examined.append(args) or least_shift(*args))
+                        lambda *args: examined.append(args[2]) or least_shift(*args))
     for limit in range(1, 80):
         examined.clear()
         arr = ham_array(g, limit)
         assert len(examined) == min(limit, 73), limit
         assert arr == full if limit >= 73 else not arr.exact and set(arr.values) <= {1, 5}
+    assert [tuple(s) for s in examined] == [(1, 2, 5, 10)] + [(1, 2)] * 12 + [(2,)] * 60
+
+
+def test_ham_array_runs_one_symmetric_search_per_conjugacy_class(monkeypatch):
+    """ham_array runs symmetric_hamcycles once per class of conjugate cyclic
+    semiregular subgroups, on its least rep, as conjugating by every element
+    finds them: once on Petersen's complement, whose six reps (all of order
+    5) are conjugate, and ten times for the 21 reps of the circulant C12(2,
+    3), whose orders 2, 4 and 6 hold four, two and two classes. The arrays
+    still equal the plain oracle."""
+    searched, search = [], compression.symmetric_hamcycles
+    monkeypatch.setattr(compression, "symmetric_hamcycles",
+                        lambda g, a: searched.append(a) or search(g, a))
+    for g, reps, classes in ((petersen().graph.complement(), 6, 1),
+                             (circulant(12, {2, 3, 9, 10}).graph, 21, 10)):
+        searched.clear()
+        assert_plain_ham(g, ham_array(g), g.n)
+        sources = conjugacy_sources(automorphism_group(g))
+        assert len(sources) == reps
+        assert sorted(searched) == sorted(a for b, (a, _) in sources.items() if a == b)
+        assert len(searched) == classes
 
 
 def test_exhaustive_mode_limit_marks_inexact():

@@ -1,10 +1,19 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import acts_as_rotation, cycle_edges, graph_cycle, graph_k4, project_cycle
+from conftest import (
+    acts_as_rotation,
+    conjugacy_sources,
+    cycle_edges,
+    graph_cycle,
+    graph_k4,
+    project_cycle,
+    random_cayley_census,
+)
 from hamcompress.autgroup import automorphism_group, cyclic_semiregular_reps, is_automorphism
 from hamcompress.families import (
     cayley_p3,
@@ -28,7 +37,7 @@ from hamcompress.hamlift import (
     quotient_with_voltages,
     symmetric_hamcycles,
 )
-from hamcompress.perm import identity, is_semiregular, order, power
+from hamcompress.perm import compose, identity, inverse, is_semiregular, order, power
 
 
 def test_quotient_rejects_non_semiregular():
@@ -386,3 +395,41 @@ def test_canonical_cycle_collapses_symmetries():
         variants.add(canonical_cycle(rotated))
         variants.add(canonical_cycle(tuple(reversed(rotated))))
     assert len(variants) == 1
+
+
+def _least_shift_by_scan(g: Graph, cycle) -> int:
+    """Least s in 1..n whose rotation by s positions along the cycle is an
+    automorphism of g, trying every s."""
+    n = len(cycle)
+    pos = {v: i for i, v in enumerate(cycle)}
+    return next(s for s in range(1, n + 1)
+                if is_automorphism(g, tuple(cycle[(pos[v] + s) % n] for v in range(n))))
+
+
+def test_conjugate_reps_lift_to_the_images_of_each_other():
+    """For reps a and b of conjugate subgroups, x<a>x^-1 = <b>, the canonical
+    lifts of b are x's images of a's lifts, as multisets, and each image has
+    its source's least shift; and the same from b back to a by x^-1. The
+    pairs join each rep to the least rep of its class, both found by brute
+    force, on the random Cayley census, Petersen's complement and GP(10,3).
+    ham_array runs one symmetric search per conjugacy class on this."""
+    graphs = [*random_cayley_census(), ("petersen-complement", petersen().graph.complement()),
+              ("gp-10-3", generalized_petersen(10, 3).graph)]
+    pairs = images = 0
+    for label, g in graphs:
+        group = automorphism_group(g)
+        lifts, shift = {}, {}
+        for b, (a, x) in conjugacy_sources(group).items():
+            if a == b:
+                continue
+            for r in (a, b):
+                if r not in lifts:
+                    lifts[r] = [canonical_cycle(c) for c in symmetric_hamcycles(g, r)]
+                    shift.update((c, _least_shift_by_scan(g, c)) for c in lifts[r])
+            for src, dst, y in ((a, b, x), (b, a, inverse(x))):
+                mapped = [canonical_cycle(compose(y, c)) for c in lifts[src]]
+                assert Counter(mapped) == Counter(lifts[dst]), (label, src, dst)
+                assert [shift[c] for c in mapped] == [shift[c] for c in lifts[src]], (label, src)
+                pairs += 1
+                images += len(mapped)
+    assert (pairs, images) == (6804, 22316)

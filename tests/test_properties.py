@@ -22,6 +22,7 @@ from conftest import (
     graph_star,
     plain_ham,
     project_cycle,
+    random_cayley_census,
 )
 from hamcompress.autgroup import (
     DEFAULT_CAP,
@@ -310,89 +311,24 @@ def test_atlas_census():
     assert counts == complete_regular
 
 
-def _perm(degree: int, *cycles) -> tuple[int, ...]:
-    """The permutation of range(degree) with the given cycles."""
-    img = list(range(degree))
-    for cyc in cycles:
-        for i, v in enumerate(cyc):
-            img[v] = cyc[(i + 1) % len(cyc)]
-    return tuple(img)
-
-
-def _dihedral(m: int) -> list[tuple[int, ...]]:
-    return [_perm(m, tuple(range(m))), _perm(m, *[(i, m - i) for i in range(1, (m + 1) // 2)])]
-
-
-# Generators of small groups as permutations: the dihedral groups of the
-# m-gon, Q8 on its eight units, A4 on four points, C3 x| C4 as a 3-cycle
-# inverted by a transposition times a commuting 4-cycle, and two abelian
-# groups as products of cycles on disjoint points.
-SMALL_GROUPS = {
-    **{f"D{m}": _dihedral(m) for m in range(3, 9)},
-    "Q8": [_perm(8, (0, 1, 2, 3), (4, 5, 6, 7)), _perm(8, (0, 4, 2, 6), (1, 7, 3, 5))],
-    "A4": [_perm(4, (0, 1, 2)), _perm(4, (0, 1), (2, 3))],
-    "C3:C4": [_perm(7, (0, 1, 2)), _perm(7, (1, 2), (3, 4, 5, 6))],
-    "C2xC6": [_perm(8, (0, 1)), _perm(8, (2, 3, 4, 5, 6, 7))],
-    "C3xC4": [_perm(7, (0, 1, 2)), _perm(7, (3, 4, 5, 6))],
-}
-
-
-def _group_elements(gens) -> list[tuple[int, ...]]:
-    """The group the permutations generate, by closure, sorted."""
-    found = {tuple(range(len(gens[0])))}
-    todo = list(found)
-    while todo:
-        x = todo.pop()
-        for s in gens:
-            y = tuple(s[v] for v in x)
-            if y not in found:
-                found.add(y)
-                todo.append(y)
-    return sorted(found)
-
-
 def test_random_cayley_census():
-    """Seeded random connected Cayley graphs of small groups, ten per group:
-    the vertices are the group elements in a shuffled order, and x ~ xs for
-    each s of a symmetric connection set of degree 2 to 4 (the left-regular
-    representation acts by automorphisms). Lift and exhaustive kappa and
-    the Ham array equal the plain oracle, which uses no group, and every
-    graph is Cayley. Random graphs are almost never symmetric; here the
-    lifts supply every value above 1 on a quarter of the graphs."""
-    rng = random.Random(26)
-    expected_orders = {"D3": 6, "D4": 8, "D5": 10, "D6": 12, "D7": 14, "D8": 16, "Q8": 8,
-                       "A4": 12, "C3:C4": 12, "C2xC6": 12, "C3xC4": 12}
+    """Seeded random connected Cayley graphs of small groups, ten per group
+    (`random_cayley_census`): lift and exhaustive kappa and the Ham array
+    equal the plain oracle, which uses no group, and every graph is Cayley.
+    Random graphs are almost never symmetric; here the lifts supply every
+    value above 1 on a quarter of the graphs."""
     mixed = 0  # arrays holding 1 and a larger value: the larger ones came from lifts
-    for name, gens in SMALL_GROUPS.items():
-        elems = _group_elements(gens)
-        assert len(elems) == expected_orders[name], name
-        one = elems[0]
-        inv = {x: tuple(sorted(range(len(x)), key=x.__getitem__)) for x in elems}
-        made = 0
-        while made < 10:
-            rng.shuffle(elems)
-            degree = rng.randint(2, 4)
-            conn: set = set()
-            for x in rng.sample([x for x in elems if x != one], len(elems) - 1):
-                if len(conn | {x, inv[x]}) <= degree:
-                    conn |= {x, inv[x]}
-            idx = {x: i for i, x in enumerate(elems)}
-            g = Graph.build(len(elems), {tuple(sorted((idx[x], idx[tuple(s[v] for v in x)])))
-                                         for x in elems for s in conn})
-            if not g.is_connected():
-                continue
-            made += 1
-            label = (name, sorted(idx[s] for s in conn), [idx[x] for x in sorted(elems)])
-            least, exhaustive = plain_ham(g)
-            assert exhaustive, label
-            lift_res = hamilton_compression(g, "lift")
-            exh_res = hamilton_compression(g, "exhaustive")
-            assert lift_res.exact and exh_res.exact, label
-            assert lift_res.kappa == exh_res.kappa == max(least, default=0), label
-            arr = ham_array(g)
-            assert_plain_ham(g, arr, label)
-            mixed += arr.values[0] == 1 < len(arr.values)
-            assert is_cayley(g) == "yes", label
+    for label, g in random_cayley_census():
+        least, exhaustive = plain_ham(g)
+        assert exhaustive, label
+        lift_res = hamilton_compression(g, "lift")
+        exh_res = hamilton_compression(g, "exhaustive")
+        assert lift_res.exact and exh_res.exact, label
+        assert lift_res.kappa == exh_res.kappa == max(least, default=0), label
+        arr = ham_array(g)
+        assert_plain_ham(g, arr, label)
+        mixed += arr.values[0] == 1 < len(arr.values)
+        assert is_cayley(g) == "yes", label
     assert mixed >= 20, mixed  # 30 of the 110 with this seed
 
 
