@@ -11,7 +11,7 @@ The Ham array takes factor 1 from the plain search and every factor k >= 2
 from the lifts of quotient Hamilton cycles, since a cycle with factor k is
 symmetric under its rotation by n/k. One symmetric search runs per
 conjugacy class of those subgroups: an automorphism carries the lifts of
-one subgroup onto those of its conjugate, with the same factors.
+one subgroup onto those of its conjugate, with the same factors and shifts.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from itertools import islice
 from operator import itemgetter
 
 from .autgroup import (
-    GroupData,
     _semiregular_classes,
     automorphism_group,
     cyclic_semiregular_reps,
@@ -74,10 +73,9 @@ def _least_shift(g: Graph, cycle: HamCycle, shifts) -> int:
     """Least position shift whose rotation along the cycle is an automorphism
     of g. shifts are the ascending divisors of a shift known to work, which
     is returned untested: the working shifts form a subgroup of Z_n, so the
-    least one divides every other."""
+    least one divides every other. The Ham array's stream calls it on each
+    plain cycle and searched lift, never on an image of a lift."""
     *tried, known = shifts
-    if not tried:
-        return known
     rotate = _rotations(cycle)
     return next((s for s in tried if is_automorphism(g, rotate(s))), known)
 
@@ -143,66 +141,57 @@ class HamArray:
     certificates: dict[int, CompressionCertificate]
 
 
-def _lifts(g: Graph, group: GroupData):
-    """Every lift of the cyclic semiregular reps of the uncapped group, as
-    (canonical cycle, shifts, kept) for ham_array's loop, rep by rep in
-    ascending order within each order k. shifts are the divisors of n/k:
-    the rotation by n/k positions is a power of the rep. The symmetric
-    search runs once per conjugacy class, on its least rep a; a rep b with
-    <b> = x<a>x^-1 takes x's images of a's lifts, in a's order, with their
-    least shifts as the only candidates, since x keeps them. The loop
-    appends each lift of a with its shift to kept, which is held until the
-    order is done, and None where no other rep reads it."""
+def _examined(g: Graph):
+    """The stream ham_array reads, as (canonical cycle, least shift): the
+    plain search, each cycle tested over the divisors of n, up to its first
+    cycle with factor 1, then the lifts of the cyclic semiregular reps, or
+    the rest of the plain search when the group is capped, since its reps
+    can miss subgroups. Within each order k the reps come in ascending
+    order and the symmetric search runs once per conjugacy class, on its
+    least rep a, testing each lift over the divisors of n/k: its rotation
+    by n/k positions is a power of a. A rep b with <b> = x<a>x^-1 takes x's
+    images of a's lifts, in a's order, each with its source's shift, since
+    x keeps it; a's lifts are kept only when such a b reads them."""
     n = g.n
+    plain = _hamilton_cycles(g.rows)
+    shifts = divisors(n) if n else []
+    for cycle in plain:
+        yield cycle, (shift := _least_shift(g, cycle, shifts))
+        if shift == n:
+            break
+    else:
+        return  # no cycle with factor 1: the plain search has seen every cycle
+    if (group := automorphism_group(g)).capped:
+        yield from ((cycle, _least_shift(g, cycle, shifts)) for cycle in plain)
+        return
     for k, source in _semiregular_classes(group).items():
         shifts = divisors(n // k)
         kept = {a: [] for b, (a, _) in source.items() if a != b}
         for b, (a, x) in source.items():
             if a == b:
-                for cycle in symmetric_hamcycles(g, a):
-                    yield canonical_cycle(cycle), shifts, kept.get(a)
+                for cycle in map(canonical_cycle, symmetric_hamcycles(g, a)):
+                    kept.get(a, []).append(lift := (cycle, _least_shift(g, cycle, shifts)))
+                    yield lift
             else:
-                for cycle, shift in kept[a]:
-                    yield canonical_cycle(compose(x, cycle)), (shift,), None
+                yield from ((canonical_cycle(compose(x, c)), s) for c, s in kept[a])
 
 
 def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:
     """Each cycle with factor k >= 2 lifts from the quotient by its rotation
-    of order k, so one stream of cycles is examined: the plain search up to
-    its first cycle with factor 1, then the lifts over the cyclic
-    semiregular reps, from one symmetric search per conjugacy class
-    (`_lifts`), or the rest of the plain search when the group is capped,
-    since its reps can miss subgroups. Each value keeps its least canonical
-    cycle; limit counts the cycles examined, a mapped lift too."""
+    of order k, so the array reads one stream of (cycle, least shift)
+    pairs, `_examined`, and keeps the least canonical cycle per factor.
+    limit counts the pairs read, a mapped lift's too; one more is pulled to
+    tell whether the array is exact."""
     if limit < 1:
         raise ValueError("limit must be positive")
-    certs: dict[int, CompressionCertificate] = {}
-    n = g.n
-
-    def stream():
-        plain = _hamilton_cycles(g.rows)
-        shifts = divisors(n) if n else []
-        for cycle in plain:
-            yield cycle, shifts, None
-            if 1 in certs:  # the cycle just examined has factor 1
-                break
-        if 1 in certs and not (group := automorphism_group(g)).capped:
-            yield from _lifts(g, group)
-        else:
-            yield from ((cycle, shifts, None) for cycle in plain)
-
-    cycles = stream()
-    for cycle, shifts, kept in islice(cycles, min(limit, sys.maxsize)):  # islice refuses a larger stop
-        shift = _least_shift(g, cycle, shifts)
-        if kept is not None:
-            kept.append((cycle, shift))
-        k = n // shift
-        if k not in certs or cycle < certs[k].cycle:
-            certs[k] = _certificate(cycle, shift)
+    least: dict[int, HamCycle] = {}
+    cycles = _examined(g)
+    for cycle, shift in islice(cycles, min(limit, sys.maxsize)):  # islice refuses a larger stop
+        k = g.n // shift
+        least[k] = min(least.get(k, cycle), cycle)
     exhausted = next(cycles, None) is None
-    if not certs:
-        return HamArray(exhausted, (0,), {})
-    return HamArray(exhausted, tuple(sorted(certs)), certs)
+    certs = {k: _certificate(least[k], g.n // k) for k in sorted(least)}
+    return HamArray(exhausted, tuple(certs) or (0,), certs)
 
 
 # --- LCF notation for cubic hamiltonian graphs ------------------------------

@@ -85,7 +85,7 @@ class QuotientGraph:
 def quotient_with_voltages(g: Graph, a: Perm) -> QuotientGraph:
     if len(a) != g.n:
         raise ValueError("degree mismatch")
-    k = semiregular_order(a)  # first: on a non-permutation the orbit walk never ends
+    k = semiregular_order(a)  # 0 on a non-permutation too
     if k < 2:
         raise ValueError("permutation is not semiregular of order >= 2")
     orbit_lists = orbits(a)

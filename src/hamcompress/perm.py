@@ -47,18 +47,22 @@ def power(a: Perm, e: int) -> Perm:
 
 def orbits(a: Perm) -> tuple[tuple[int, ...], ...]:
     """The cycles of a, each starting at its least vertex and following a,
-    in ascending order of that vertex."""
+    in ascending order of that vertex; ValueError when a walk does not
+    close at its start, so a is no permutation."""
     seen = bytearray(len(a))
     out = []
     for v in range(len(a)):
         if seen[v]:
             continue
+        seen[v] = 1
         cyc = [v]
         w = a[v]
-        while w != v:
+        while not seen[w]:
             seen[w] = 1
             cyc.append(w)
             w = a[w]
+        if w != v:
+            raise ValueError("not a permutation")
         out.append(tuple(cyc))
     return tuple(out)
 
@@ -69,7 +73,8 @@ def order(a: Perm) -> int:
 
 
 def semiregular_order(a: Perm) -> int:
-    """k when every cycle of a has length k, else 0 (1 for the identity).
+    """k when every cycle of a has length k, else 0 (1 for the identity, 0
+    when a is no permutation).
 
     The cycle of 0 gives k, and a is rejected unless k divides n; each other
     cycle's walk stops once it passes k steps or closes at another length.
@@ -82,10 +87,13 @@ def semiregular_order(a: Perm) -> int:
             continue
         seen[v] = 1
         length, w = 1, a[v]
-        while w != v and length != k and not seen[w]:  # seen: a is no permutation
-            seen[w] = 1
-            w = a[w]
-            length += 1
+        try:
+            while w != v and length != k and not seen[w]:  # seen: a repeats an image
+                seen[w] = 1
+                w = a[w]
+                length += 1
+        except IndexError:  # an image >= n
+            return 0
         if w != v or n % length or k and length != k:
             return 0
         k = length

@@ -395,15 +395,15 @@ def test_ham_array_capped_group_finishes_the_plain_search(monkeypatch):
 
 def test_ham_array_limit_counts_plain_and_lifted_cycles(monkeypatch):
     """limit counts the plain cycles up to the first with factor 1 and then
-    every lift, and the array examines no more. Each examined cycle takes
-    one `_least_shift` call, a mapped lift too, with its source's shift as
-    the only candidate, which is returned untested; so the calls count the
-    examined cycles. On Petersen's complement they are min(limit, 73): one
-    plain cycle, with the divisors of 10, the 12 lifts of the one rep of
-    order 5 that is searched, with the divisors of 2, and 60 images of them
-    for its five conjugates. A cut array holds some of the full values, and
-    the limit that covers every examined cycle is exact. The probe for
-    exhaustion pulls one more cycle but does not examine it."""
+    every lift, mapped ones too, and the array examines no more. On
+    Petersen's complement they are 73: one plain cycle, the 12 lifts of the
+    one rep of order 5 that is searched, and 60 images of them for its five
+    conjugates, so a cut array holds some of the full values and is inexact
+    up to limit 72, and exact from 73. The shift test (`_least_shift`) runs
+    on the plain cycle, with the divisors of 10, and on each searched lift,
+    with the divisors of 2; an image takes its source's shift untested. The
+    probe for exhaustion pulls one more pair, so the test runs
+    min(limit + 1, 13) times."""
     g = petersen().graph.complement()
     full = ham_array(g)
     assert full.values == (1, 5) and full.exact
@@ -412,15 +412,15 @@ def test_ham_array_limit_counts_plain_and_lifted_cycles(monkeypatch):
     reps = cyclic_semiregular_reps(automorphism_group(g))
     lifted = sum(1 for gens in reps.values() for a in gens for _ in symmetric_hamcycles(g, a))
     assert plain + lifted == 73
-    least_shift, examined = compression._least_shift, []
+    least_shift, tested = compression._least_shift, []
     monkeypatch.setattr(compression, "_least_shift",
-                        lambda *args: examined.append(args[2]) or least_shift(*args))
+                        lambda *args: tested.append(args[2]) or least_shift(*args))
     for limit in range(1, 80):
-        examined.clear()
+        tested.clear()
         arr = ham_array(g, limit)
-        assert len(examined) == min(limit, 73), limit
+        assert len(tested) == min(limit + 1, 13), limit
         assert arr == full if limit >= 73 else not arr.exact and set(arr.values) <= {1, 5}
-    assert [tuple(s) for s in examined] == [(1, 2, 5, 10)] + [(1, 2)] * 12 + [(2,)] * 60
+    assert [tuple(s) for s in tested] == [(1, 2, 5, 10)] + [(1, 2)] * 12
 
 
 def test_ham_array_runs_one_symmetric_search_per_conjugacy_class(monkeypatch):

@@ -11,6 +11,7 @@ import inspect
 import io
 import re
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import hamcompress
@@ -237,3 +238,24 @@ def test_every_private_name_the_docs_mention_is_defined():
                 texts.append(ast.get_docstring(node) or "")
         mentioned.update((name, path.name) for text in texts for name in private.findall(text))
     assert len(mentioned) > 10 and sorted(m for m in mentioned if m[0] not in defined) == []
+
+
+def test_every_private_src_def_is_referenced_in_src():
+    """Every private function or class of src/hamcompress, at any depth, is
+    referenced (as a name, attribute or import) by src/ code outside its own
+    body. A helper that only the tests, hcbench/ or itself reach is dead
+    code in the package."""
+    def references(node) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else
+                       n.attr if isinstance(n, ast.Attribute) else n.name
+                       for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "hamcompress").glob("*.py"))}
+    total = sum(map(references, trees.values()), Counter())
+    private = [(module, node) for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert len(private) > 20 and [(module, node.name) for module, node in private
+                                  if total[node.name] <= references(node)[node.name]] == []

@@ -48,6 +48,8 @@ def test_quotient_rejects_non_semiregular():
     swap[0], swap[1] = swap[1], swap[0]
     with pytest.raises(ValueError):
         quotient_with_voltages(g, tuple(swap))
+    with pytest.raises(ValueError, match="not semiregular"):  # an image >= n
+        find_symmetric_hamcycle(graph_cycle(6), (1, 2, 3, 4, 5, 9))
 
 
 def test_quotient_refuses_exactly_the_non_automorphisms():

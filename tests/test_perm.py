@@ -3,7 +3,10 @@ import random
 
 import pytest
 
+from conftest import graph_cycle
+
 from hamcompress.families import grid_rho
+from hamcompress.graph import remove_intra_orbit_edges
 from hamcompress.perm import (
     compose,
     identity,
@@ -82,6 +85,8 @@ def test_semiregular_order_matches_orbits():
         assert semiregular_order(a) == _semiregular_order_by_orbits(a) == k, a
     assert semiregular_order(()) == 1  # the identity on no points
     assert semiregular_order((1, 1, 0)) == 0  # not a permutation: rejected, not looped on
+    assert semiregular_order((1, 2, 5)) == 0  # an image >= n: rejected, not an IndexError
+    assert not is_semiregular((1, 2, 5), 3)
 
 
 def test_power_and_order():
@@ -106,6 +111,19 @@ def test_orbits_identity_and_transposition():
     assert sorted(len(o) for o in orbits(swap)) == [1, 1, 2]
     assert orbits(swap) == ((0, 1), (2,), (3,))
     assert orbits(()) == ()
+
+
+def test_orbits_refuses_a_non_permutation():
+    """A walk that stops at a vertex already seen, other than its start,
+    shows a repeated image: orbits, and order and the orbit-edge removal
+    that read it, raise ValueError instead of walking forever."""
+    for a in ((1, 1, 0), (0, 0), (1, 2, 1), (2, 0, 0, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            orbits(a)
+    with pytest.raises(ValueError, match="not a permutation"):
+        order((1, 1, 0))
+    with pytest.raises(ValueError, match="not a permutation"):
+        remove_intra_orbit_edges(graph_cycle(3), (1, 1, 0))
 
 
 def test_orbits_rotation_grid():
