@@ -18,8 +18,9 @@ vertex to close the cycle, the open neighbours of the vertex the step left
 keep two live links each, and the open region stays connected; the
 connectivity search runs only when the step could have cut the region. Plain enumeration takes
 the cycles of the graph. The one symmetric search, symmetric_hamcycles,
-takes those of the orbit support rows and lifts each with every voltage
-choice that generates Z_k, so it yields every Hamilton cycle on which the
+takes those of the orbit support rows, or the path through all orbits
+when there are fewer than three, and lifts each with every voltage choice
+that generates Z_k, so it yields every Hamilton cycle on which the
 automorphism acts as a rotation; find_symmetric_hamcycle is its first
 lift. Reversing a quotient cycle negates its voltages, so one direction
 has a generating choice exactly when the other does.
@@ -166,50 +167,31 @@ def _voltage_choices(volt_sets: list[list[int]], k: int):
         yield tuple(choice)
 
 
-def _parallel_pairs(qg: QuotientGraph):
-    """The quotient cycles on two orbits: a pair of parallel arcs s0, s1 from
-    orbit 0 to orbit 1, out on s0 and back on s1, whose net voltage s0 - s1
-    generates Z_k; pairs in lexicographic order."""
-    k = qg.k
-    volts = qg.voltages.get((0, 1), [])
-    return (([0, 1], [s0, (-s1) % k]) for s0 in volts for s1 in volts
-            if math.gcd(s0 - s1, k) == 1)
-
-
-def _support_cycles(qg: QuotientGraph):
-    """The quotient Hamilton cycles on one orbit or three or more, each with
-    the voltage sets of its arcs. A single orbit is the path (0,) closed by a
-    loop; loops take no part in longer cycles, which come from
-    _hamilton_cycles on the orbit support rows."""
-    q = len(qg.orbit_lists)
-    avail = qg.voltages
-    support = [0] * q
-    for a, b in avail:
-        if a != b:
-            support[a] |= 1 << b
-    for path in [(0,)] if q == 1 else _hamilton_cycles(support):
-        yield path, [avail.get((path[i], path[(i + 1) % q]), []) for i in range(q)]
-
-
 def symmetric_hamcycles(g: Graph, a: Perm):
     """Every Hamilton cycle on which a acts as a rotation, not canonicalized:
-    the lifts of the parallel-arc pairs on two orbits, else of each cycle of
-    _support_cycles with every choice of _voltage_choices. A cycle on one or
-    two orbits comes once per direction. No lift needs a check: lift refuses
-    a quotient cycle missing an orbit, an absent arc and a net voltage that
+    each Hamilton cycle of the quotient lifted with every choice of
+    _voltage_choices for the voltage sets of its arcs. The quotient cycle on
+    one or two orbits is the path (0,) or (0, 1), closed by a loop or by a
+    pair of parallel arcs; loops take no part in longer cycles, which come
+    from _hamilton_cycles on the orbit support rows. A cycle on one or two
+    orbits comes once per direction. No lift needs a check: lift refuses a
+    quotient cycle missing an orbit, an absent arc and a net voltage that
     does not generate Z_k, and for an automorphism a generating net voltage
     makes the walk visit each vertex once along edges. Callers making a
     certificate replay a lift through compression.cycle_compression."""
     qg = quotient_with_voltages(g, a)
-    if g.n < 3:
+    if g.n < 3:  # K2 would lift to a 2-vertex "cycle"
         return
-    if len(qg.orbit_lists) == 2:
-        found = _parallel_pairs(qg)
-    else:
-        found = ((path, choice) for path, volt_sets in _support_cycles(qg)
-                 for choice in _voltage_choices(volt_sets, qg.k))
-    for path, choice in found:
-        yield lift(qg, path, choice)
+    q = len(qg.orbit_lists)
+    avail = qg.voltages
+    support = [0] * q
+    for u, v in avail:
+        if u != v:
+            support[u] |= 1 << v
+    for path in [tuple(range(q))] if q < 3 else _hamilton_cycles(support):
+        volt_sets = [avail.get((path[i], path[(i + 1) % q]), []) for i in range(q)]
+        for choice in _voltage_choices(volt_sets, qg.k):
+            yield lift(qg, path, choice)
 
 
 def find_symmetric_hamcycle(g: Graph, a: Perm) -> HamCycle | None:

@@ -47,8 +47,8 @@ def power(a: Perm, e: int) -> Perm:
 
 def orbits(a: Perm) -> tuple[tuple[int, ...], ...]:
     """The cycles of a, each starting at its least vertex and following a,
-    in ascending order of that vertex; ValueError when a walk does not
-    close at its start, so a is no permutation."""
+    in ascending order of that vertex; ValueError when a walk reaches an
+    image >= n or does not close at its start, so a is no permutation."""
     seen = bytearray(len(a))
     out = []
     for v in range(len(a)):
@@ -57,10 +57,13 @@ def orbits(a: Perm) -> tuple[tuple[int, ...], ...]:
         seen[v] = 1
         cyc = [v]
         w = a[v]
-        while not seen[w]:
-            seen[w] = 1
-            cyc.append(w)
-            w = a[w]
+        try:
+            while not seen[w]:
+                seen[w] = 1
+                cyc.append(w)
+                w = a[w]
+        except IndexError:  # an image >= n
+            raise ValueError("not a permutation") from None
         if w != v:
             raise ValueError("not a permutation")
         out.append(tuple(cyc))

@@ -326,27 +326,19 @@ def test_voltage_choices_match_brute_force():
 
 
 def _reference_quotient_search(qg):
-    """The quotient search with no pruning and both directions: one orbit
-    takes its least generating loop voltage, two orbits the lexicographically
-    first pair of distinct parallel arcs, and more orbits the first cycle of
-    the unpruned reference DFS on the support whose voltages can generate,
-    with the brute-force least choice."""
+    """The quotient search with no pruning and both directions: the path
+    through all orbits when there are fewer than three, else each cycle of
+    the unpruned reference DFS on the support in turn, until one has a
+    generating voltage choice; that cycle with the brute-force least
+    choice."""
     k, q = qg.k, len(qg.orbit_lists)
     avail = qg.voltages
-    if q == 1:
-        for s in avail.get((0, 0), []):
-            if math.gcd(s, k) == 1:
-                return [0], [s]
-        return None
-    if q == 2:
-        volts = avail.get((0, 1), [])
-        for s0, s1 in itertools.product(volts, repeat=2):
-            if s1 != s0 and math.gcd(s0 - s1, k) == 1:
-                return [0, 1], [s0, (-s1) % k]
-        return None
-    support = Graph.build(q, [(a, b) for a, b in avail if a < b])
-    for path in _reference_cycles(support):
-        choices = _brute_voltage_choices([avail[(path[i], path[(i + 1) % q])]
+    if q < 3:
+        paths = [tuple(range(q))]
+    else:
+        paths = _reference_cycles(Graph.build(q, [(a, b) for a, b in avail if a < b]))
+    for path in paths:
+        choices = _brute_voltage_choices([avail.get((path[i], path[(i + 1) % q]), [])
                                           for i in range(q)], k)
         if choices:
             return list(path), choices[0]
@@ -357,8 +349,8 @@ def test_symmetric_search_matches_both_direction_reference():
     """find_symmetric_hamcycle lifts the certificate the unpruned
     both-direction reference picks, for every cyclic semiregular generator:
     the one-way search keeps the first accepted quotient cycle and its
-    voltage choice, and the two-orbit case keeps its own pair order. It is
-    the first cycle symmetric_hamcycles yields."""
+    voltage choice, on two orbits as on any other number. It is the first
+    cycle symmetric_hamcycles yields."""
     graphs = [generalized_petersen(n, r).graph
               for n in range(3, 13) for r in range(1, (n + 1) // 2)]
     sym = ((1, 4), (2, 3), (1, 2, 3, 4))

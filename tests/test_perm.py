@@ -115,15 +115,17 @@ def test_orbits_identity_and_transposition():
 
 def test_orbits_refuses_a_non_permutation():
     """A walk that stops at a vertex already seen, other than its start,
-    shows a repeated image: orbits, and order and the orbit-edge removal
-    that read it, raise ValueError instead of walking forever."""
-    for a in ((1, 1, 0), (0, 0), (1, 2, 1), (2, 0, 0, 3)):
+    shows a repeated image, and a walk that reaches an image >= n shows an
+    image out of range: orbits, and order and the orbit-edge removal that
+    read it, raise ValueError instead of walking forever or IndexError."""
+    for a in ((1, 1, 0), (0, 0), (1, 2, 1), (2, 0, 0, 3), (1, 5, 0)):
         with pytest.raises(ValueError, match="not a permutation"):
             orbits(a)
-    with pytest.raises(ValueError, match="not a permutation"):
-        order((1, 1, 0))
-    with pytest.raises(ValueError, match="not a permutation"):
-        remove_intra_orbit_edges(graph_cycle(3), (1, 1, 0))
+    for a in ((1, 1, 0), (1, 5, 0)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            order(a)
+        with pytest.raises(ValueError, match="not a permutation"):
+            remove_intra_orbit_edges(graph_cycle(3), a)
 
 
 def test_orbits_rotation_grid():
