@@ -10,7 +10,7 @@ returns a FamilyInstance carrying the graph, m and n, the rotation
 rho: v_i^j -> v_i^{j+1}, the twisted rotation sigma:
 v_i^j -> v_{i+1}^{r*j} when one exists, and the constructor parameters.
 Nothing is re-checked at construction: rho is an automorphism by
-_grid_graph, sigma by its constructor's test or sigma-closed classes, and
+_grid_graph, sigma by a test, the y/z exponent or sigma-closed classes, and
 sigma rho sigma^-1 = rho^r because r is a unit; _finalize gives each reason.
 That c = 1 is central of order p in p3_group, with left multiplication by c
 the grid rotation, follows from its two formulas and is pinned by tests.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .autgroup import is_automorphism
 from .graph import Graph
 from .numth import is_prime, ord_mod, primitive_root
-from .perm import Perm, order
+from .perm import Perm
 
 
 def grid_rho(m: int, n: int) -> Perm:
@@ -64,12 +64,13 @@ def _finalize(graph: Graph, m: int, n: int, r: int | None, params: dict) -> Fami
     """The instance with rho, and sigma = grid_sigma(m, n, r) unless r is None.
 
     rho is an automorphism by _grid_graph. Each caller passes only an r for
-    which sigma is one: _finalize_least_sigma and _yz_instance have just
-    tested it with is_automorphism; in x_mnr r has order m, so sigma sends
-    the class (i, 0, r^i) to (i+1, 0, r^(i+1)) and (i, 1, 0) to (i+1, 1, 0);
-    metacirculant_orbit builds its classes closed under b -> b+1 mod
-    m*ord(r). r is a unit (ord_mod refuses any other, and is_automorphism
-    fails on a non-bijection), and for a unit the conjugation law holds:
+    which sigma is one: _finalize_least_sigma has just tested it with
+    is_automorphism; _yz_instance passes r only for j = 1, when H holds r^q
+    (see there); in x_mnr r has order m, so sigma sends the class (i, 0, r^i)
+    to (i+1, 0, r^(i+1)) and (i, 1, 0) to (i+1, 1, 0); metacirculant_orbit
+    builds its classes closed under b -> b+1 mod m*ord(r). r is a unit (ord_mod
+    refuses any other, and is_automorphism fails on a non-bijection), and for a
+    unit the conjugation law holds:
     sigma rho sigma^-1 (i+1, rj) = sigma (i, j+1) = (i+1, rj+r) = rho^r (i+1, rj).
     """
     sigma = None if r is None else grid_sigma(m, n, r)
@@ -119,11 +120,13 @@ def x_mnr(m: int, n: int, r: int) -> FamilyInstance:
     return _finalize(graph, m, n, r, params)
 
 
-def _yz_instance(q: int, p: int, t: int, family: str, sub_exp: int) -> FamilyInstance:
+def _yz_instance(q: int, p: int, t: int, family: str, j: int) -> FamilyInstance:
     if not (is_prime(q) and is_prime(p)):
         raise ValueError("q and p must be prime")
     if t < 2:
         raise ValueError("need t >= 2")
+    if t >= (p - 1).bit_length():  # q^t >= 2^t > p - 1, named without computing it
+        raise ValueError(f"q^t = {q}^{t} does not divide p - 1 = {p - 1}")
     if (p - 1) % q**t != 0:
         raise ValueError(f"q^t = {q**t} does not divide p - 1 = {p - 1}")
     n_cof = (p - 1) // q**t
@@ -131,7 +134,7 @@ def _yz_instance(q: int, p: int, t: int, family: str, sub_exp: int) -> FamilyIns
         raise ValueError(f"cofactor {n_cof} of p - 1 shares a factor with q")
     lam = primitive_root(p)
     r = pow(lam, n_cof, p)
-    base = pow(r, sub_exp, p)
+    base = pow(r, q**j, p)
     sub = {pow(base, e, p) for e in range(p - 1)}
     steps = sorted(sub | {(-h) % p for h in sub})
     graph = _grid_graph(q, p, [(i, 0, pow(r, i, p) * s) for i in range(q) for s in steps]
@@ -146,24 +149,22 @@ def _yz_instance(q: int, p: int, t: int, family: str, sub_exp: int) -> FamilyIns
         "r": r,
         "steps": steps,
     }
-    sigma = grid_sigma(q, p, r)
-    # fails for the sparser variant once t >= 3; recorded, probed by the CLI
-    sigma_ok = is_automorphism(graph, sigma)
-    params["sigma_is_automorphism"] = sigma_ok
+    # sigma sends row q-1's steps to r^q*S; S meets <r> in H, so that is S iff j = 1; order q^t
+    params["sigma_is_automorphism"] = sigma_ok = j == 1
     if sigma_ok:
-        params["sigma_order"] = order(sigma)
+        params["sigma_order"] = q**t
     return _finalize(graph, q, p, r if sigma_ok else None, params)
 
 
 def y_qp(q: int, p: int, t: int = 2) -> FamilyInstance:
     """Non-Cayley (q,p)-metacirculant with inner steps r^i * (<r^q> u -<r^q>)."""
-    return _yz_instance(q, p, t, "yqp", q)
+    return _yz_instance(q, p, t, "yqp", 1)
 
 
 def z_qp(q: int, p: int, t: int = 2) -> FamilyInstance:
     """Lower-valency variant with inner steps r^i * (<r^{q^{t-1}}> u -<r^{q^{t-1}}>);
     coincides with y_qp when t = 2."""
-    return _yz_instance(q, p, t, "zqp", q ** (t - 1))
+    return _yz_instance(q, p, t, "zqp", t - 1)
 
 
 def circulant(n: int, conn: set[int]) -> FamilyInstance:
@@ -180,8 +181,6 @@ def generalized_petersen(n: int, r: int) -> FamilyInstance:
     """GP(n, r): outer n-cycle, inner step-r cycle(s), spokes."""
     if n < 3:
         raise ValueError("need n >= 3")
-    if r % n == 0:
-        raise ValueError("inner step must be nonzero mod n")
     if not 1 <= r < n / 2:
         raise ValueError(f"inner step must satisfy 1 <= r < n/2, got {r}")
     graph = _grid_graph(2, n, [(0, 0, 1), (1, 0, r), (0, 1, 0)])

@@ -26,9 +26,16 @@ def compose(a: Perm, b: Perm) -> Perm:
 
 
 def inverse(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, v in enumerate(a):
-        out[v] = i
+    """The inverse of a; ValueError when a repeats an image or has one
+    outside 0..n-1, so a is no permutation."""
+    out = [-1] * len(a)
+    try:
+        for i, v in enumerate(a):
+            out[v] = i
+    except IndexError:  # an image >= n or < -n
+        raise ValueError("not a permutation") from None
+    if -1 in out or min(a, default=0) < 0:  # a repeat leaves a slot unset
+        raise ValueError("not a permutation")
     return tuple(out)
 
 

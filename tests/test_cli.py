@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -428,6 +429,37 @@ def test_probe_zsigma(capsys):
     rep = json.loads(out)
     assert rep["sigma_is_automorphism"] is False
     assert any(p["automorphism"] for p in rep["powers"])  # some power still works
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["probe-zsigma", "--q", "0", "--p", "13", "--t", "0"], "q and p must be prime"),
+    (["construct", "--family", "zqp", "--q", "0", "--p", "13", "--t", "0"],
+     "q and p must be prime"),
+    (["construct", "--family", "gp", "--n", "5", "--r", "0"],
+     "inner step must satisfy 1 <= r < n/2, got 0"),
+], ids=["probe-q0-t0", "zqp-q0-t0", "gp-r0"])
+def test_family_refusal_exit_2(capsys, argv, message):
+    code = cli.main([*argv, "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe-zsigma", "--q", "3", "--p", "19", "--t", "10000000"],
+    ["construct", "--family", "yqp", "--q", "3", "--p", "19", "--t", "10000000"],
+    ["construct", "--family", "zqp", "--q", "3", "--p", "19", "--t", "10000000"],
+    ["verify", "--claim", "thm31", "--q", "3", "--p", "19", "--t", "10000000"],
+], ids=["probe", "yqp", "zqp", "thm31"])
+def test_huge_t_refused_without_computing_q_to_the_t(capsys, argv):
+    """q^t = 3^(10^7) has millions of digits; the refusal names it as 3^10000000."""
+    start = time.perf_counter()
+    code = cli.main([*argv, "--quiet"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: q^t = 3^10000000 does not divide p - 1 = 18\n"
+    assert elapsed < 0.5
 
 
 def test_construct_stdout_roundtrip(capsys):

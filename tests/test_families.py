@@ -11,6 +11,7 @@ from hamcompress.families import (
     circulant,
     generalized_petersen,
     grid_rho,
+    grid_sigma,
     metacirculant_orbit,
     metacirculant_triple_2p,
     p3_group,
@@ -20,7 +21,7 @@ from hamcompress.families import (
     z_qp,
 )
 from hamcompress.graph import Graph, bits
-from hamcompress.numth import ord_mod
+from hamcompress.numth import is_prime, ord_mod
 from hamcompress.perm import compose, inverse, is_semiregular, order, power
 
 ALL_INSTANCES = [
@@ -155,6 +156,27 @@ def test_z_sigma_fails_for_t_geq_3():
     # the denser variant keeps its twisted rotation at every t
     insty = y_qp(2, 17, 4)
     assert insty.sigma is not None
+
+
+def test_yz_sigma_status_and_order_follow_from_j():
+    """_yz_instance reads sigma's status off j (an automorphism iff j = 1)
+    and its order off t (q^t) instead of testing them. Pinned on every y_qp
+    and z_qp member with p < 400 and t <= 8: q^t divides p - 1 and the
+    cofactor is prime to q."""
+    primes = [p for p in range(400) if is_prime(p)]
+    built = 0
+    for build, q, p, t in itertools.product((y_qp, z_qp), primes, primes, range(2, 9)):
+        if (p - 1) % q**t or (p - 1) // q**t % q == 0:
+            continue
+        inst = build(q, p, t)
+        sigma = grid_sigma(q, p, inst.params["r"])
+        is_aut = is_automorphism(inst.graph, sigma)
+        assert inst.params["sigma_is_automorphism"] == is_aut, (build.__name__, q, p, t)
+        assert inst.sigma == (sigma if is_aut else None)
+        if is_aut:
+            assert inst.params["sigma_order"] == order(sigma), (build.__name__, q, p, t)
+        built += 1
+    assert built == 106
 
 
 def test_yz_parameter_validation():

@@ -175,3 +175,15 @@ def test_is_semiregular():
             if is_semiregular(a, k):
                 assert n % k == 0
                 assert k * len(orbits(a)) == n
+
+
+def test_inverse_refuses_a_non_permutation():
+    """A repeated image, an image >= n and a negative image each make a
+    non-permutation: inverse, and power with a negative exponent through it,
+    raise ValueError instead of returning some permutation."""
+    for a in ((1, 1, 0), (0, 0), (2, 0, 0, 3), (1, 5, 0), (-1, 0, 1), (0, -9)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            inverse(a)
+        with pytest.raises(ValueError, match="not a permutation"):
+            power(a, -1)
+    assert inverse(()) == () and inverse((0,)) == (0,)

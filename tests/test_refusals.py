@@ -30,6 +30,7 @@ REFUSALS = {
     "x_mnr m < 2": (lambda: families.x_mnr(1, 5, 1), "need m >= 2 and n >= 2"),
     "y_qp q not prime": (lambda: families.y_qp(4, 13), "q and p must be prime"),
     "y_qp t < 2": (lambda: families.y_qp(2, 13, 1), "need t >= 2"),
+    "y_qp q^t > p - 1": (lambda: families.y_qp(2, 13, 3), "q^t = 8 does not divide p - 1 = 12"),
     "circulant n < 2": (lambda: families.circulant(1, set()), "need n >= 2"),
     "gp n < 3": (lambda: families.generalized_petersen(2, 1), "need n >= 3"),
     "triple p = 9": (lambda: families.metacirculant_triple_2p(9, {1, 8}, {1, 8}, {0}),
