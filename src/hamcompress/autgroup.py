@@ -307,39 +307,39 @@ def _semiregular_subgroups(group: GroupData) -> tuple[dict[int, list[Perm]], dic
     return reps, rep_of
 
 
-def _semiregular_classes(group: GroupData) -> dict[int, dict[Perm, tuple[Perm, Perm]]]:
-    """The reps of `cyclic_semiregular_reps` of an uncapped group, keyed by
-    order and then ascending, each mapped to (a, x): a is the least rep
-    whose subgroup is conjugate to its own, and x<a>x^-1 = <b> for the rep
-    b; a maps to itself and the identity.
+def _semiregular_classes(group: GroupData) -> dict[int, dict[Perm, list[Perm]]]:
+    """The conjugacy classes of the cyclic semiregular subgroups of an
+    uncapped group, keyed by order: each class's leader a, its least rep
+    among those of `cyclic_semiregular_reps` (leaders ascending), maps to
+    one conjugator x per other rep b of the class, with x<a>x^-1 = <b>, in
+    the order the search reaches b.
 
-    Breadth-first from each a not yet reached: conjugating a reached rep b
-    by a generator s gives an element of s<b>s^-1, whose rep the pass that
-    found the reps recorded, with s·x as its conjugator. The generators
-    generate the group, so the search reaches a's whole class; an order
-    stops once each of its reps is reached.
+    Breadth-first from each leader a: conjugating a reached rep b by a
+    generator s gives an element of s<b>s^-1, whose rep the pass that found
+    the reps recorded, with s·x as its conjugator. The generators generate
+    the group, so the search reaches a's whole class; an order stops once
+    each of its reps is reached.
     """
     reps, rep_of = _semiregular_subgroups(group)
     gens = [(s, inverse(s)) for s in group.generators]
-    classes: dict[int, dict[Perm, tuple[Perm, Perm]]] = {}
+    classes: dict[int, dict[Perm, list[Perm]]] = {}
     for k, ks in reps.items():
-        source: dict[Perm, tuple[Perm, Perm]] = {}
+        leaders = classes[k] = {}
+        reached: set[Perm] = set()
         for a in ks:
-            if a in source:
+            if a in reached:
                 continue
-            one = identity(len(a))
-            source[a] = (a, one)
-            todo = [(a, one)]
+            reached.add(a)
+            todo = [(a, identity(len(a)))]
             for b, x in todo:  # grows as the search goes
-                if len(source) == len(ks):
+                if len(reached) == len(ks):
                     break
                 for s, s_inv in gens:
                     c = rep_of[compose(s, compose(b, s_inv))]
-                    if c not in source:
-                        y = compose(s, x)
-                        source[c] = (a, y)
-                        todo.append((c, y))
-        classes[k] = {b: source[b] for b in ks}
+                    if c not in reached:
+                        reached.add(c)
+                        todo.append((c, compose(s, x)))
+            leaders[a] = [x for _, x in todo[1:]]
     return classes
 
 

@@ -146,12 +146,12 @@ def _examined(g: Graph):
     plain search, each cycle tested over the divisors of n, up to its first
     cycle with factor 1, then the lifts of the cyclic semiregular reps, or
     the rest of the plain search when the group is capped, since its reps
-    can miss subgroups. Within each order k the reps come in ascending
-    order and the symmetric search runs once per conjugacy class, on its
-    least rep a, testing each lift over the divisors of n/k: its rotation
-    by n/k positions is a power of a. A rep b with <b> = x<a>x^-1 takes x's
-    images of a's lifts, in a's order, each with its source's shift, since
-    x keeps it; a's lifts are kept only when such a b reads them."""
+    can miss subgroups. Within each order k the symmetric search runs once
+    per conjugacy class, on its leader a (the leaders ascend), testing each
+    lift over the divisors of n/k: its rotation by n/k positions is a power
+    of a. Each lift is followed at once by its image under each of the
+    class's conjugators x, with <x a x^-1> another rep's subgroup, carrying
+    the lift's shift, since x keeps it; no lift is kept."""
     n = g.n
     plain = _hamilton_cycles(g.rows)
     shifts = divisors(n) if n else []
@@ -164,16 +164,12 @@ def _examined(g: Graph):
     if (group := automorphism_group(g)).capped:
         yield from ((cycle, _least_shift(g, cycle, shifts)) for cycle in plain)
         return
-    for k, source in _semiregular_classes(group).items():
+    for k, leaders in _semiregular_classes(group).items():
         shifts = divisors(n // k)
-        kept = {a: [] for b, (a, _) in source.items() if a != b}
-        for b, (a, x) in source.items():
-            if a == b:
-                for cycle in map(canonical_cycle, symmetric_hamcycles(g, a)):
-                    kept.get(a, []).append(lift := (cycle, _least_shift(g, cycle, shifts)))
-                    yield lift
-            else:
-                yield from ((canonical_cycle(compose(x, c)), s) for c, s in kept[a])
+        for a, conjugators in leaders.items():
+            for cycle in map(canonical_cycle, symmetric_hamcycles(g, a)):
+                yield cycle, (shift := _least_shift(g, cycle, shifts))
+                yield from ((canonical_cycle(compose(x, cycle)), shift) for x in conjugators)
 
 
 def ham_array(g: Graph, limit: int = ENUM_LIMIT) -> HamArray:

@@ -21,12 +21,7 @@ import time
 from dataclasses import dataclass
 
 from . import families
-from .autgroup import (
-    automorphism_group,
-    cyclic_semiregular_reps,
-    is_automorphism,
-    sem_array,
-)
+from .autgroup import is_automorphism, sem_array
 from .compression import (
     cycle_compression,
     double_edge_positions,
@@ -235,25 +230,22 @@ def thm43():
 
 def prop42():
     """Cubic lower bound p for Cayley graphs of the non-abelian order-p^3
-    groups: the symmetric search at the central rotation must succeed."""
+    groups: a cycle lifted at the central rotation, or else lift mode's
+    certificate, must have compression at least 3."""
     for variant in ("heisenberg", "modular"):
         def run(variant=variant):
             inst = families.cayley_p3(3, variant)
             cycle = find_symmetric_hamcycle(inst.graph, inst.rho)
-            note = "central-rotation quotient lifts"
-            if cycle is None:
-                # the central quotient need not carry a liftable cycle; any
-                # order-3 cyclic semiregular subgroup certifies the bound
-                note = "central-rotation quotient has no liftable cycle; k=3 sweep used"
-                group = automorphism_group(inst.graph)
-                for a in cyclic_semiregular_reps(group).get(3, []):
-                    cycle = find_symmetric_hamcycle(inst.graph, a)
-                    if cycle is not None:
-                        break
-            if cycle is None:
+            if cycle is not None:
+                cert, note = cycle_compression(inst.graph, cycle), "central-rotation quotient lifts"
+            else:
+                # the central quotient need not carry a liftable cycle; lift
+                # mode sweeps every cyclic semiregular subgroup for one
+                cert = hamilton_compression(inst.graph).certificate
+                note = "central-rotation quotient has no liftable cycle; lift sweep used"
+            if cert is None:
                 return {"lower_bound": 3}, 0, FAIL, "no rotation-symmetric Hamilton cycle at k=3"
-            k = cycle_compression(inst.graph, cycle).k
-            return {"lower_bound": 3}, k, PASS if k >= 3 else FAIL, note
+            return {"lower_bound": 3}, cert.k, PASS if cert.k >= 3 else FAIL, note
 
         yield {"p": 3, "variant": variant}, {"lower_bound": 3}, 27, run
 

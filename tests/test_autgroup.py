@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -389,24 +390,31 @@ def test_cyclic_semiregular_reps_one_least_generator_per_subgroup():
 
 
 def test_semiregular_classes_match_brute_force_conjugacy():
-    """_semiregular_classes maps each cyclic semiregular rep b to the least
-    rep a whose subgroup is conjugate to b's, as conjugating by every element
-    finds, and to an automorphism x with x<a>x^-1 = <b>, keeping each
-    order's reps ascending."""
+    """_semiregular_classes maps each class leader, the least rep whose
+    subgroup is conjugate to its own as conjugating by every element finds,
+    to one automorphism x per other rep b of its class, with x<a>x^-1 =
+    <b>: every rep is a leader or reached exactly once, and each order's
+    leaders ascend."""
     graphs = [g for _, g in random_cayley_census()] + [g for _, g in small_corpus()]
     conjugated = 0
     for g in graphs:
         group = automorphism_group(g)
         classes = _semiregular_classes(group)
-        assert {k: list(src) for k, src in classes.items()} == cyclic_semiregular_reps(group)
+        reps = cyclic_semiregular_reps(group)
+        assert classes.keys() == reps.keys()
         brute = conjugacy_sources(group)
-        for src in classes.values():
-            for b, (a, x) in src.items():
-                assert a == brute[b][0]
-                assert is_automorphism(g, x)
-                c = compose(x, compose(a, inverse(x)))  # of a's order, so it generates <b>
-                assert c in {power(b, e) for e in range(semiregular_order(b))}
-                conjugated += a != b
+        for k, leaders in classes.items():
+            assert list(leaders) == [b for b in reps[k] if brute[b][0] == b]
+            rep_of = {power(b, e): b for b in reps[k] for e in range(1, k) if math.gcd(e, k) == 1}
+            reached = list(leaders)
+            for a, conjugators in leaders.items():
+                for x in conjugators:
+                    assert is_automorphism(g, x)
+                    b = rep_of[compose(x, compose(a, inverse(x)))]  # of a's order: generates <b>
+                    assert brute[b][0] == a
+                    reached.append(b)
+                conjugated += len(conjugators)
+            assert sorted(reached) == reps[k]
     assert conjugated == 3500
 
 

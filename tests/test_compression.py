@@ -13,7 +13,12 @@ from conftest import (
     small_corpus,
 )
 from hamcompress import compression
-from hamcompress.autgroup import automorphism_group, cyclic_semiregular_reps, is_automorphism
+from hamcompress.autgroup import (
+    _semiregular_classes,
+    automorphism_group,
+    cyclic_semiregular_reps,
+    is_automorphism,
+)
 from hamcompress.compression import (
     KappaResult,
     MetaPqPrediction,
@@ -39,12 +44,14 @@ from hamcompress.families import (
 )
 from hamcompress.graph import Graph
 from hamcompress.hamlift import (
+    canonical_cycle,
     enumerate_hamcycles,
     find_hamcycle,
     find_symmetric_hamcycle,
     quotient_with_voltages,
     symmetric_hamcycles,
 )
+from hamcompress.perm import compose
 
 
 def test_cycle_compression_cycle_graph():
@@ -396,14 +403,16 @@ def test_ham_array_capped_group_finishes_the_plain_search(monkeypatch):
 def test_ham_array_limit_counts_plain_and_lifted_cycles(monkeypatch):
     """limit counts the plain cycles up to the first with factor 1 and then
     every lift, mapped ones too, and the array examines no more. On
-    Petersen's complement they are 73: one plain cycle, the 12 lifts of the
-    one rep of order 5 that is searched, and 60 images of them for its five
-    conjugates, so a cut array holds some of the full values and is inexact
-    up to limit 72, and exact from 73. The shift test (`_least_shift`) runs
-    on the plain cycle, with the divisors of 10, and on each searched lift,
+    Petersen's complement they are 73: one plain cycle, then the 12 lifts
+    of the one rep of order 5 that is searched, each followed at once by
+    its images under the conjugators of the rep's five conjugates, with its
+    shift. So a cut array holds some of the full values and is inexact up
+    to limit 72, and exact from 73. The shift test (`_least_shift`) runs on
+    the plain cycle, with the divisors of 10, and on each searched lift,
     with the divisors of 2; an image takes its source's shift untested. The
-    probe for exhaustion pulls one more pair, so the test runs
-    min(limit + 1, 13) times."""
+    probe for exhaustion pulls one more pair, so of the first
+    min(limit + 1, 73) pairs the test runs on the plain one and on every
+    sixth after it."""
     g = petersen().graph.complement()
     full = ham_array(g)
     assert full.values == (1, 5) and full.exact
@@ -412,13 +421,19 @@ def test_ham_array_limit_counts_plain_and_lifted_cycles(monkeypatch):
     reps = cyclic_semiregular_reps(automorphism_group(g))
     lifted = sum(1 for gens in reps.values() for a in gens for _ in symmetric_hamcycles(g, a))
     assert plain + lifted == 73
+    [(a, conjugators)] = _semiregular_classes(automorphism_group(g))[5].items()
+    stream = list(compression._examined(g))
+    assert [c for c, _ in stream[1::6]] == [canonical_cycle(c) for c in symmetric_hamcycles(g, a)]
+    for i in range(1, 73, 6):
+        (lift, shift), images = stream[i], stream[i + 1:i + 6]
+        assert images == [(canonical_cycle(compose(x, lift)), shift) for x in conjugators]
     least_shift, tested = compression._least_shift, []
     monkeypatch.setattr(compression, "_least_shift",
                         lambda *args: tested.append(args[2]) or least_shift(*args))
     for limit in range(1, 80):
         tested.clear()
         arr = ham_array(g, limit)
-        assert len(tested) == min(limit + 1, 13), limit
+        assert len(tested) == 1 + (min(limit + 1, 73) + 4) // 6, limit
         assert arr == full if limit >= 73 else not arr.exact and set(arr.values) <= {1, 5}
     assert [tuple(s) for s in tested] == [(1, 2, 5, 10)] + [(1, 2)] * 12
 

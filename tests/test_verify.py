@@ -1,7 +1,7 @@
 import pytest
 
 from hamcompress import verify
-from hamcompress.compression import KappaResult, MetaPqPrediction
+from hamcompress.compression import CompressionCertificate, KappaResult, MetaPqPrediction
 from hamcompress.verify import (
     Budget,
     DISCREPANCY,
@@ -162,14 +162,20 @@ TWIST_BOUND = {"case": "twist-bound"}
                       (4, [(2, 3), (10, 11)]), (6, [(2, 3), (4, 5)]))]),
     ("thm31", {"hamilton_compression": _kappa_stub(2, exhaustive=1)}, {},
      [(1, 1, FAIL, "lift and exhaustive modes disagree")]),
-    ("prop42", {"find_symmetric_hamcycle": lambda g, a: None}, {},
+    ("prop42", {"find_symmetric_hamcycle": lambda g, a: None,
+                "hamilton_compression": _kappa_stub(0)}, {},
      [({"lower_bound": 3}, 0, FAIL, "no rotation-symmetric Hamilton cycle at k=3")] * 2),
+    ("prop42", {"find_symmetric_hamcycle": lambda g, a: None,
+                "hamilton_compression": lambda g: KappaResult(
+                    1, CompressionCertificate((), 1, 27, ()), True)}, {},
+     [({"lower_bound": 3}, 1, FAIL,
+       "central-rotation quotient has no liftable cycle; lift sweep used")] * 2),
     ("circulant", {"hamilton_compression": _kappa_stub(15),
                    "predict_kappa_circulant": lambda n, conn: 7}, {},
      [(15, 15, FAIL, "rule predicts 7, expected 15"),
       (1, 15, FAIL, "rule predicts 7, expected 1")]),
 ], ids=["prop21-kappa-below-m", "prop21-double-arcs-differ", "thm31-modes-disagree",
-        "prop42-no-symmetric-cycle", "circulant-rule-mismatch"])
+        "prop42-no-symmetric-cycle", "prop42-plain-cycle", "circulant-rule-mismatch"])
 def test_fail_outcomes_of_the_other_claims(monkeypatch, claim, stubs, keep, expected):
     """Each FAIL branch of prop21, thm31, prop42 and circulant that the real
     computations never reach, reached with stubbed ones; keep selects the
