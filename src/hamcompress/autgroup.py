@@ -14,14 +14,18 @@ base vertex's cell and the trace of the refinement that follows. One search
 step, `_search_one`, finds every witness: it individualizes a target vertex
 on a copy of the level's partition, replays the level's trace on that one
 side (`_replay`) and recurses over the next level's cell, one nested call per
-level, down to the leaf, which `is_automorphism` checks.
+level, down to the leaf, which `is_automorphism` checks; so the walk refuses a
+path as long as the recursion limit before any search.
 
-Orbit pruning (McKay & Piperno 2014): each witness is kept as the
-transversal entry of its target, and the transversal is closed under the
-level's witnesses (a new point u = s[w] gets compose(s, transversal[w])), so
-a target already in it is not searched. `generators` is every transversal
-entry after the first, the base point's identity, level by level, in the
-order added; capped groups read their semiregular pool from them.
+Orbit pruning (Sims' stabilizer chain; McKay & Piperno 2014; Seress 2003,
+ch. 4): the levels are searched deepest first. Each witness is kept as the
+transversal entry of its target, and the transversal is closed under every
+witness so far (a new point u = s[w] gets compose(s, transversal[w])), so a
+target already in it is not searched. Deeper witnesses fix this level's base
+point, so they lie in its stabilizer: K_n takes one search per level.
+`generators` is every transversal entry after the first, the base point's
+identity, level by level in path order, in the order added; capped groups
+read their semiregular pool from them.
 
 Refinement counts neighbours from the graph's neighbour tuples, `Graph.nbrs`,
 and so does the leaf check `is_automorphism`.
@@ -33,8 +37,9 @@ subgroup is returned as its sorted element tuple, with no classification.
 
 Determinism: a replay splits the target side's cells exactly as the trace
 records, so aligned cells keep matching indices; the base vertex is always
-the least vertex of the first non-singleton cell, and candidate targets are
-tried in ascending order.
+the least vertex of any non-singleton cell (so the base ascends), the levels
+are searched deepest first, and candidate targets are tried in ascending
+order.
 """
 
 from __future__ import annotations
@@ -170,12 +175,6 @@ def _replay(nbrs: Nbrs, side: Side, trace: list[Step]) -> bool:
     return True
 
 
-def _first_cell(cells: list[list[int]]) -> int | None:
-    """Index of the first cell with two or more members; None when every
-    cell is a singleton."""
-    return next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
-
-
 # One level of the base path: the partition before the base point is
 # individualized, the index of the base point's cell, and the trace of the
 # refinement that follows.
@@ -221,32 +220,41 @@ def automorphism_group(g: Graph) -> GroupData:
     elements."""
     n = g.n
     part: Side = ([0] * n, [list(range(n))] if n else [])
-    _refine(g.nbrs, part, list(range(len(part[1]))))
+    col, cells = part
+    _refine(g.nbrs, part, list(range(len(cells))))
     path: list[Level] = []  # the base path, refined once
-    while (c := _first_cell(part[1])) is not None:
-        before = (list(part[0]), list(part[1]))
-        _split(part, c, {part[1][c][0]: 1})  # individualize the base point: its stabilizer
-        path.append((before, c, _refine(g.nbrs, part, [len(part[1]) - 1])))
-    levels: list[dict[int, Perm]] = []
-    for depth, (before, c, _) in enumerate(path):
+    too_deep = (f"automorphism search on {n} vertices exceeds the recursion limit "
+                f"of {sys.getrecursionlimit()}")
+    # the least vertex of any non-singleton cell is the next base point: the
+    # vertices before it are singletons and stay so, as refinement only splits
+    for v in range(n):
+        if len(cells[col[v]]) == 1:
+            continue
+        before = (list(col), list(cells))
+        c = col[v]
+        _split(part, c, {v: 1})  # individualize the base point: its stabilizer
+        path.append((before, c, _refine(g.nbrs, part, [len(cells) - 1])))
+        if len(path) == sys.getrecursionlimit():  # a search from the top nests one call per level
+            raise ValueError(too_deep)
+    levels: list[dict[int, Perm]] = []  # deepest first
+    witnesses: list[Perm] = []  # every level's so far: each fixes the base points above it
+    for depth in reversed(range(len(path))):
+        before, c, _ = path[depth]
         base, *cell = before[1][c]
         transversal: dict[int, Perm] = {base: identity(n)}
-        witnesses: list[Perm] = []
         for t in cell:
             if t in transversal:
                 continue  # already reached by the closure: same orbit
             try:
-                witness = _search_one(g, path, part[0], depth, before, t)
-            except RecursionError:  # one nested call per level below depth
-                raise ValueError(
-                    f"automorphism search on {n} vertices exceeds the recursion limit "
-                    f"of {sys.getrecursionlimit()}") from None
+                witness = _search_one(g, path, col, depth, before, t)
+            except RecursionError:  # the callers' frames on top of the nested calls
+                raise ValueError(too_deep) from None
             if witness is None:
                 continue
             witnesses.append(witness)
             transversal[t] = witness
             known = list(transversal)
-            for w in known:  # close the orbit under this level's witnesses
+            for w in known:  # close the orbit under every witness so far
                 for s in witnesses:
                     u = s[w]
                     if u not in transversal:
@@ -255,11 +263,11 @@ def automorphism_group(g: Graph) -> GroupData:
         levels.append(transversal)
     grp_order = prod(len(t) for t in levels)
     # each level's first entry is its only identity: the others move the base point
-    generators = tuple(p for t in levels for p in list(t.values())[1:])
+    generators = tuple(p for t in reversed(levels) for p in list(t.values())[1:])
     if grp_order > DEFAULT_CAP:
         return GroupData(generators, None, grp_order, True)
     elements = [identity(n)]
-    for transversal in reversed(levels):
+    for transversal in levels:
         elements = [compose(u, e) for u in transversal.values() for e in elements]
     elements.sort()
     return GroupData(generators, tuple(elements), grp_order, False)

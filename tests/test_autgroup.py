@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from conftest import (
     random_cayley_census,
     small_corpus,
 )
+from hamcompress import autgroup
 from hamcompress.autgroup import (
     DEFAULT_CAP,
     GroupData,
@@ -139,12 +141,15 @@ def test_groups_of_graphs_on_at_most_two_vertices():
 
 
 def test_generators_are_transversal_entries_in_order_added():
-    """Per stabilizer level, targets ascend; a searched witness is kept at
-    its target and the orbit closure under the level's witnesses fills the
-    rest, so C5's rotation (1 2 3 4 0) yields its powers and the one
-    reflection fixing 0 closes level 1: the generators of C5 are fixed."""
+    """Levels are searched deepest first, targets ascending; a searched
+    witness is kept at its target and the orbit closure under every witness
+    so far fills the rest. C5's level 1 (base 1, cell {1, 4}) goes first and
+    finds the reflection (0 4 3 2 1) fixing 0; level 0's one search sends 0
+    to 1 by the reflection (1 0 4 3 2), and closing under both reaches 4, 2
+    and 3, in that order. The generators list level 0 first, so those of C5
+    are fixed."""
     assert automorphism_group(graph_cycle(5)).generators == (
-        (1, 2, 3, 4, 0), (2, 3, 4, 0, 1), (3, 4, 0, 1, 2), (4, 0, 1, 2, 3), (0, 4, 3, 2, 1))
+        (1, 0, 4, 3, 2), (4, 0, 1, 2, 3), (2, 1, 0, 4, 3), (3, 4, 0, 1, 2), (0, 4, 3, 2, 1))
 
 
 CAPPED = (  # (graph, group order), every order above the default cap
@@ -165,6 +170,51 @@ def test_capped_group_keeps_exact_order():
 
 
 
+def _count_level_searches(monkeypatch) -> list[int]:
+    """Wraps `_search_one` and returns a one-item list that counts the calls
+    the level loop makes, leaving out the nested calls of each search."""
+    search, top, nesting = autgroup._search_one, [0], [0]
+
+    def counted(*args):
+        top[0] += nesting[0] == 0
+        nesting[0] += 1
+        try:
+            return search(*args)
+        finally:
+            nesting[0] -= 1
+
+    monkeypatch.setattr(autgroup, "_search_one", counted)
+    return top
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_complete_graph_needs_one_search_per_level(monkeypatch, n):
+    """K_n's base path is 0, 1, ..., n - 2, and the first witness of level d
+    is the transposition (d d+1). Deepest first, the transpositions found
+    below level d fix d and generate the symmetric group on the points after
+    it, so closing under them and the new one reaches the whole cell: one
+    search per level, n - 1 in all."""
+    searches = _count_level_searches(monkeypatch)
+    grp = automorphism_group(graph_complete(n))
+    assert (grp.order, grp.capped) == (math.factorial(n), True)
+    assert searches[0] == n - 1
+
+
+def test_base_path_deeper_than_recursion_limit_refused_before_any_search(monkeypatch):
+    """A search from the top nests one `_search_one` call per level of the
+    base path. K_{2,1100}'s path has 1100 levels, one per vertex but the
+    last of each side, past the recursion limit, so the walk along the path
+    refuses it before the first search; the deepest-first level loop would
+    run the deep levels' searches, about a minute of them, before the top
+    one overflowed."""
+    searches = _count_level_searches(monkeypatch)
+    with pytest.raises(ValueError) as refused:
+        automorphism_group(graph_complete_bipartite(2, 1100))
+    assert str(refused.value) == ("automorphism search on 1102 vertices exceeds the "
+                                  f"recursion limit of {sys.getrecursionlimit()}")
+    assert searches[0] == 0
+
+
 def chang_graphs() -> list[Graph]:
     """The three Chang graphs: the triangular graph T(8), on the 28 pairs of
     range(8), Seidel-switched with respect to the pairs forming 4K2, C8 and
@@ -182,10 +232,11 @@ def chang_graphs() -> list[Graph]:
 
 
 def _automorphism_group_reference(g: Graph) -> GroupData:
-    """automorphism_group as it was before the base path was recorded and
-    replayed: every target search refines its source and target partitions
-    jointly, from the level's partition, with the same splitting queue, the
-    same level loop and the same orbit closure."""
+    """automorphism_group without the recorded and replayed base path: every
+    target search refines its source and target partitions jointly, from
+    the level's partition, with the same splitting queue, the same base
+    rule (the least vertex of any non-singleton cell), the same deepest-first
+    level loop and the same orbit closure under every witness so far."""
     n, nbrs = g.n, g.nbrs
 
     def refine(sides, queue):
@@ -236,8 +287,8 @@ def _automorphism_group_reference(g: Graph) -> GroupData:
         col[v] = len(cells)
         cells.append([v])
 
-    def first_cell(cells):
-        return next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+    def base_cell(col, cells):
+        return next((col[v] for v in range(n) if len(cells[col[v]]) > 1), None)
 
     def search_one(a, b, v, t):
         a, b = (list(a[0]), list(a[1])), (list(b[0]), list(b[1]))
@@ -245,7 +296,7 @@ def _automorphism_group_reference(g: Graph) -> GroupData:
         individualize(b, t)
         if not refine([a, b], [len(a[1]) - 1]):
             return None
-        c = first_cell(a[1])
+        c = base_cell(*a)
         if c is None:
             p = tuple(b[1][i][0] for i in a[0])
             return p if is_automorphism(g, p) else None
@@ -257,12 +308,16 @@ def _automorphism_group_reference(g: Graph) -> GroupData:
 
     part = ([0] * n, [list(range(n))] if n else [])
     refine([part], list(range(len(part[1]))))
-    levels = []
-    while (c := first_cell(part[1])) is not None:
-        base, *cell = part[1][c]
-        transversal, witnesses = {base: identity(n)}, []
+    path = []
+    while (c := base_cell(*part)) is not None:
+        path.append(((list(part[0]), list(part[1])), part[1][c]))
+        individualize(part, part[1][c][0])
+        refine([part], [len(part[1]) - 1])
+    levels, witnesses = [], []
+    for level, (base, *cell) in reversed(path):
+        transversal = {base: identity(n)}
         for t in cell:
-            if t in transversal or (witness := search_one(part, part, base, t)) is None:
+            if t in transversal or (witness := search_one(level, level, base, t)) is None:
                 continue
             witnesses.append(witness)
             transversal[t] = witness
@@ -272,9 +327,7 @@ def _automorphism_group_reference(g: Graph) -> GroupData:
                     if (u := s[w]) not in transversal:
                         transversal[u] = compose(s, transversal[w])
                         known.append(u)
-        levels.append(transversal)
-        individualize(part, base)
-        refine([part], [len(part[1]) - 1])
+        levels.insert(0, transversal)
     grp_order = 1
     for transversal in levels:
         grp_order *= len(transversal)
