@@ -30,10 +30,12 @@ read their semiregular pool from them.
 Refinement counts neighbours from the graph's neighbour tuples, `Graph.nbrs`,
 and so does the leaf check `is_automorphism`.
 
-The element list serves two scans: `cyclic_semiregular_reps` reads each
-element's cycle type once (`perm.semiregular_order`), and `_regular_search`
-closes each subgroup under its generators (Seress 2003, ch. 2); a regular
-subgroup is returned as its sorted element tuple, with no classification.
+One scan per group, `GroupData.semiregular`, reads each element's cycle type
+(`perm.semiregular_order`) and serves `cyclic_semiregular_reps`,
+`_semiregular_classes` and `_regular_search`. Every element of a regular
+subgroup is semiregular (Seress 2003, ch. 2), so that search branches and
+closes over the scanned elements only; a regular subgroup is returned as its
+sorted element tuple, with no classification.
 
 Determinism: a replay splits the target side's cells exactly as the trace
 records, so aligned cells keep matching indices; the base vertex is always
@@ -46,17 +48,11 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 
 from .graph import Graph
-from .perm import (
-    Perm,
-    compose,
-    identity,
-    inverse,
-    is_fixed_point_free,
-    semiregular_order,
-)
+from .perm import Perm, compose, identity, inverse, semiregular_order
 
 DEFAULT_CAP = 1 << 20
 
@@ -105,17 +101,14 @@ def _counts(nbrs: Nbrs, col: list[int], members: list[int]) -> tuple[dict, dict]
     return cnt, shape
 
 
-def _split(side: Side, c: int, cnt: dict) -> bool:
+def _split(side: Side, c: int, cnt: dict) -> None:
     """Split cell c by count (absent is 0), in place: the lowest count keeps
-    the index, the others are appended in ascending count. False, with the
-    cell untouched, when one count fills it. The one change a partition
-    undergoes; individualizing v is the split by {v: 1}."""
+    the index, the others are appended in ascending count. The one change a
+    partition undergoes; individualizing v is the split by {v: 1}."""
     col, cells = side
     by_count: dict[int, list[int]] = {}
     for x in cells[c]:
         by_count.setdefault(cnt.get(x, 0), []).append(x)
-    if len(by_count) == 1:
-        return False
     low, *rest = sorted(by_count)
     cells[c] = by_count[low]
     for k in rest:
@@ -123,7 +116,6 @@ def _split(side: Side, c: int, cnt: dict) -> bool:
         for x in part:
             col[x] = len(cells)
         cells.append(part)
-    return True
 
 
 def _refine(nbrs: Nbrs, side: Side, queue: list[int]) -> list[Step]:
@@ -132,9 +124,10 @@ def _refine(nbrs: Nbrs, side: Side, queue: list[int]) -> list[Step]:
 
     queue holds the cells to split by. For a popped splitter W, every cell
     is split by |N(v) & W| (`_split`), and the split cell and its new parts
-    are queued. Stops early once the partition is discrete. The trace lists
-    every popped splitter in order; `_replay` repeats it on another
-    partition.
+    are queued. A touched cell whose first count tally fills it has one
+    count and is left alone, so `_split` is only asked to split. Stops early
+    once the partition is discrete. The trace lists every popped splitter in
+    order; `_replay` repeats it on another partition.
     """
     col, cells = side
     queued = set(queue)
@@ -144,10 +137,11 @@ def _refine(nbrs: Nbrs, side: Side, queue: list[int]) -> list[Step]:
         queued.discard(w)
         cnt, shape = _counts(nbrs, col, cells[w])
         splits = []
-        for c in dict.fromkeys(c for c, _ in shape):  # touched cells, in order
-            first = len(cells)
-            if not _split(side, c, cnt):
+        for (c, _), tally in shape.items():  # touched cells, in order
+            if c in splits or tally == len(cells[c]):
                 continue
+            first = len(cells)
+            _split(side, c, cnt)
             splits.append(c)
             for i in (c, *range(first, len(cells))):
                 if i not in queued:
@@ -213,6 +207,11 @@ class GroupData:
     elements: tuple[Perm, ...] | None
     order: int
     capped: bool
+
+    @cached_property
+    def semiregular(self) -> tuple[dict[int, list[Perm]], dict[Perm, Perm]]:
+        """`_semiregular_subgroups`, run once and kept with the group."""
+        return _semiregular_subgroups(self)
 
 
 def automorphism_group(g: Graph) -> GroupData:
@@ -283,12 +282,13 @@ def cyclic_semiregular_reps(group: GroupData) -> dict[int, list[Perm]]:
     of its subgroup, and claims that subgroup's other generators a^e,
     gcd(e, k) = 1, read off the successive products a^2, ..., a^(k-1).
     """
-    return _semiregular_subgroups(group)[0]
+    return group.semiregular[0]
 
 
 def _semiregular_subgroups(group: GroupData) -> tuple[dict[int, list[Perm]], dict[Perm, Perm]]:
     """The reps of `cyclic_semiregular_reps`, and the rep of the subgroup of
-    each generator a^e, gcd(e, k) = 1, that the pass reads."""
+    each generator a^e, gcd(e, k) = 1, that the pass reads: on an uncapped
+    group, every semiregular element of order >= 2."""
     pool = group.elements
     if group.capped:
         powers: set[Perm] = set()
@@ -328,7 +328,7 @@ def _semiregular_classes(group: GroupData) -> dict[int, dict[Perm, list[Perm]]]:
     the group, so the search reaches a's whole class; an order stops once
     each of its reps is reached.
     """
-    reps, rep_of = _semiregular_subgroups(group)
+    reps, rep_of = group.semiregular
     gens = [(s, inverse(s)) for s in group.generators]
     classes: dict[int, dict[Perm, list[Perm]]] = {}
     for k, ks in reps.items():
@@ -370,11 +370,11 @@ def sem_array(g: Graph, group: GroupData | None = None) -> SemArray:
     return SemArray(tuple(sorted(found)), found, exact=not group.capped)
 
 
-def _closure(base: set[Perm], gens: tuple[Perm, ...], extra: Perm,
-             n: int) -> set[Perm] | None:
+def _closure(base: set[Perm], gens: tuple[Perm, ...], extra: Perm, n: int,
+             semireg: dict[Perm, Perm]) -> set[Perm] | None:
     """Subgroup generated by base, the subgroup generated by gens, and extra;
-    None as soon as a non-identity element fixes a point or the size exceeds
-    n.
+    None as soon as a new element is not in semireg (the group's semiregular
+    elements but the identity, which base holds) or the size exceeds n.
 
     Closure under generators (Seress 2003, ch. 2): base plus extra is closed
     under left multiplication by gens plus extra, so each element costs
@@ -388,7 +388,7 @@ def _closure(base: set[Perm], gens: tuple[Perm, ...], extra: Perm,
         for s in gens:
             c = compose(s, a)
             if c not in elems:
-                if len(elems) == n or not is_fixed_point_free(c):
+                if len(elems) == n or c not in semireg:
                     return None
                 elems.add(c)
                 frontier.append(c)
@@ -401,9 +401,10 @@ def _regular_search(group: GroupData, n: int):
 
     Search from vertex 0: a regular subgroup has exactly one element sending
     0 to each vertex. Depth-first from {id}; at a subgroup H, branch over the
-    fixed-point-free x with x(0) = v, v the least vertex outside H's orbit of
-    0, and close H with x. A closure whose non-identity elements are all
-    fixed-point-free acts semiregularly, so reaching size n means regular.
+    semiregular x with x(0) = v, v the least vertex outside H's orbit of 0,
+    and close H with x. The semiregular elements are the keys of the
+    group's one scan (`GroupData.semiregular`), and a closure keeps only
+    them, so it acts semiregularly and reaching size n means regular.
     Each stack entry carries the generators H was closed from; each one at
     least doubles the order, so there are at most log2(n) of them.
 
@@ -415,9 +416,10 @@ def _regular_search(group: GroupData, n: int):
     """
     if n == 0:
         return
+    semireg = group.semiregular[1]
     by_image: dict[int, list[Perm]] = {}
     for a in group.elements:
-        if is_fixed_point_free(a):
+        if a in semireg:
             by_image.setdefault(a[0], []).append(a)
     stack: list[tuple[set[Perm], tuple[Perm, ...]]] = [({identity(n)}, ())]
     while stack:
@@ -428,7 +430,7 @@ def _regular_search(group: GroupData, n: int):
         orbit = {a[0] for a in h}
         v = next(w for w in range(n) if w not in orbit)
         for x in by_image.get(v, ()):
-            k = _closure(h, gens, x, n)
+            k = _closure(h, gens, x, n, semireg)
             if k is not None:
                 stack.append((k, (*gens, x)))
 

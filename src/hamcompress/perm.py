@@ -8,7 +8,7 @@ of a as vertex tuples.
 from __future__ import annotations
 
 import math
-from operator import itemgetter, ne
+from operator import itemgetter
 
 Perm = tuple[int, ...]
 
@@ -115,7 +115,3 @@ def is_semiregular(a: Perm, k: int) -> bool:
     if k < 1:
         raise ValueError("orbit length must be positive")
     return semiregular_order(a) == k
-
-
-def is_fixed_point_free(a: Perm) -> bool:
-    return all(map(ne, a, range(len(a))))

@@ -585,6 +585,67 @@ def test_regular_subgroups_match_two_sided_closure():
     assert total > len(graphs)
 
 
+@pytest.mark.parametrize("g, count", [
+    (graph_disjoint_complete(2, 4), 168),
+    (graph_complete_bipartite(4, 4), 168),
+    (graph_disjoint_complete(3, 3), 36),
+    (graph_disjoint_complete(4, 2), 64),
+    (graph_k33(), 8),
+    (x_mnr(2, 4, 3).graph, 10),  # the cube Q3
+], ids=["2K4", "K4,4", "3K3", "4K2", "K3,3", "Q3"])
+def test_regular_subgroups_match_reference_on_fixed_point_free_rich_groups(g, count):
+    """Groups with many fixed-point-free elements that are not semiregular
+    (372 of |Aut(2K4)| = 1 152): the search branches and closes over the
+    semiregular elements only, and still finds every regular subgroup the
+    reference finds with its own fixed-point-free rule, in the same
+    number."""
+    group = automorphism_group(g)
+    moving = [a for a in group.elements if all(a[v] != v for v in range(g.n))]
+    assert any(semiregular_order(a) == 0 for a in moving)
+    subs = regular_subgroups(g, group=group)
+    assert len(subs) == count
+    assert subs == _regular_subgroups_reference(group, g.n)
+
+
+def test_semiregular_scan_runs_once_per_group(monkeypatch):
+    """Every reader of the semiregular scan on one group shares one run of
+    `_semiregular_subgroups`, regular subgroups and Cayley-ness included. On
+    a capped group (K10) the scan reads the generators' cyclic subgroups:
+    the Sem array is the least semiregular element per order among their
+    powers, and the regular search is not run."""
+    calls = [0]
+    scan = autgroup._semiregular_subgroups
+
+    def counted(group):
+        calls[0] += 1
+        return scan(group)
+
+    monkeypatch.setattr(autgroup, "_semiregular_subgroups", counted)
+    g = x_mnr(2, 4, 3).graph
+    grp = automorphism_group(g)
+    sem = sem_array(g, group=grp)
+    reps = cyclic_semiregular_reps(grp)
+    assert _semiregular_classes(grp).keys() == reps.keys()
+    assert len(regular_subgroups(g, group=grp)) == 10
+    assert is_cayley(g, group=grp) == "yes"
+    assert sem.values == (1, 2, 4) and calls[0] == 1
+
+    calls[0] = 0
+    k10 = graph_complete(10)
+    grp = automorphism_group(k10)
+    assert grp.capped
+    sem = sem_array(k10, group=grp)
+    powers = sorted({power(s, e) for s in grp.generators for e in range(1, order(s))})
+    least: dict[int, tuple] = {}
+    for a in powers:
+        least.setdefault(semiregular_order(a), a)
+    least.pop(0, None)
+    assert sem.witnesses == {1: identity(10), **least} and not sem.exact
+    assert regular_subgroups(k10, group=grp) is None
+    assert is_cayley(k10, group=grp) == "unknown"
+    assert calls[0] == 1
+
+
 def test_regular_subgroup_tags():
     """A regular subgroup is cyclic iff it holds an n-cycle. K4 has the
     Klein four-group and three Z_4; C15 has Z_15 alone; K6 has 60 Z_6 and
