@@ -28,7 +28,12 @@ identity, level by level in path order, in the order added; capped groups
 read their semiregular pool from them.
 
 Refinement counts neighbours from the graph's neighbour tuples, `Graph.nbrs`,
-and so does the leaf check `is_automorphism`.
+and so does the leaf check `is_automorphism`. It queues splitters by
+Hopcroft's rule (Hopcroft 1971; nauty's refinement does the same): a split
+cell that was not queued queues every part but its largest, whose counts
+follow from the others'. Both callers start from a partition that is
+equitable on every cell they do not queue: the root queues every cell, and
+individualizing splits an equitable partition and queues the singleton.
 
 One scan per group, `GroupData.semiregular`, reads each element's cycle type
 (`perm.semiregular_order`) and serves `cyclic_semiregular_reps`,
@@ -122,12 +127,17 @@ def _refine(nbrs: Nbrs, side: Side, queue: list[int]) -> list[Step]:
     """Refine the partition, in place, to the coarsest equitable one below
     it (McKay & Piperno 2014, after Hopcroft 1971), and return its trace.
 
-    queue holds the cells to split by. For a popped splitter W, every cell
-    is split by |N(v) & W| (`_split`), and the split cell and its new parts
-    are queued. A touched cell whose first count tally fills it has one
-    count and is left alone, so `_split` is only asked to split. Stops early
-    once the partition is discrete. The trace lists every popped splitter in
-    order; `_replay` repeats it on another partition.
+    queue holds the cells to split by; the partition must be equitable on
+    every cell not in it. For a popped splitter W, every cell is split by
+    |N(v) & W| (`_split`). A touched cell whose first count tally fills it
+    has one count and is left alone, so `_split` is only asked to split.
+    Hopcroft's rule: the new parts of a split cell are queued, and so is
+    the cell itself if it was queued; if it was not, the partition is
+    equitable on the old cell, so counts in its largest part (the first
+    largest in `_split`'s order) follow from the others, and every part but
+    that one is queued. Stops early once the partition is discrete. The
+    trace lists every popped splitter in order; `_replay` repeats it on
+    another partition.
     """
     col, cells = side
     queued = set(queue)
@@ -143,10 +153,13 @@ def _refine(nbrs: Nbrs, side: Side, queue: list[int]) -> list[Step]:
             first = len(cells)
             _split(side, c, cnt)
             splits.append(c)
-            for i in (c, *range(first, len(cells))):
-                if i not in queued:
-                    queued.add(i)
-                    queue.append(i)
+            parts = [c, *range(first, len(cells))]
+            if c in queued:
+                del parts[0]
+            else:
+                parts.remove(max(parts, key=lambda i: len(cells[i])))
+            queued.update(parts)
+            queue += parts
         trace.append((w, shape, splits))
     return trace
 

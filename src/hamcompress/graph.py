@@ -20,11 +20,14 @@ def bits(mask: int):
         mask ^= b
 
 
-def reach(rows, start: int, region: int) -> int:
+def reach(rows, start: int, region: int, targets: int) -> int:
     """Bitset of the vertices of region that start reaches, breadth-first,
-    through vertices of region; start must lie in region."""
+    through vertices of region, up to the first layer that completes
+    targets; start must lie in region. With targets = region it is start's
+    whole component; with smaller targets it holds targets & component and
+    lies inside the component."""
     comp = frontier = 1 << start
-    while frontier:
+    while frontier and targets & ~comp:
         nxt = 0
         while frontier:
             bit = frontier & -frontier
@@ -79,7 +82,7 @@ class Graph:
 
     def is_connected(self) -> bool:
         full = (1 << self.n) - 1
-        return not full or reach(self.rows, 0, full) == full
+        return not full or reach(self.rows, 0, full, full) == full
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows

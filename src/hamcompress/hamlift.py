@@ -16,8 +16,9 @@ ascending order, in the direction whose second vertex is below its last.
 Each step is cut unless vertex 0 keeps an open neighbour above the second
 vertex to close the cycle, the open neighbours of the vertex the step left
 keep two live links each, and the open region stays connected; the
-connectivity search runs only when the step could have cut the region. Plain enumeration takes
-the cycles of the graph. The one symmetric search, symmetric_hamcycles,
+connectivity search from the new head stops once it reaches every open
+neighbour of the vertex the step left. Plain enumeration takes the cycles
+of the graph. The one symmetric search, symmetric_hamcycles,
 takes those of the orbit support rows, or the path through all orbits
 when there are fewer than three, and lifts each with every voltage choice
 that generates Z_k, so it yields every Hamilton cycle on which the
@@ -206,9 +207,11 @@ def _open_region_ok(rows, head: int, rest: int, lost: int) -> bool:
     vertex 0), and rest plus head is connected. Both held before the step to
     head, which took the previous head out of the region and, unless it is
     vertex 0, out of the live set, so only its open neighbours lost need the
-    degree check. The region stays connected when each vertex of lost is
-    adjacent to head, since every part of it touches lost or head; only
-    otherwise is it searched breadth-first. At the root, lost is rest."""
+    degree check. Each part the previous head's deletion leaves holds one of
+    its open neighbours, lost or head, so the region is connected exactly
+    when head reaches every vertex of lost: at once when all of them are
+    next to head, else by a breadth-first search that stops once it has
+    reached the others, far. At the root, lost is rest."""
     live = rest | 1 << head | 1
     probe = lost
     while probe:
@@ -216,10 +219,8 @@ def _open_region_ok(rows, head: int, rest: int, lost: int) -> bool:
         probe ^= bit
         if (rows[bit.bit_length() - 1] & live).bit_count() < 2:
             return False
-    if not lost & ~rows[head]:
-        return True
-    region = rest | 1 << head
-    return reach(rows, head, region) == region
+    far = lost & ~rows[head]
+    return not far or not far & ~reach(rows, head, rest | 1 << head, far)
 
 
 def _hamilton_cycles(rows):

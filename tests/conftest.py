@@ -253,6 +253,21 @@ def small_corpus() -> list[tuple[str, Graph]]:
     ]
 
 
+def p5_triples() -> list[Graph]:
+    """The 77 connected p = 5 triples [S, S', T] with a twisted rotation,
+    over every symmetric S, S' and every spoke set T of size 1 to 3."""
+    graphs = []
+    sym = ({1, 4}, {2, 3}, {1, 2, 3, 4})
+    for s_outer, s_inner in itertools.product(sym, repeat=2):
+        for size in (1, 2, 3):
+            for spokes in itertools.combinations(range(5), size):
+                inst = metacirculant_triple_2p(5, s_outer, s_inner, set(spokes))
+                if inst.sigma is not None and inst.graph.is_connected():
+                    graphs.append(inst.graph)
+    assert len(graphs) == 77
+    return graphs
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return small_corpus()

@@ -14,6 +14,7 @@ from conftest import (
     graph_disjoint_complete,
     graph_k4,
     graph_k33,
+    p5_triples,
     random_cayley_census,
     small_corpus,
 )
@@ -33,7 +34,6 @@ from hamcompress.families import (
     cayley_p3,
     circulant,
     generalized_petersen,
-    metacirculant_triple_2p,
     petersen,
     x_mnr,
     y_qp,
@@ -347,15 +347,7 @@ def test_replayed_search_matches_joint_refinement():
     triples with a twisted rotation, GP(n, r) for n <= 12, seeded random
     graphs with their complements, the capped graphs and the Chang graphs,
     whose searches back out of a level without a witness."""
-    graphs = []
-    sym = ({1, 4}, {2, 3}, {1, 2, 3, 4})
-    for s_outer, s_inner in itertools.product(sym, repeat=2):
-        for size in (1, 2, 3):
-            for spokes in itertools.combinations(range(5), size):
-                inst = metacirculant_triple_2p(5, s_outer, s_inner, set(spokes))
-                if inst.sigma is not None and inst.graph.is_connected():
-                    graphs.append(inst.graph)
-    assert len(graphs) == 77
+    graphs = p5_triples()
     graphs += [generalized_petersen(n, r).graph
                for n in range(3, 13) for r in range(1, (n + 1) // 2)]
     rng = random.Random(18)
@@ -564,15 +556,7 @@ def test_regular_subgroups_match_two_sided_closure():
     """Closing by generators finds the same regular subgroups as the
     all-pairs closure, on the connected p = 5 triples with a twisted
     rotation and on census circulants with many regular subgroups."""
-    graphs = []
-    sym = ({1, 4}, {2, 3}, {1, 2, 3, 4})
-    for s_outer, s_inner in itertools.product(sym, repeat=2):
-        for size in (1, 2, 3):
-            for spokes in itertools.combinations(range(5), size):
-                inst = metacirculant_triple_2p(5, s_outer, s_inner, set(spokes))
-                if inst.sigma is not None and inst.graph.is_connected():
-                    graphs.append(inst.graph)
-    assert len(graphs) >= 70
+    graphs = p5_triples()
     graphs += [circulant(n, conn).graph for n, conn in (
         (8, {1, 3, 5, 7}), (8, {1, 2, 6, 7}), (9, {1, 3, 6, 8}), (10, {1, 2, 8, 9}),
         (12, {1, 5, 7, 11}), (12, {3, 4, 8, 9}))]

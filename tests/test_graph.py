@@ -4,7 +4,14 @@ import pytest
 
 from conftest import graph_cycle, graph_k4
 from hamcompress.families import petersen, x_mnr
-from hamcompress.graph import Graph, bits, emit_edgelist, parse_edgelist, remove_intra_orbit_edges
+from hamcompress.graph import (
+    Graph,
+    bits,
+    emit_edgelist,
+    parse_edgelist,
+    reach,
+    remove_intra_orbit_edges,
+)
 from hamcompress.perm import identity
 
 
@@ -42,6 +49,57 @@ def test_connectivity():
     g = Graph.build(4, [(0, 1), (2, 3)])
     assert not g.is_connected()
     assert Graph.build(1, []).is_connected()
+
+
+def _distances(g: Graph, start: int, region: int) -> dict[int, int]:
+    """Breadth-first distance from start, through region, of each vertex of
+    start's component in region, by a set-based search."""
+    dist, layer, d = {start: 0}, {start}, 0
+    while layer:
+        d += 1
+        layer = {u for v in layer for u in g.nbrs[v] if region >> u & 1 and u not in dist}
+        dist.update(dict.fromkeys(layer, d))
+    return dist
+
+
+def _random_reach_cases(seed: int):
+    """(graph, start, region, targets) on 300 seeded random graphs: region a
+    random vertex set holding start, targets a random subset of it."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        n = rng.randrange(1, 16)
+        g = random_graph(rng, n, rng.choice((0.1, 0.2, 0.4)))
+        start = rng.randrange(n)
+        region = sum(1 << v for v in range(n) if rng.random() < 0.7) | 1 << start
+        targets = sum(1 << v for v in bits(region) if rng.random() < 0.3)
+        yield g, start, region, targets
+
+
+def test_reach_with_the_region_as_targets_is_the_component():
+    """With targets = region, reach is start's whole component in region, as
+    it was before reach took targets."""
+    for g, start, region, _ in _random_reach_cases(35):
+        component = sum(1 << v for v in _distances(g, start, region))
+        assert reach(g.rows, start, region, region) == component, (g.rows, start, region)
+
+
+def test_reach_stops_at_the_layer_that_completes_the_targets():
+    """With smaller targets, reach holds every target of start's component,
+    lies inside the component, and is the ball around start up to the
+    farthest target, or the whole component when some target lies outside
+    it."""
+    path = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
+    assert reach(path.rows, 0, 0b1111, 0b0100) == 0b0111
+    assert reach(path.rows, 0, 0b1111, 0) == 0b0001
+    assert reach(path.rows, 0, 0b1011, 0b1000) == 0b0011
+    for g, start, region, targets in _random_reach_cases(36):
+        dist = _distances(g, start, region)
+        component = sum(1 << v for v in dist)
+        radius = max(dist.get(t, g.n) for t in bits(targets)) if targets else 0
+        ball = sum(1 << v for v, d in dist.items() if d <= radius)
+        got = reach(g.rows, start, region, targets)
+        assert got == ball, (g.rows, start, region, targets)
+        assert targets & component & ~got == 0 and got & ~component == 0
 
 
 def test_remove_intra_orbit_edges_identity_and_idempotence():

@@ -11,9 +11,11 @@ from conftest import (
     cycle_edges,
     graph_cycle,
     graph_k4,
+    p5_triples,
     project_cycle,
     random_cayley_census,
 )
+from hamcompress import hamlift
 from hamcompress.autgroup import automorphism_group, cyclic_semiregular_reps, is_automorphism
 from hamcompress.families import (
     cayley_p3,
@@ -296,6 +298,56 @@ def test_hamilton_search_matches_unpruned_reference_on_atlas():
     nx = pytest.importorskip("networkx")
     for index, h in enumerate(nx.graph_atlas_g()):
         _assert_search_matches_reference(Graph.build(h.number_of_nodes(), h.edges()), index)
+
+
+def _open_region_from_scratch(adj: list[set[int]], head: int, rest: int) -> bool:
+    """_open_region_ok's verdict, from the whole state: every open vertex
+    (rest) keeps two links into the live set (rest, head and vertex 0), and
+    a set-based breadth-first search from head covers rest and head."""
+    region = {v for v in range(len(adj)) if rest >> v & 1}
+    live = region | {head, 0}
+    if any(len(adj[v] & live) < 2 for v in region):
+        return False
+    region.add(head)
+    seen, layer = {head}, {head}
+    while layer:
+        layer = {u for v in layer for u in adj[v]} & region - seen
+        seen |= layer
+    return seen == region
+
+
+def test_open_region_check_matches_a_from_scratch_check(monkeypatch):
+    """The DFS's open-region check looks only at the previous head's open
+    neighbours and stops its search once head reaches them; on every call,
+    on GP(n, r) for n <= 17 and the 77 p = 5 triples, its verdict equals the
+    check of the whole state, taken once per state (head, rest). GP(17, 2)
+    has no Hamilton cycle, so its search runs to the end: 8 814 checks."""
+    adj: list[set[int]] = []
+    verdicts: dict[tuple[int, int], bool] = {}
+    calls = 0
+
+    def checked(rows, head, rest, lost):
+        nonlocal calls
+        calls += 1
+        verdict = original(rows, head, rest, lost)
+        if (head, rest) not in verdicts:
+            verdicts[head, rest] = _open_region_from_scratch(adj, head, rest)
+        assert verdict == verdicts[head, rest], (rows, head, rest, lost)
+        return verdict
+
+    original = hamlift._open_region_ok
+    monkeypatch.setattr(hamlift, "_open_region_ok", checked)
+    graphs = {("GP", n, r): generalized_petersen(n, r).graph
+              for n in range(3, 18) for r in range(1, (n + 1) // 2)}
+    graphs.update((("triple", i), g) for i, g in enumerate(p5_triples()))
+    for label, g in graphs.items():
+        adj[:] = map(set, g.nbrs)
+        verdicts.clear()
+        calls = 0
+        cycles = list(_hamilton_cycles(g.rows))
+        assert calls, label
+        if label == ("GP", 17, 2):
+            assert (len(cycles), calls) == (0, 8814)
 
 
 def _brute_voltage_choices(volt_sets, k):

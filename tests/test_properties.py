@@ -471,14 +471,36 @@ def _equitable(nbrs, side) -> bool:
     return all(profile[v] == profile[cell[0]] for cell in cells for v in cell)
 
 
+def _coarsest_equitable(nbrs, cells) -> set[frozenset[int]]:
+    """Reference for _refine, which queues only some fragments of a split
+    cell: split every cell by its members' neighbour counts in every cell
+    until nothing splits, as a set of cells. Each split is forced, so the
+    result is the unique coarsest equitable partition below cells."""
+    cells = [list(c) for c in cells]
+    while True:
+        for w in map(set, cells):
+            parts = []
+            for c in cells:
+                by_count: dict[int, list[int]] = {}
+                for v in c:
+                    by_count.setdefault(len(w.intersection(nbrs[v])), []).append(v)
+                parts += by_count.values()
+            if len(parts) > len(cells):
+                cells = parts
+                break
+        else:
+            return {frozenset(c) for c in cells}
+
+
 def test_refinement_is_equitable():
     """The root partition of _refine is equitable, and so is the partition
-    after individualizing any one vertex; replaying either refinement's
-    trace on a copy of its starting partition gives the same partition. A
-    refinement that stops short of equitable leaves the search complete,
-    only slower, so no answer test catches it. On a regular graph the root
-    partition is one cell, which is why the individualized partitions are
-    checked too."""
+    after individualizing any one vertex; both have the cells of a reference
+    refinement that splits by every cell (`_coarsest_equitable`), and
+    replaying either refinement's trace on a copy of its starting partition
+    gives the same partition. A refinement that stops short of equitable
+    leaves the search complete, only slower, so no answer test catches it.
+    On a regular graph the root partition is one cell, which is why the
+    individualized partitions are checked too."""
     rng = random.Random(13)
     graphs = [g for g, _ in CLOSED_FORMS if g.n <= 12] + [graph_star(6)]
     graphs += [generalized_petersen(n, r).graph
@@ -494,9 +516,12 @@ def test_refinement_is_equitable():
         fresh = ([0] * n, [list(range(n))])
         assert _replay(nbrs, fresh, _refine(nbrs, root, [0])), g.rows
         assert _equitable(nbrs, root) and fresh == root, g.rows
+        assert set(map(frozenset, root[1])) == _coarsest_equitable(nbrs, [range(n)]), g.rows
         for v in range(n):
             a, b = (list(root[0]), list(root[1])), (list(root[0]), list(root[1]))
             _split(a, a[0][v], {v: 1})  # individualize v
             _split(b, b[0][v], {v: 1})
+            start = [list(c) for c in a[1]]
             assert _replay(nbrs, b, _refine(nbrs, a, [a[0][v]])), (g.rows, v)
             assert _equitable(nbrs, a) and a == b, (g.rows, v)
+            assert set(map(frozenset, a[1])) == _coarsest_equitable(nbrs, start), (g.rows, v)
