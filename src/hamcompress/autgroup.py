@@ -15,7 +15,12 @@ step, `_search_one`, finds every witness: it individualizes a target vertex
 on a copy of the level's partition, replays the level's trace on that one
 side (`_replay`) and recurses over the next level's cell, one nested call per
 level, down to the leaf, which `is_automorphism` checks; so the walk refuses a
-path as long as the recursion limit before any search.
+path as long as the recursion limit before any search. A trace keeps only the
+steps that split a cell: a step that splits nothing changes neither side's
+partition, every kept step still checks its full tallies, and the leaf is
+discrete, so an automorphism is fixed by its base images; a path that a
+dropped check would have refused holds no automorphism, and its leaf check
+fails, so every witness is the one found before.
 
 Orbit pruning (Sims' stabilizer chain; McKay & Piperno 2014; Seress 2003,
 ch. 4): the levels are searched deepest first. Each witness is kept as the
@@ -40,7 +45,15 @@ One scan per group, `GroupData.semiregular`, reads each element's cycle type
 `_semiregular_classes` and `_regular_search`. Every element of a regular
 subgroup is semiregular (Seress 2003, ch. 2), so that search branches and
 closes over the scanned elements only; a regular subgroup is returned as its
-sorted element tuple, with no classification.
+sorted element tuple, with no classification. The search skips, before its
+closure, a candidate x that maps a vertex of H's orbit of 0 into that orbit:
+if x(h(0)) = h'(0) for h, h' in H, then h'^-1·x·h fixes 0, so in a
+semiregular <H, x> it is the identity and x = h'·h^-1 lies in H, which
+x(0), outside H·0, rules out; the closure would fail.
+
+The element listing, the scan's powers, the closures and the conjugation of
+the classes each compose many permutations with one fixed operand, and build
+that operand's image getter once (`perm.precompose`).
 
 Determinism: a replay splits the target side's cells exactly as the trace
 records, so aligned cells keep matching indices; the base vertex is always
@@ -57,7 +70,7 @@ from functools import cached_property
 from math import gcd, prod
 
 from .graph import Graph
-from .perm import Perm, compose, identity, inverse, semiregular_order
+from .perm import Perm, compose, identity, inverse, precompose, semiregular_order
 
 DEFAULT_CAP = 1 << 20
 
@@ -136,8 +149,8 @@ def _refine(nbrs: Nbrs, side: Side, queue: list[int]) -> list[Step]:
     equitable on the old cell, so counts in its largest part (the first
     largest in `_split`'s order) follow from the others, and every part but
     that one is queued. Stops early once the partition is discrete. The
-    trace lists every popped splitter in order; `_replay` repeats it on
-    another partition.
+    trace lists, in order, every popped splitter that split a cell;
+    `_replay` repeats it on another partition.
     """
     col, cells = side
     queued = set(queue)
@@ -160,7 +173,8 @@ def _refine(nbrs: Nbrs, side: Side, queue: list[int]) -> list[Step]:
                 parts.remove(max(parts, key=lambda i: len(cells[i])))
             queued.update(parts)
             queue += parts
-        trace.append((w, shape, splits))
+        if splits:
+            trace.append((w, shape, splits))
     return trace
 
 
@@ -279,8 +293,8 @@ def automorphism_group(g: Graph) -> GroupData:
     if grp_order > DEFAULT_CAP:
         return GroupData(generators, None, grp_order, True)
     elements = [identity(n)]
-    for transversal in levels:
-        elements = [compose(u, e) for u in transversal.values() for e in elements]
+    for transversal in levels:  # each u·e, one image getter per e
+        elements = [get(u) for get in map(precompose, elements) for u in transversal.values()]
     elements.sort()
     return GroupData(generators, tuple(elements), grp_order, False)
 
@@ -306,10 +320,10 @@ def _semiregular_subgroups(group: GroupData) -> tuple[dict[int, list[Perm]], dic
     if group.capped:
         powers: set[Perm] = set()
         for gen in group.generators:
-            p, one = gen, identity(len(gen))
+            p, one, times_gen = gen, identity(len(gen)), precompose(gen)
             while p != one:
                 powers.add(p)
-                p = compose(gen, p)
+                p = times_gen(p)
         pool = sorted(powers)
     reps: dict[int, list[Perm]] = {}
     rep_of: dict[Perm, Perm] = {}
@@ -321,8 +335,9 @@ def _semiregular_subgroups(group: GroupData) -> tuple[dict[int, list[Perm]], dic
             continue
         reps.setdefault(k, []).append(a)
         rep_of[a] = p = a
+        times_a = precompose(a)  # p·a = a·p: powers of a commute
         for e in range(2, k):
-            p = compose(a, p)
+            p = times_a(p)
             if gcd(e, k) == 1:
                 rep_of[p] = a
     return reps, rep_of
@@ -342,7 +357,7 @@ def _semiregular_classes(group: GroupData) -> dict[int, dict[Perm, list[Perm]]]:
     each of its reps is reached.
     """
     reps, rep_of = group.semiregular
-    gens = [(s, inverse(s)) for s in group.generators]
+    gens = [(s, precompose(inverse(s))) for s in group.generators]
     classes: dict[int, dict[Perm, list[Perm]]] = {}
     for k, ks in reps.items():
         leaders = classes[k] = {}
@@ -355,8 +370,9 @@ def _semiregular_classes(group: GroupData) -> dict[int, dict[Perm, list[Perm]]]:
             for b, x in todo:  # grows as the search goes
                 if len(reached) == len(ks):
                     break
-                for s, s_inv in gens:
-                    c = rep_of[compose(s, compose(b, s_inv))]
+                times_b = precompose(b)
+                for s, times_s_inv in gens:
+                    c = rep_of[times_s_inv(times_b(s))]  # s·b·s^-1
                     if c not in reached:
                         reached.add(c)
                         todo.append((c, compose(s, x)))
@@ -397,9 +413,9 @@ def _closure(base: set[Perm], gens: tuple[Perm, ...], extra: Perm, n: int,
     elems = {*base, extra}
     frontier = list(elems)
     while frontier:
-        a = frontier.pop()
+        times_a = precompose(frontier.pop())
         for s in gens:
-            c = compose(s, a)
+            c = times_a(s)  # s·a
             if c not in elems:
                 if len(elems) == n or c not in semireg:
                     return None
@@ -419,7 +435,9 @@ def _regular_search(group: GroupData, n: int):
     group's one scan (`GroupData.semiregular`), and a closure keeps only
     them, so it acts semiregularly and reaching size n means regular.
     Each stack entry carries the generators H was closed from; each one at
-    least doubles the order, so there are at most log2(n) of them.
+    least doubles the order, so there are at most log2(n) of them. An x
+    that maps a vertex of H·0 into H·0 is skipped unclosed: the closure
+    would fail (module docstring).
 
     No subgroup is reached twice, so none is recorded: each step on the way
     to a subgroup K closes some H inside K with some x in K, the v it picks
@@ -443,6 +461,8 @@ def _regular_search(group: GroupData, n: int):
         orbit = {a[0] for a in h}
         v = next(w for w in range(n) if w not in orbit)
         for x in by_image.get(v, ()):
+            if not orbit.isdisjoint(map(x.__getitem__, orbit)):
+                continue  # x maps H·0 into itself: <H, x> is not semiregular
             k = _closure(h, gens, x, n, semireg)
             if k is not None:
                 stack.append((k, (*gens, x)))

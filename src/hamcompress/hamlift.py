@@ -3,12 +3,13 @@
 Quotienting a graph by a semiregular automorphism of order k yields a
 multigraph on the orbits whose arcs carry voltages in Z_k: voltage s from
 orbit A to orbit B records that the representative of A is adjacent to the
-s-th power image of the representative of B. The quotient keeps the
-ascending voltages of each ordered orbit pair, read in one pass over the
-graph's neighbour tuples, and refuses a permutation that is not an
-automorphism. A Hamilton cycle of the quotient whose net voltage generates
-Z_k lifts to a Hamilton cycle of the source graph on which the
-automorphism acts as a rotation.
+s-th power image of the representative of B. The quotient refuses a
+permutation that is not an automorphism (is_automorphism) and keeps the
+ascending voltages of each ordered orbit pair, read off the neighbour tuple
+of each orbit's representative alone: the automorphism carries that row to
+every other vertex of the orbit. A Hamilton cycle of the quotient whose net
+voltage generates Z_k lifts to a Hamilton cycle of the source graph on
+which the automorphism acts as a rotation.
 
 One search serves both uses: _hamilton_cycles, a non-recursive depth-first
 generator over bitset adjacency rows, yields each Hamilton cycle once, in
@@ -37,6 +38,7 @@ import sys
 from dataclasses import dataclass
 from itertools import islice
 
+from .autgroup import is_automorphism
 from .graph import Graph, reach
 from .perm import Perm, orbits, semiregular_order
 
@@ -90,21 +92,20 @@ def quotient_with_voltages(g: Graph, a: Perm) -> QuotientGraph:
     k = semiregular_order(a)  # 0 on a non-permutation too
     if k < 2:
         raise ValueError("permutation is not semiregular of order >= 2")
+    if not is_automorphism(g, a):
+        raise ValueError("permutation is not an automorphism")
     orbit_lists = orbits(a)
     orbit_of, exponent = [0] * g.n, [0] * g.n
     for idx, orb in enumerate(orbit_lists):
         for e, v in enumerate(orb):
             orbit_of[v], exponent[v] = idx, e
-    found: dict[tuple[int, int], set[int]] = {}
-    for u, nb in enumerate(g.nbrs):  # both ends of an edge: s one way, -s back
-        for v in nb:
-            found.setdefault((orbit_of[u], orbit_of[v]), set()).add(
-                (exponent[v] - exponent[u]) % k)
+    # a maps edges to edges, so v_A^e ~ v_B^(e+s) for every e exactly when
+    # the representative v_A^0 ~ v_B^s
+    found: dict[tuple[int, int], list[int]] = {}
+    for idx, orb in enumerate(orbit_lists):
+        for v in g.nbrs[orb[0]]:
+            found.setdefault((idx, orbit_of[v]), []).append(exponent[v])
     voltages = {pair: sorted(vs) for pair, vs in found.items()}
-    # a vertex sees one voltage per neighbour, so k arcs per voltage cover the
-    # 2m arcs iff every vertex of an orbit sees all of them: a maps edges to edges
-    if k * sum(map(len, voltages.values())) != 2 * g.m:
-        raise ValueError("permutation is not an automorphism")
     return QuotientGraph(k, orbit_lists, voltages)
 
 

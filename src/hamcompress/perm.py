@@ -1,13 +1,15 @@
 """Permutations as dense image tables on {0, ..., n-1}.
 
 A permutation is a plain tuple of images; ``compose(a, b)`` applies b first,
-then a, so ``compose(a, b)[x] == a[b[x]]``. ``orbits(a)`` returns the cycles
-of a as vertex tuples.
+then a, so ``compose(a, b)[x] == a[b[x]]``; ``precompose(b)`` is that map of
+a for one fixed b, its image getter built once. ``orbits(a)`` returns the
+cycles of a as vertex tuples.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from operator import itemgetter
 
 Perm = tuple[int, ...]
@@ -20,9 +22,16 @@ def identity(n: int) -> Perm:
 def compose(a: Perm, b: Perm) -> Perm:
     if len(a) != len(b):
         raise ValueError(f"degree mismatch: {len(a)} vs {len(b)}")
+    return precompose(b)(a)
+
+
+def precompose(b: Perm) -> Callable[[Perm], Perm]:
+    """The map a -> compose(a, b) on permutations of b's degree, which it
+    does not check: b's image getter, built once for a loop that composes
+    many a with one b."""
     if len(b) < 2:  # itemgetter returns a scalar for one index, raises for none
-        return tuple(a[x] for x in b)
-    return itemgetter(*b)(a)
+        return lambda a: tuple(a[x] for x in b)
+    return itemgetter(*b)
 
 
 def inverse(a: Perm) -> Perm:

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import answer_digests
 from hamcompress.autgroup import cyclic_semiregular_reps
 from hamcompress.compression import cycle_compression
 from hamcompress.families import (
@@ -271,3 +272,9 @@ def p5_triples() -> list[Graph]:
 @pytest.fixture(scope="session")
 def corpus():
     return small_corpus()
+
+
+@pytest.fixture(scope="session")
+def bench_pools():
+    """The (name, graph) pool of each benchmark workload, hcbench/pools.py."""
+    return answer_digests.bench_pools()

@@ -18,6 +18,7 @@ from conftest import (
     random_cayley_census,
     small_corpus,
 )
+from answer_digests import relabelled
 from hamcompress import autgroup
 from hamcompress.autgroup import (
     DEFAULT_CAP,
@@ -658,3 +659,62 @@ def test_vertex_transitive_instances_have_order_divisible_by_n():
         grp = automorphism_group(inst.graph)
         assert grp.order % inst.graph.n == 0
         assert len({a[0] for a in grp.elements}) == inst.graph.n
+
+
+def test_every_trace_step_splits_a_cell(monkeypatch, bench_pools):
+    """A refinement step that splits nothing changes neither side's
+    partition, so the trace leaves it out: on every pool graph, every step
+    of the root's and every level's trace lists at least one split cell."""
+    traces = []
+    refine = autgroup._refine
+
+    def recorded(nbrs, side, queue):
+        traces.append(refine(nbrs, side, queue))
+        return traces[-1]
+
+    monkeypatch.setattr(autgroup, "_refine", recorded)
+    for pool in bench_pools.values():
+        for _, g in pool:
+            automorphism_group(g)
+    steps = [step for trace in traces for step in trace]
+    assert steps and all(splits for _, _, splits in steps)
+
+
+def test_orbit_test_skips_only_closures_that_fail(monkeypatch, bench_pools):
+    """`_regular_search` skips x when x maps a vertex of H's orbit of 0 into
+    that orbit: x(h(0)) = h'(0) puts h'^-1·x·h in the stabilizer of 0, so a
+    semiregular <H, x> would hold x = h'·h^-1 in H, yet x(0) lies outside
+    H·0. Over every (H, x) the search reaches on the group-cayley pool and a
+    relabelled copy, each x the test skips closes to None; on the pool,
+    `regular_subgroups` runs 1 997 closures (4 577 without the test)."""
+    closure = autgroup._closure
+    calls = []
+
+    def recorded(base, gens, extra, n, semireg):
+        found = closure(base, gens, extra, n, semireg)
+        calls.append((gens, extra, found))
+        return found
+
+    monkeypatch.setattr(autgroup, "_closure", recorded)
+    pool = bench_pools["group-cayley"]
+    for _, g in pool:
+        regular_subgroups(g)
+    assert len(calls) == 1997
+    skipped = 0
+    for _, g in pool + relabelled(pool, 7):
+        n, group = g.n, automorphism_group(g)
+        calls.clear()
+        list(autgroup._regular_search(group, n))
+        semireg = group.semiregular[1]
+        reached = [({identity(n)}, ())]
+        reached += [(found, (*gens, x)) for gens, x, found in calls if found is not None]
+        for h, gens in reached:
+            orbit = {a[0] for a in h}
+            if len(orbit) == n:
+                continue
+            v = min(set(range(n)) - orbit)
+            for x in semireg:
+                if x[0] == v and not orbit.isdisjoint(x[w] for w in orbit):
+                    skipped += 1
+                    assert closure(h, gens, x, n, semireg) is None
+    assert skipped > 1000

@@ -39,7 +39,7 @@ from hamcompress.hamlift import (
     quotient_with_voltages,
     symmetric_hamcycles,
 )
-from hamcompress.perm import compose, identity, inverse, is_semiregular, order, power
+from hamcompress.perm import compose, identity, inverse, is_semiregular, orbits, order, power
 
 
 def test_quotient_rejects_non_semiregular():
@@ -78,6 +78,38 @@ def test_quotient_refuses_exactly_the_non_automorphisms():
                 with pytest.raises(ValueError, match="permutation is not an automorphism"):
                     quotient_with_voltages(g, a)
     assert min(counts) > 0
+
+
+def _voltages_from_every_arc(g: Graph, a) -> dict:
+    """The quotient's voltages read off both ends of every edge: arc u -> v
+    from orbit A to orbit B carries e(v) - e(u) mod k, e the exponent along
+    the orbit from its least vertex."""
+    k = order(a)
+    where = {v: (idx, e) for idx, orb in enumerate(orbits(a)) for e, v in enumerate(orb)}
+    found: dict = {}
+    for u, v in g.edges():
+        for x, y in ((u, v), (v, u)):
+            (ax, ex), (ay, ey) = where[x], where[y]
+            found.setdefault((ax, ay), set()).add((ey - ex) % k)
+    return {pair: sorted(vs) for pair, vs in found.items()}
+
+
+def test_quotient_reads_representatives_as_every_arc_does(bench_pools):
+    """The quotient reads only each orbit representative's neighbours: for
+    an automorphism, v_A^e ~ v_B^(e+s) for every e exactly when the
+    representative is adjacent to v_B^s. It equals the all-arcs reading
+    for every cyclic semiregular rep of every lift-xmnr and enum-ham pool
+    graph."""
+    quotients = 0
+    for workload in ("lift-xmnr", "enum-ham"):
+        for name, g in bench_pools[workload]:
+            for reps in cyclic_semiregular_reps(automorphism_group(g)).values():
+                for a in reps:
+                    qg = quotient_with_voltages(g, a)
+                    assert (qg.k, qg.orbit_lists) == (order(a), orbits(a)), name
+                    assert qg.voltages == _voltages_from_every_arc(g, a), name
+                    quotients += 1
+    assert quotients > 1000
 
 
 def test_quotient_x372_double_arcs():

@@ -15,6 +15,7 @@ from hamcompress.perm import (
     orbits,
     order,
     power,
+    precompose,
     semiregular_order,
 )
 
@@ -51,6 +52,25 @@ def test_compose_convention():
         assert type(c) is tuple and c == tuple(p[q[x]] for x in range(len(p)))
     with pytest.raises(ValueError):
         compose(a, (0, 1))
+
+
+def test_precompose_is_compose_with_its_operand_fixed():
+    """precompose(b)(a) == compose(a, b), as a tuple, on the degrees 0, 1
+    and 2 and on random permutations, one getter serving many a; compose
+    still refuses a degree mismatch."""
+    rng = random.Random(5)
+    cases = [((), [()]), ((0,), [(0,)]), *((b, [(0, 1), (1, 0)]) for b in ((0, 1), (1, 0)))]
+    for n in (rng.randrange(2, 40) for _ in range(50)):
+        cases.append((random_perm(rng, n), [random_perm(rng, n) for _ in range(5)]))
+    for b, lefts in cases:
+        times_b = precompose(b)
+        for a in lefts:
+            c = times_b(a)
+            assert type(c) is tuple and c == compose(a, b)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        compose((0, 1), (0,))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        compose((0,), ())
 
 
 def _semiregular_order_by_orbits(a) -> int:
