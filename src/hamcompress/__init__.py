@@ -4,7 +4,7 @@ The names below are the library API listed in README.md; everything else
 is reached through its submodule.
 """
 
-from .autgroup import automorphism_group, is_automorphism, is_cayley, regular_subgroups, sem_array
+from .autgroup import automorphism_group, is_cayley, regular_subgroups, sem_array
 from .compression import (
     cycle_compression,
     ham_array,
@@ -26,7 +26,7 @@ from .families import (
     y_qp,
     z_qp,
 )
-from .graph import Graph, emit_edgelist, parse_edgelist
+from .graph import Graph, emit_edgelist, is_automorphism, parse_edgelist
 from .hamlift import enumerate_hamcycles, find_hamcycle, find_symmetric_hamcycle
 
 __version__ = "0.1.0"

@@ -14,13 +14,13 @@ base vertex's cell and the trace of the refinement that follows. One search
 step, `_search_one`, finds every witness: it individualizes a target vertex
 on a copy of the level's partition, replays the level's trace on that one
 side (`_replay`) and recurses over the next level's cell, one nested call per
-level, down to the leaf, which `is_automorphism` checks; so the walk refuses a
-path as long as the recursion limit before any search. A trace keeps only the
-steps that split a cell: a step that splits nothing changes neither side's
-partition, every kept step still checks its full tallies, and the leaf is
-discrete, so an automorphism is fixed by its base images; a path that a
-dropped check would have refused holds no automorphism, and its leaf check
-fails, so every witness is the one found before.
+level, down to the leaf, which the graph layer's `is_automorphism` checks; so
+the walk refuses a path as long as the recursion limit before any search. A
+trace keeps only the steps that split a cell: a step that splits nothing
+changes neither side's partition, every kept step still checks its full
+tallies, and the leaf is discrete, so an automorphism is fixed by its base
+images; a path that a dropped check would have refused holds no automorphism,
+and its leaf check fails, so every witness is the one found before.
 
 Orbit pruning (Sims' stabilizer chain; McKay & Piperno 2014; Seress 2003,
 ch. 4): the levels are searched deepest first. Each witness is kept as the
@@ -42,14 +42,15 @@ individualizing splits an equitable partition and queues the singleton.
 
 One scan per group, `GroupData.semiregular`, reads each element's cycle type
 (`perm.semiregular_order`) and serves `cyclic_semiregular_reps`,
-`_semiregular_classes` and `_regular_search`. Every element of a regular
-subgroup is semiregular (Seress 2003, ch. 2), so that search branches and
-closes over the scanned elements only; a regular subgroup is returned as its
-sorted element tuple, with no classification. The search skips, before its
-closure, a candidate x that maps a vertex of H's orbit of 0 into that orbit:
-if x(h(0)) = h'(0) for h, h' in H, then h'^-1·x·h fixes 0, so in a
-semiregular <H, x> it is the identity and x = h'·h^-1 lies in H, which
-x(0), outside H·0, rules out; the closure would fail.
+`_semiregular_classes` and `_regular_search`; it is the one reader of the
+element list. Every element of a regular subgroup is semiregular (Seress
+2003, ch. 2), so that search branches, in ascending order, over the scan's
+semiregular elements and closes over them only; a regular subgroup is
+returned as its sorted element tuple, with no classification. The search
+skips, before its closure, a candidate x that maps a vertex of H's orbit of 0
+into that orbit: if x(h(0)) = h'(0) for h, h' in H, then h'^-1·x·h fixes 0,
+so in a semiregular <H, x> it is the identity and x = h'·h^-1 lies in H,
+which x(0), outside H·0, rules out; the closure would fail.
 
 The element listing, the scan's powers, the closures and the conjugation of
 the classes each compose many permutations with one fixed operand, and build
@@ -69,31 +70,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
 
-from .graph import Graph
+from .graph import Graph, is_automorphism
 from .perm import Perm, compose, identity, inverse, precompose, semiregular_order
 
 DEFAULT_CAP = 1 << 20
-
-
-def is_automorphism(g: Graph, a: Perm) -> bool:
-    """True iff a is a permutation of the vertices that maps the edge set of
-    g onto itself."""
-    n = g.n
-    if len(a) != n:
-        raise ValueError(f"degree mismatch: permutation on {len(a)}, graph on {n}")
-    rows = g.rows
-    try:
-        for u, nb in enumerate(g.nbrs):
-            img = 0
-            for v in nb:
-                img |= 1 << a[v]
-            if img != rows[a[u]]:
-                return False
-    except (IndexError, ValueError, OverflowError):  # an image outside range(n)
-        return False
-    # checked last: a non-bijection can match every row (the constant map on
-    # an edgeless graph), but most calls have already failed above
-    return sorted(a) == list(range(n))
 
 
 # A partition (col, cells): cells[i] lists the members of cell i ascending,
@@ -237,8 +217,39 @@ class GroupData:
 
     @cached_property
     def semiregular(self) -> tuple[dict[int, list[Perm]], dict[Perm, Perm]]:
-        """`_semiregular_subgroups`, run once and kept with the group."""
-        return _semiregular_subgroups(self)
+        """One pass over the sorted element list (for capped groups, the
+        cyclic subgroups of the generators), run once and kept with the
+        group. An element not yet claimed whose cycles all have one length
+        k >= 2 (`semiregular_order`) is the least generator of its subgroup,
+        and claims that subgroup's other generators a^e, gcd(e, k) = 1, read
+        off the successive products a^2, ..., a^(k-1). Returns the reps of
+        `cyclic_semiregular_reps` and each claimed generator's rep: on an
+        uncapped group, every semiregular element of order >= 2."""
+        pool = self.elements
+        if self.capped:
+            powers: set[Perm] = set()
+            for gen in self.generators:
+                p, one, times_gen = gen, identity(len(gen)), precompose(gen)
+                while p != one:
+                    powers.add(p)
+                    p = times_gen(p)
+            pool = sorted(powers)
+        reps: dict[int, list[Perm]] = {}
+        rep_of: dict[Perm, Perm] = {}
+        for a in pool:
+            if a in rep_of:
+                continue
+            k = semiregular_order(a)
+            if k < 2:
+                continue
+            reps.setdefault(k, []).append(a)
+            rep_of[a] = p = a
+            times_a = precompose(a)  # p·a = a·p: powers of a commute
+            for e in range(2, k):
+                p = times_a(p)
+                if gcd(e, k) == 1:
+                    rep_of[p] = a
+        return reps, rep_of
 
 
 def automorphism_group(g: Graph) -> GroupData:
@@ -301,46 +312,8 @@ def automorphism_group(g: Graph) -> GroupData:
 
 def cyclic_semiregular_reps(group: GroupData) -> dict[int, list[Perm]]:
     """One generator per cyclic semiregular subgroup of order >= 2, keyed by
-    order: the least generator of each subgroup, ascending.
-
-    One pass over the sorted element list (for capped groups, the cyclic
-    subgroups of the generators): an element not yet claimed whose cycles
-    all have one length k >= 2 (`semiregular_order`) is the least generator
-    of its subgroup, and claims that subgroup's other generators a^e,
-    gcd(e, k) = 1, read off the successive products a^2, ..., a^(k-1).
-    """
+    order: the least generator of each subgroup, ascending."""
     return group.semiregular[0]
-
-
-def _semiregular_subgroups(group: GroupData) -> tuple[dict[int, list[Perm]], dict[Perm, Perm]]:
-    """The reps of `cyclic_semiregular_reps`, and the rep of the subgroup of
-    each generator a^e, gcd(e, k) = 1, that the pass reads: on an uncapped
-    group, every semiregular element of order >= 2."""
-    pool = group.elements
-    if group.capped:
-        powers: set[Perm] = set()
-        for gen in group.generators:
-            p, one, times_gen = gen, identity(len(gen)), precompose(gen)
-            while p != one:
-                powers.add(p)
-                p = times_gen(p)
-        pool = sorted(powers)
-    reps: dict[int, list[Perm]] = {}
-    rep_of: dict[Perm, Perm] = {}
-    for a in pool:
-        if a in rep_of:
-            continue
-        k = semiregular_order(a)
-        if k < 2:
-            continue
-        reps.setdefault(k, []).append(a)
-        rep_of[a] = p = a
-        times_a = precompose(a)  # p·a = a·p: powers of a commute
-        for e in range(2, k):
-            p = times_a(p)
-            if gcd(e, k) == 1:
-                rep_of[p] = a
-    return reps, rep_of
 
 
 def _semiregular_classes(group: GroupData) -> dict[int, dict[Perm, list[Perm]]]:
@@ -431,9 +404,10 @@ def _regular_search(group: GroupData, n: int):
     Search from vertex 0: a regular subgroup has exactly one element sending
     0 to each vertex. Depth-first from {id}; at a subgroup H, branch over the
     semiregular x with x(0) = v, v the least vertex outside H's orbit of 0,
-    and close H with x. The semiregular elements are the keys of the
-    group's one scan (`GroupData.semiregular`), and a closure keeps only
-    them, so it acts semiregularly and reaching size n means regular.
+    and close H with x, the candidates x in ascending order. The
+    semiregular elements are the keys of the group's one scan
+    (`GroupData.semiregular`), and a closure keeps only them, so it acts
+    semiregularly and reaching size n means regular.
     Each stack entry carries the generators H was closed from; each one at
     least doubles the order, so there are at most log2(n) of them. An x
     that maps a vertex of H·0 into H·0 is skipped unclosed: the closure
@@ -449,9 +423,8 @@ def _regular_search(group: GroupData, n: int):
         return
     semireg = group.semiregular[1]
     by_image: dict[int, list[Perm]] = {}
-    for a in group.elements:
-        if a in semireg:
-            by_image.setdefault(a[0], []).append(a)
+    for a in sorted(semireg):
+        by_image.setdefault(a[0], []).append(a)
     stack: list[tuple[set[Perm], tuple[Perm, ...]]] = [({identity(n)}, ())]
     while stack:
         h, gens = stack.pop()

@@ -12,6 +12,8 @@ from the lifts of quotient Hamilton cycles, since a cycle with factor k is
 symmetric under its rotation by n/k. One symmetric search runs per
 conjugacy class of those subgroups: an automorphism carries the lifts of
 one subgroup onto those of its conjugate, with the same factors and shifts.
+A rotation along a cycle reads the cycle's inverse, its position map, and
+the graph layer's `is_automorphism` tests it.
 """
 
 from __future__ import annotations
@@ -20,17 +22,15 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
 
 from .autgroup import (
     _semiregular_classes,
     automorphism_group,
     cyclic_semiregular_reps,
-    is_automorphism,
     regular_subgroups,
 )
 from .families import FamilyInstance, _symmetric
-from .graph import Graph, remove_intra_orbit_edges
+from .graph import Graph, is_automorphism, remove_intra_orbit_edges
 from .hamlift import (
     ENUM_LIMIT,
     HamCycle,
@@ -42,7 +42,7 @@ from .hamlift import (
     symmetric_hamcycles,
 )
 from .numth import divisors, factorize, is_prime
-from .perm import Perm, compose, semiregular_order
+from .perm import Perm, compose, inverse, precompose, semiregular_order
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,9 @@ class CompressionCertificate:
 def _rotations(cycle: HamCycle):
     """Builder of the rotation-by-shift permutations of a cycle on the
     vertices 0..n-1: the image of v is the vertex shift positions after it,
-    read from the rotated cycle at v's position."""
-    image = itemgetter(*sorted(range(len(cycle)), key=cycle.__getitem__))
+    read from the rotated cycle at v's position. The cycle maps positions
+    to vertices, so its inverse is the position map."""
+    image = precompose(inverse(cycle))
     return lambda shift: image(cycle[shift:] + cycle[:shift])
 
 
@@ -205,7 +206,7 @@ def lcf(g: Graph, cycle) -> tuple[int, ...]:
     check_cubic(g)
     cycle = check_hamcycle(g, cycle)
     n = g.n
-    pos = {v: i for i, v in enumerate(cycle)}
+    pos = inverse(cycle)
     out = []
     for i, v in enumerate(cycle):
         prev_v = cycle[(i - 1) % n]

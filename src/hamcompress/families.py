@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .autgroup import is_automorphism
-from .graph import Graph
+from .graph import Graph, is_automorphism
 from .numth import is_prime, ord_mod, primitive_root
 from .perm import Perm
 

@@ -94,6 +94,27 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def is_automorphism(g: Graph, a: Perm) -> bool:
+    """True iff a is a permutation of the vertices that maps the edge set of
+    g onto itself."""
+    n = g.n
+    if len(a) != n:
+        raise ValueError(f"degree mismatch: permutation on {len(a)}, graph on {n}")
+    rows = g.rows
+    try:
+        for u, nb in enumerate(g.nbrs):
+            img = 0
+            for v in nb:
+                img |= 1 << a[v]
+            if img != rows[a[u]]:
+                return False
+    except (IndexError, ValueError, OverflowError):  # an image outside range(n)
+        return False
+    # checked last: a non-bijection can match every row (the constant map on
+    # an edgeless graph), but most calls have already failed above
+    return sorted(a) == list(range(n))
+
+
 def remove_intra_orbit_edges(g: Graph, a: Perm) -> Graph:
     """Drop every edge whose endpoints lie in the same orbit of a."""
     if len(a) != g.n:

@@ -4,7 +4,7 @@ Quotienting a graph by a semiregular automorphism of order k yields a
 multigraph on the orbits whose arcs carry voltages in Z_k: voltage s from
 orbit A to orbit B records that the representative of A is adjacent to the
 s-th power image of the representative of B. The quotient refuses a
-permutation that is not an automorphism (is_automorphism) and keeps the
+permutation that is not an automorphism (graph.is_automorphism) and keeps the
 ascending voltages of each ordered orbit pair, read off the neighbour tuple
 of each orbit's representative alone: the automorphism carries that row to
 every other vertex of the orbit. A Hamilton cycle of the quotient whose net
@@ -38,8 +38,7 @@ import sys
 from dataclasses import dataclass
 from itertools import islice
 
-from .autgroup import is_automorphism
-from .graph import Graph, reach
+from .graph import Graph, is_automorphism, reach
 from .perm import Perm, orbits, semiregular_order
 
 HamCycle = tuple[int, ...]

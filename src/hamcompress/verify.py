@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from . import families
-from .autgroup import is_automorphism, sem_array
+from .autgroup import sem_array
 from .compression import (
     cycle_compression,
     double_edge_positions,
@@ -31,6 +31,7 @@ from .compression import (
     predict_kappa_circulant,
     predict_kappa_metapq,
 )
+from .graph import is_automorphism
 from .hamlift import find_symmetric_hamcycle, quotient_with_voltages
 from .numth import divisors, element_of_order, primes_in_ap
 from .perm import order, power

@@ -20,13 +20,17 @@ Answer classes, each digested on its own:
 - regular: the regular subgroups in the order the search yields them,
   each as its sorted element list (None when capped)
 - lift: lift-mode kappa, exact flag and certificate
-- ham: the full Ham array, with each value's certificate (enum-ham pool)
+- ham: the full Ham array, with each value's certificate (enum-ham pool
+  and thm43)
 - ham-cut: Ham arrays cut at limits 1-11 (enum-ham pool, not relabelled)
+- claims: the records of each `verify --claim` run at its default options,
+  in order, without `seconds` (keyed by claim, not by graph)
 
 Corpus: the three benchmark pools (hcbench/pools.py), one seeded relabelled
-copy of each (names prefixed "r:"), and the capped graphs K7,7, K10, 4K4
-and 3K5. Canonical JSON has sorted keys, tuples as lists and dict keys as
-strings, so a renamed field reads as a moved class, not a moved answer.
+copy of each (names prefixed "r:"), the thm43 claim's graphs, and the
+capped graphs K7,7, K10, 4K4, 3K5, K12 and 3K6. Canonical JSON has sorted
+keys, tuples as lists and dict keys as strings, so a renamed field reads as
+a moved class, not a moved answer.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ import itertools
 import json
 import random
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from hamcompress import families
+from hamcompress import families, verify
 from hamcompress.autgroup import (
     _regular_search,
     _semiregular_classes,
@@ -81,13 +86,15 @@ def capped_graphs() -> list[tuple[str, Graph]]:
             for c in range(copies) for u, v in itertools.combinations(range(size), 2)])
 
     k77 = Graph.build(14, [(u, 7 + v) for u in range(7) for v in range(7)])
-    return [("K7,7", k77), ("K10", cliques(1, 10)), ("4K4", cliques(4, 4)), ("3K5", cliques(3, 5))]
+    return [("K7,7", k77), ("K10", cliques(1, 10)), ("4K4", cliques(4, 4)), ("3K5", cliques(3, 5)),
+            ("K12", cliques(1, 12)), ("3K6", cliques(3, 6))]
 
 
 def corpus() -> dict[str, list[tuple[str, Graph]]]:
-    """The graphs of each pool with its relabelled copy, and the capped
-    graphs, each labelled "<pool>/<name>"."""
+    """The graphs of each pool with its relabelled copy, the thm43 graphs
+    and the capped graphs, each labelled "<pool>/<name>"."""
     out = {w: pool + relabelled(pool, RELABEL_SEED) for w, pool in bench_pools().items()}
+    out["thm43"] = [(name, inst.graph) for name, inst in verify._thm43_corpus()]
     out["capped"] = capped_graphs()
     return {w: [(f"{w}/{label}", g) for label, g in graphs] for w, graphs in out.items()}
 
@@ -123,11 +130,18 @@ def answers(pools: dict[str, list[tuple[str, Graph]]]) -> dict[str, dict[str, ob
             res = hamilton_compression(g)
             out["lift"][label] = {"kappa": res.kappa, "exact": res.exact,
                                   "certificate": _cert(res.certificate)}
-            if workload == "enum-ham":
+            if workload in ("enum-ham", "thm43"):
                 out["ham"][label] = _ham(ham_array(g))
-                if "/r:" not in label:
-                    out["ham-cut"][label] = [_ham(ham_array(g, limit)) for limit in CUT_LIMITS]
+            if workload == "enum-ham" and "/r:" not in label:
+                out["ham-cut"][label] = [_ham(ham_array(g, limit)) for limit in CUT_LIMITS]
     return out
+
+
+def claim_records() -> dict[str, list[dict]]:
+    """The records of each claim's run at its default options, without the
+    run time."""
+    return {claim: [{k: v for k, v in asdict(r).items() if k != "seconds"}
+                    for r in verify.run_claim(claim)] for claim in verify.CLAIMS}
 
 
 def short_hash(value) -> str:
@@ -138,7 +152,9 @@ def short_hash(value) -> str:
 def digests(pools: dict[str, list[tuple[str, Graph]]] | None = None) -> dict:
     """{class: {"digest": hash of its entries, "entries": {label: hash}}}."""
     out = {}
-    for cls, entries in answers(corpus() if pools is None else pools).items():
+    classes = answers(corpus() if pools is None else pools)
+    classes["claims"] = claim_records()
+    for cls, entries in classes.items():
         hashed = {label: short_hash(value) for label, value in entries.items()}
         out[cls] = {"digest": short_hash(hashed), "entries": hashed}
     return out

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -594,18 +595,20 @@ def test_regular_subgroups_match_reference_on_fixed_point_free_rich_groups(g, co
 
 def test_semiregular_scan_runs_once_per_group(monkeypatch):
     """Every reader of the semiregular scan on one group shares one run of
-    `_semiregular_subgroups`, regular subgroups and Cayley-ness included. On
+    `GroupData.semiregular`, regular subgroups and Cayley-ness included. On
     a capped group (K10) the scan reads the generators' cyclic subgroups:
     the Sem array is the least semiregular element per order among their
     powers, and the regular search is not run."""
     calls = [0]
-    scan = autgroup._semiregular_subgroups
+    scan = GroupData.semiregular.func
 
     def counted(group):
         calls[0] += 1
         return scan(group)
 
-    monkeypatch.setattr(autgroup, "_semiregular_subgroups", counted)
+    counting = functools.cached_property(counted)
+    counting.__set_name__(GroupData, "semiregular")
+    monkeypatch.setattr(GroupData, "semiregular", counting)
     g = x_mnr(2, 4, 3).graph
     grp = automorphism_group(g)
     sem = sem_array(g, group=grp)

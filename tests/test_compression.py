@@ -12,12 +12,15 @@ from conftest import (
     graph_k4,
     small_corpus,
 )
-from hamcompress import compression
+from hamcompress import autgroup, compression
 from hamcompress.autgroup import (
     _semiregular_classes,
     automorphism_group,
     cyclic_semiregular_reps,
     is_automorphism,
+    is_cayley,
+    regular_subgroups,
+    sem_array,
 )
 from hamcompress.compression import (
     KappaResult,
@@ -398,6 +401,31 @@ def test_ham_array_capped_group_finishes_the_plain_search(monkeypatch):
     assert [grp.capped for grp in groups] == [True]
     assert arr.values == (1,) and not arr.exact
     assert_plain_ham(g, arr, "K12 + v", limit=50)
+
+
+def test_capped_regime_on_small_graphs(monkeypatch):
+    """With the cap at 1 every group of order above 1 is capped. The Ham
+    array of each corpus graph with a cycle of factor 1 (three of them)
+    builds the group and then finishes the plain search; every array is the
+    uncapped one. Lift kappa and Sem are lower bounds marked inexact, and
+    the regular-subgroup answers are unknown."""
+    corpus = small_corpus()
+    uncapped = [(ham_array(g), hamilton_compression(g), sem_array(g)) for _, g in corpus]
+    built, finished = [], []  # groups built; graphs whose array built one
+    monkeypatch.setattr(autgroup, "DEFAULT_CAP", 1)
+    monkeypatch.setattr(compression, "automorphism_group",
+                        lambda g: built.append(g) or automorphism_group(g))
+    for (name, g), (arr, res, sem) in zip(corpus, uncapped):
+        assert automorphism_group(g).capped, name
+        built.clear()
+        assert ham_array(g) == arr, name
+        finished += [name] * len(built)
+        lift = hamilton_compression(g)
+        assert lift.kappa <= res.kappa and lift.exact == (lift.kappa == 0), name
+        capped_sem = sem_array(g)
+        assert set(capped_sem.values) <= set(sem.values) and not capped_sem.exact, name
+        assert regular_subgroups(g) is None and is_cayley(g) == "unknown", name
+    assert finished == ["petersen-complement", "circ15-nonunit", "triple5"]
 
 
 def test_ham_array_limit_counts_plain_and_lifted_cycles(monkeypatch):

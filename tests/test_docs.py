@@ -1,7 +1,8 @@
 """README checks: the quickstart states true values, the package root exports
 exactly the documented Library API, the CLI section names every subcommand,
-the traced bench run can still find every function it wraps, and every
-private name the docs mention exists."""
+the traced bench run can still find every function it wraps, every
+private name the docs mention exists, and each module imports only from the
+layers below it (Package layout)."""
 
 import argparse
 import ast
@@ -259,3 +260,26 @@ def test_every_private_src_def_is_referenced_in_src():
                and node.name.startswith("_") and not node.name.startswith("__")]
     assert len(private) > 20 and [(module, node.name) for module, node in private
                                   if total[node.name] <= references(node)[node.name]] == []
+
+
+# Each module of src/hamcompress imports only from the layers below its own.
+LAYERS = (("perm", "numth"), ("graph",), ("autgroup", "hamlift", "families"),
+          ("compression",), ("verify",), ("cli",))
+
+
+def test_modules_import_only_from_lower_layers():
+    """perm and numth import nothing of the package, graph only them, and
+    autgroup, hamlift and families none of each other: the automorphism
+    test is the graph layer's, and the group search sits beside the
+    Hamilton search and the families, not under them."""
+    layer = {module: i for i, modules in enumerate(LAYERS) for module in modules}
+    modules = {path.stem for path in (ROOT / "src" / "hamcompress").glob("*.py")}
+    assert modules - {"__init__"} == layer.keys()
+    upward = []
+    for module, i in layer.items():
+        tree = ast.parse((ROOT / "src" / "hamcompress" / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:  # the package imports itself relatively
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward += [(module, t) for t in targets if layer[t] >= i]
+    assert upward == []
