@@ -3,10 +3,9 @@
 The search builds a stabilizer chain: for an ascending sequence of base
 vertices it computes, level by level, the orbit of the base vertex under the
 pointwise stabilizer of the earlier ones, with a witness automorphism per
-orbit member. The group order is the product of the orbit sizes
-(orbit-stabilizer), which stays exact even when the full element list is not
-enumerated. Groups above DEFAULT_CAP elements are capped: their element list
-is left out. Functions that read a group take it as `group=`.
+orbit member. The group is that chain (Seress 2003, ch. 4): `GroupData`
+holds no element list, and its order, the product of the orbit sizes, is
+exact at any size. Functions that read a group take it as `group=`.
 
 The base path is refined once (the first path of McKay & Piperno 2014): each
 level keeps its partition from before the base vertex is individualized, the
@@ -29,8 +28,7 @@ witness so far (a new point u = s[w] gets compose(s, transversal[w])), so a
 target already in it is not searched. Deeper witnesses fix this level's base
 point, so they lie in its stabilizer: K_n takes one search per level.
 `generators` is every transversal entry after the first, the base point's
-identity, level by level in path order, in the order added; capped groups
-read their semiregular pool from them.
+identity, level by level in path order, in the order added.
 
 Refinement counts neighbours from the graph's neighbour tuples, `Graph.nbrs`,
 and so does the leaf check `is_automorphism`. It queues splitters by
@@ -40,21 +38,23 @@ follow from the others'. Both callers start from a partition that is
 equitable on every cell they do not queue: the root queues every cell, and
 individualizing splits an equitable partition and queues the singleton.
 
-One scan per group, `GroupData.semiregular`, reads each element's cycle type
-(`perm.semiregular_order`) and serves `cyclic_semiregular_reps`,
-`_semiregular_classes` and `_regular_search`; it is the one reader of the
-element list. Every element of a regular subgroup is semiregular (Seress
-2003, ch. 2), so that search branches, in ascending order, over the scan's
-semiregular elements and closes over them only; a regular subgroup is
-returned as its sorted element tuple, with no classification. The search
-skips, before its closure, a candidate x that maps a vertex of H's orbit of 0
-into that orbit: if x(h(0)) = h'(0) for h, h' in H, then h'^-1·x·h fixes 0,
-so in a semiregular <H, x> it is the identity and x = h'·h^-1 lies in H,
-which x(0), outside H·0, rules out; the closure would fail.
+One scan per group, `GroupData.semiregular`, reads the cycle type
+(`perm.semiregular_order`) of the chain's products, in any order, and serves
+`cyclic_semiregular_reps`, `_semiregular_classes` and `_regular_search`.
+Above DEFAULT_CAP elements a group is capped, which bounds the scan's time:
+it reads the generators' cyclic subgroups. Every element of a regular
+subgroup is semiregular (Seress 2003, ch. 2), so that search branches, in
+ascending order, over the scan's semiregular elements and closes over them
+only; a regular subgroup is returned as its sorted element tuple, with no
+classification. The search skips, before its closure, a candidate x that
+maps a vertex of H's orbit of 0 into that orbit: if x(h(0)) = h'(0) for h,
+h' in H, then h'^-1·x·h fixes 0, so in a semiregular <H, x> it is the
+identity and x = h'·h^-1 lies in H, which x(0), outside H·0, rules out; the
+closure would fail.
 
-The element listing, the scan's powers, the closures and the conjugation of
-the classes each compose many permutations with one fixed operand, and build
-that operand's image getter once (`perm.precompose`).
+The chain's products, the scan's powers, the closures and the conjugation
+of the classes each compose many permutations with one fixed operand, and
+build that operand's image getter once (`perm.precompose`).
 
 Determinism: a replay splits the target side's cells exactly as the trace
 records, so aligned cells keep matching indices; the base vertex is always
@@ -66,6 +66,7 @@ order.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
@@ -207,25 +208,43 @@ def _search_one(g: Graph, path: list[Level], leaf: list[int], depth: int,
 
 @dataclass(frozen=True)
 class GroupData:
-    """An automorphism group: generators, exact order, and (unless capped)
-    the full sorted element list."""
+    """An automorphism group as its stabilizer chain, each level's entries
+    in path order, identity first, and whether it is above DEFAULT_CAP."""
 
-    generators: tuple[Perm, ...]
-    elements: tuple[Perm, ...] | None
-    order: int
+    transversals: tuple[tuple[Perm, ...], ...]
     capped: bool
+
+    @property
+    def generators(self) -> tuple[Perm, ...]:
+        return tuple(p for t in self.transversals for p in t[1:])
+
+    @property
+    def order(self) -> int:
+        return prod(map(len, self.transversals))
+
+    @property
+    def elements(self) -> tuple[Perm, ...] | None:
+        """The sorted element list, built on each read; None when capped."""
+        return None if self.capped else tuple(sorted(self._products()))
+
+    def _products(self) -> Iterator[Perm]:
+        """Each element once: u·e, e of the deeper levels listed, u lazily."""
+        top, *deeper = self.transversals
+        below = [top[0]]
+        for transversal in reversed(deeper):  # one image getter per e
+            below = [get(u) for get in map(precompose, below) for u in transversal]
+        for get in map(precompose, below):
+            yield from map(get, top)
 
     @cached_property
     def semiregular(self) -> tuple[dict[int, list[Perm]], dict[Perm, Perm]]:
-        """One pass over the sorted element list (for capped groups, the
-        cyclic subgroups of the generators), run once and kept with the
-        group. An element not yet claimed whose cycles all have one length
-        k >= 2 (`semiregular_order`) is the least generator of its subgroup,
-        and claims that subgroup's other generators a^e, gcd(e, k) = 1, read
-        off the successive products a^2, ..., a^(k-1). Returns the reps of
-        `cyclic_semiregular_reps` and each claimed generator's rep: on an
-        uncapped group, every semiregular element of order >= 2."""
-        pool = self.elements
+        """One pass, in any order, over the chain's products (capped: the
+        generators' cyclic subgroups), kept with the group. An unclaimed a
+        whose cycles all have one length k >= 2 claims its subgroup's
+        generators a^e, gcd(e, k) = 1, for their least, the rep. Returns the
+        reps per order, ascending and the orders by least rep, and each
+        claimed element's rep: uncapped, every semiregular element but id."""
+        pool: Iterable[Perm] = self._products()
         if self.capped:
             powers: set[Perm] = set()
             for gen in self.generators:
@@ -233,7 +252,7 @@ class GroupData:
                 while p != one:
                     powers.add(p)
                     p = times_gen(p)
-            pool = sorted(powers)
+            pool = powers
         reps: dict[int, list[Perm]] = {}
         rep_of: dict[Perm, Perm] = {}
         for a in pool:
@@ -242,19 +261,18 @@ class GroupData:
             k = semiregular_order(a)
             if k < 2:
                 continue
-            reps.setdefault(k, []).append(a)
-            rep_of[a] = p = a
-            times_a = precompose(a)  # p·a = a·p: powers of a commute
+            gens, p, times_a = [a], a, precompose(a)  # p·a = a·p: powers of a commute
             for e in range(2, k):
                 p = times_a(p)
                 if gcd(e, k) == 1:
-                    rep_of[p] = a
-        return reps, rep_of
+                    gens.append(p)
+            reps.setdefault(k, []).append(rep := min(gens))
+            rep_of.update(dict.fromkeys(gens, rep))
+        return {k: sorted(reps[k]) for k in sorted(reps, key=lambda k: min(reps[k]))}, rep_of
 
 
 def automorphism_group(g: Graph) -> GroupData:
-    """Aut(g); the element list is left out (capped) above DEFAULT_CAP
-    elements."""
+    """Aut(g) as its stabilizer chain, capped above DEFAULT_CAP elements."""
     n = g.n
     part: Side = ([0] * n, [list(range(n))] if n else [])
     col, cells = part
@@ -298,16 +316,9 @@ def automorphism_group(g: Graph) -> GroupData:
                         transversal[u] = compose(s, transversal[w])
                         known.append(u)
         levels.append(transversal)
-    grp_order = prod(len(t) for t in levels)
-    # each level's first entry is its only identity: the others move the base point
-    generators = tuple(p for t in reversed(levels) for p in list(t.values())[1:])
-    if grp_order > DEFAULT_CAP:
-        return GroupData(generators, None, grp_order, True)
-    elements = [identity(n)]
-    for transversal in levels:  # each u·e, one image getter per e
-        elements = [get(u) for get in map(precompose, elements) for u in transversal.values()]
-    elements.sort()
-    return GroupData(generators, tuple(elements), grp_order, False)
+    # a discrete root partition leaves no level: the chain is the identity alone
+    chain = tuple(tuple(t.values()) for t in reversed(levels)) or ((identity(n),),)
+    return GroupData(chain, prod(map(len, chain)) > DEFAULT_CAP)
 
 
 def cyclic_semiregular_reps(group: GroupData) -> dict[int, list[Perm]]:
@@ -356,7 +367,7 @@ def _semiregular_classes(group: GroupData) -> dict[int, dict[Perm, list[Perm]]]:
 @dataclass(frozen=True)
 class SemArray:
     """Ascending orders of semiregular automorphisms, with one witness each.
-    exact is False when the group enumeration was capped."""
+    exact is False when the group was capped."""
 
     values: tuple[int, ...]
     witnesses: dict[int, Perm]
@@ -442,9 +453,8 @@ def _regular_search(group: GroupData, n: int):
 
 
 def regular_subgroups(g: Graph, group: GroupData | None = None) -> list[tuple[Perm, ...]] | None:
-    """All order-n subgroups acting regularly on g, each as its sorted
-    element tuple, in ascending order, or None when the group enumeration
-    was capped (status unknown)."""
+    """All order-n subgroups acting regularly on g, as sorted element tuples
+    in ascending order; None when the group was capped (status unknown)."""
     if group is None:
         group = automorphism_group(g)
     if group.capped:

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -135,11 +136,16 @@ def test_x372_sylow_7():
     assert sum(1 for a in grp.elements if order(a) == 7) == 6
 
 
+def _facts(group: GroupData) -> tuple:
+    """What a group exposes: (generators, elements, order, capped)."""
+    return group.generators, group.elements, group.order, group.capped
+
+
 def test_groups_of_graphs_on_at_most_two_vertices():
-    assert automorphism_group(Graph.build(0, [])) == GroupData((), ((),), 1, False)
-    assert automorphism_group(Graph.build(1, [])) == GroupData((), ((0,),), 1, False)
+    assert _facts(automorphism_group(Graph.build(0, []))) == ((), ((),), 1, False)
+    assert _facts(automorphism_group(Graph.build(1, []))) == ((), ((0,),), 1, False)
     k2 = Graph.build(2, [(0, 1)])
-    assert automorphism_group(k2) == GroupData(((1, 0),), ((0, 1), (1, 0)), 2, False)
+    assert _facts(automorphism_group(k2)) == (((1, 0),), ((0, 1), (1, 0)), 2, False)
 
 
 def test_generators_are_transversal_entries_in_order_added():
@@ -233,12 +239,13 @@ def chang_graphs() -> list[Graph]:
     return out
 
 
-def _automorphism_group_reference(g: Graph) -> GroupData:
-    """automorphism_group without the recorded and replayed base path: every
-    target search refines its source and target partitions jointly, from
-    the level's partition, with the same splitting queue, the same base
-    rule (the least vertex of any non-singleton cell), the same deepest-first
-    level loop and the same orbit closure under every witness so far."""
+def _automorphism_group_reference(g: Graph) -> tuple:
+    """The facts of automorphism_group (`_facts`) without the recorded and
+    replayed base path: every target search refines its source and target
+    partitions jointly, from the level's partition, with the same splitting
+    queue, the same base rule (the least vertex of any non-singleton cell),
+    the same deepest-first level loop and the same orbit closure under every
+    witness so far."""
     n, nbrs = g.n, g.nbrs
 
     def refine(sides, queue):
@@ -335,11 +342,11 @@ def _automorphism_group_reference(g: Graph) -> GroupData:
         grp_order *= len(transversal)
     generators = tuple(p for t in levels for p in t.values() if p != identity(n))
     if grp_order > DEFAULT_CAP:
-        return GroupData(generators, None, grp_order, True)
+        return generators, None, grp_order, True
     elements = [identity(n)]
     for transversal in reversed(levels):
         elements = [compose(u, e) for u in transversal.values() for e in elements]
-    return GroupData(generators, tuple(sorted(elements)), grp_order, False)
+    return generators, tuple(sorted(elements)), grp_order, False
 
 
 def test_replayed_search_matches_joint_refinement():
@@ -361,7 +368,7 @@ def test_replayed_search_matches_joint_refinement():
     graphs += [g for g, _ in CAPPED]
     chang = chang_graphs()
     for g in graphs + chang:
-        assert automorphism_group(g) == _automorphism_group_reference(g), g.rows
+        assert _facts(automorphism_group(g)) == _automorphism_group_reference(g), g.rows
     assert [automorphism_group(g).order for g in chang] == [384, 96, 360]
 
 
@@ -374,7 +381,7 @@ def test_asymmetric_graph_rejects_every_target():
     frucht = Graph.build(12, {frozenset((v, (v + d) % 12)) for v in range(12)
                               for d in (1, lcf[v])})
     assert all(len(nb) == 3 for nb in frucht.nbrs)
-    assert automorphism_group(frucht) == GroupData((), (identity(12),), 1, False)
+    assert _facts(automorphism_group(frucht)) == ((), (identity(12),), 1, False)
     desargues = automorphism_group(generalized_petersen(10, 3).graph)
     assert (desargues.order, desargues.capped) == (240, False)
     assert len({a[0] for a in desargues.elements}) == 20
@@ -632,6 +639,74 @@ def test_semiregular_scan_runs_once_per_group(monkeypatch):
     assert regular_subgroups(k10, group=grp) is None
     assert is_cayley(k10, group=grp) == "unknown"
     assert calls[0] == 1
+
+
+def _semiregular_reference(group: GroupData) -> tuple[dict, dict]:
+    """The semiregular scan as it ran over the sorted element list (capped:
+    the sorted powers of the generators): walked in ascending order, the
+    first unclaimed element a of each cyclic semiregular subgroup is its
+    least generator and claims the others, a^e with gcd(e, k) = 1."""
+    pool = group.elements
+    if group.capped:
+        pool = sorted({power(s, e) for s in group.generators for e in range(1, order(s))})
+    reps: dict[int, list] = {}
+    rep_of: dict[tuple, tuple] = {}
+    for a in pool:
+        if a in rep_of:
+            continue
+        k = semiregular_order(a)
+        if k < 2:
+            continue
+        reps.setdefault(k, []).append(a)
+        rep_of[a] = p = a
+        for e in range(2, k):
+            p = compose(a, p)
+            if math.gcd(e, k) == 1:
+                rep_of[p] = a
+    return reps, rep_of
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_CAP, 1], ids=["default-cap", "cap-1"])
+def test_semiregular_scan_matches_the_ascending_reference(monkeypatch, bench_pools, cap):
+    """The scan meets the chain's products in no set order and takes each
+    subgroup's least generator as its rep itself: its reps, in their key
+    order, and the rep of every claimed element equal those of the ascending
+    scan over the sorted element list, on the small corpus, the three bench
+    pools with a relabelled copy of each, K8, K4,4, 4K3 and GP(50, 1). With
+    the cap at 1 every nontrivial group is capped, and both read the
+    generators' cyclic subgroups."""
+    monkeypatch.setattr(autgroup, "DEFAULT_CAP", cap)
+    graphs = [g for _, g in small_corpus()]
+    for pool in bench_pools.values():
+        graphs += [g for _, g in pool + relabelled(pool, 38)]
+    graphs += [graph_complete(8), graph_complete_bipartite(4, 4), graph_disjoint_complete(4, 3),
+               generalized_petersen(50, 1).graph]
+    capped = 0
+    for g in graphs:
+        group = automorphism_group(g)
+        reps, rep_of = group.semiregular
+        expected_reps, expected_rep_of = _semiregular_reference(group)
+        assert list(reps.items()) == list(expected_reps.items()), g.rows
+        assert rep_of == expected_rep_of, g.rows
+        capped += group.capped
+    assert (capped > 0) == (cap == 1)
+
+
+def test_group_and_sem_hold_no_element_list():
+    """The group is its stabilizer chain and the scan streams the chain's
+    products, so no list of all |Aut| elements is built: the group and the
+    Sem array of 3K4 (|Aut| = 82 944) peak below 6 MB under tracemalloc.
+    Listing and sorting the elements peaked near 14 MB."""
+    g = graph_disjoint_complete(3, 4)
+    tracemalloc.start()
+    try:
+        group = automorphism_group(g)
+        sem = sem_array(g, group=group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (group.order, group.capped, sem.values) == (82944, False, (1, 2, 3, 4, 6, 12))
+    assert peak < 6_000_000
 
 
 def test_regular_subgroup_tags():
