@@ -38,23 +38,24 @@ follow from the others'. Both callers start from a partition that is
 equitable on every cell they do not queue: the root queues every cell, and
 individualizing splits an equitable partition and queues the singleton.
 
-One scan per group, `GroupData.semiregular`, reads the cycle type
-(`perm.semiregular_order`) of the chain's products, in any order, and serves
+One scan per group, `GroupData.semiregular`, reads the cycle type of the
+chain's products, in any order, by `perm._cycle_length` (no permutation
+check: each is a product of automorphisms), and serves
 `cyclic_semiregular_reps`, `_semiregular_classes` and `_regular_search`.
 Above DEFAULT_CAP elements a group is capped, which bounds the scan's time:
 it reads the generators' cyclic subgroups. Every element of a regular
 subgroup is semiregular (Seress 2003, ch. 2), so that search branches, in
 ascending order, over the scan's semiregular elements and closes over them
-only; a regular subgroup is returned as its sorted element tuple, with no
-classification. The search skips, before its closure, a candidate x that
-maps a vertex of H's orbit of 0 into that orbit: if x(h(0)) = h'(0) for h,
-h' in H, then h'^-1·x·h fixes 0, so in a semiregular <H, x> it is the
-identity and x = h'·h^-1 lies in H, which x(0), outside H·0, rules out; the
-closure would fail.
+only, by right multiplication from the coset H·x on (`_closure`); a regular
+subgroup is returned as its sorted element tuple, with no classification.
+The search skips, before its closure, a candidate x that maps a vertex of
+H's orbit of 0 into that orbit: if x(h(0)) = h'(0) for h, h' in H, then
+h'^-1·x·h fixes 0, so in a semiregular <H, x> it is the identity and
+x = h'·h^-1 lies in H, which x(0), outside H·0, rules out.
 
-The chain's products, the scan's powers, the closures and the conjugation
-of the classes each compose many permutations with one fixed operand, and
-build that operand's image getter once (`perm.precompose`).
+The chain's products, the scan's powers, the closure generators and the
+conjugation of the classes each compose many permutations with one fixed
+operand, and build that operand's image getter once (`perm.precompose`).
 
 Determinism: a replay splits the target side's cells exactly as the trace
 records, so aligned cells keep matching indices; the base vertex is always
@@ -72,7 +73,7 @@ from functools import cached_property
 from math import gcd, prod
 
 from .graph import Graph, is_automorphism
-from .perm import Perm, compose, identity, inverse, precompose, semiregular_order
+from .perm import Perm, _cycle_length, compose, identity, inverse, precompose
 
 DEFAULT_CAP = 1 << 20
 
@@ -258,7 +259,7 @@ class GroupData:
         for a in pool:
             if a in rep_of:
                 continue
-            k = semiregular_order(a)
+            k = _cycle_length(a)  # a product of automorphisms: a permutation
             if k < 2:
                 continue
             gens, p, times_a = [a], a, precompose(a)  # p·a = a·p: powers of a commute
@@ -389,22 +390,26 @@ def _closure(base: set[Perm], gens: tuple[Perm, ...], extra: Perm, n: int,
     None as soon as a new element is not in semireg (the group's semiregular
     elements but the identity, which base holds) or the size exceeds n.
 
-    Closure under generators (Seress 2003, ch. 2): base plus extra is closed
-    under left multiplication by gens plus extra, so each element costs
-    len(gens) + 1 products; from the identity, that reaches every word.
-    """
-    gens = (*gens, extra)
-    elems = {*base, extra}
-    frontier = list(elems)
-    while frontier:
-        times_a = precompose(frontier.pop())
-        for s in gens:
-            c = times_a(s)  # s·a
+    Closure under generators (Seress 2003, ch. 2) by right multiplication,
+    one image getter per generator: base·gens lies in base, so only the new
+    elements, base·extra first, are multiplied by gens plus extra; the
+    result holds 1 and is closed under them, so it is the whole subgroup."""
+    times = [precompose(s) for s in (*gens, extra)]  # a -> a·s
+    elems, new = set(base), []
+    for c in map(times[-1], base):
+        if c not in elems:
+            if len(elems) == n or c not in semireg:
+                return None
+            elems.add(c)
+            new.append(c)
+    for a in new:  # grows as the closure goes
+        for times_s in times:
+            c = times_s(a)
             if c not in elems:
                 if len(elems) == n or c not in semireg:
                     return None
                 elems.add(c)
-                frontier.append(c)
+                new.append(c)
     return elems
 
 

@@ -3,7 +3,8 @@
 A permutation is a plain tuple of images; ``compose(a, b)`` applies b first,
 then a, so ``compose(a, b)[x] == a[b[x]]``; ``precompose(b)`` is that map of
 a for one fixed b, its image getter built once. ``orbits(a)`` returns the
-cycles of a as vertex tuples.
+cycles of a as vertex tuples; ``_cycle_length`` is ``semiregular_order``
+without its permutation check.
 """
 
 from __future__ import annotations
@@ -63,8 +64,10 @@ def power(a: Perm, e: int) -> Perm:
 
 def orbits(a: Perm) -> tuple[tuple[int, ...], ...]:
     """The cycles of a, each starting at its least vertex and following a,
-    in ascending order of that vertex; ValueError when a walk reaches an
-    image >= n or does not close at its start, so a is no permutation."""
+    in ascending order of that vertex; ValueError when an image is < 0, or a
+    walk reaches one >= n or does not close at its start: no permutation."""
+    if min(a, default=0) < 0:  # a[-1] would wrap around
+        raise ValueError("not a permutation")
     seen = bytearray(len(a))
     out = []
     for v in range(len(a)):
@@ -93,30 +96,36 @@ def order(a: Perm) -> int:
 
 def semiregular_order(a: Perm) -> int:
     """k when every cycle of a has length k, else 0 (1 for the identity, 0
-    when a is no permutation).
+    when a is no permutation)."""
+    return _cycle_length(a) if sorted(a) == list(range(len(a))) else 0
 
-    The cycle of 0 gives k, and a is rejected unless k divides n; each other
-    cycle's walk stops once it passes k steps or closes at another length.
-    """
+
+def _cycle_length(a: Perm) -> int:
+    """`semiregular_order` of a, unchecked: a must be a permutation. 0's
+    cycle, walked bare, gives k; refused unless k divides n, and with 0 fixed
+    unless a is the identity. An n-cycle needs no second pass; else each
+    cycle's walk marks it and stops past k steps or at another length."""
     n = len(a)
+    k, w = 1, a[0] if n else 0  # n = 0: the identity
+    while w:
+        w = a[w]
+        k += 1
+    if n % k or k == 1 and a != tuple(range(n)):
+        return 0
+    if k in (1, n):
+        return k
     seen = bytearray(n)
-    k = 0
     for v in range(n):
         if seen[v]:
             continue
-        seen[v] = 1
         length, w = 1, a[v]
-        try:
-            while w != v and length != k and not seen[w]:  # seen: a repeats an image
-                seen[w] = 1
-                w = a[w]
-                length += 1
-        except IndexError:  # an image >= n
+        while w != v and length != k:
+            seen[w] = 1
+            w = a[w]
+            length += 1
+        if w != v or length != k:
             return 0
-        if w != v or n % length or k and length != k:
-            return 0
-        k = length
-    return k or 1
+    return k
 
 
 def is_semiregular(a: Perm, k: int) -> bool:

@@ -49,6 +49,7 @@ from hamcompress.perm import (
     is_semiregular,
     order,
     power,
+    precompose,
     semiregular_order,
 )
 
@@ -796,3 +797,48 @@ def test_orbit_test_skips_only_closures_that_fail(monkeypatch, bench_pools):
                     skipped += 1
                     assert closure(h, gens, x, n, semireg) is None
     assert skipped > 1000
+
+
+def _closure_by_left_multiplication(base, gens, extra, n, semireg):
+    """`_closure` as it closed before right multiplication: base plus extra
+    closed under left multiplication by gens plus extra, each popped element
+    building its own image getter and every element, base included, taking
+    len(gens) + 1 products."""
+    gens = (*gens, extra)
+    elems = {*base, extra}
+    frontier = list(elems)
+    while frontier:
+        times_a = precompose(frontier.pop())
+        for s in gens:
+            c = times_a(s)  # s·a
+            if c not in elems:
+                if len(elems) == n or c not in semireg:
+                    return None
+                elems.add(c)
+                frontier.append(c)
+    return elems
+
+
+def test_closure_matches_left_multiplication(monkeypatch, bench_pools):
+    """Closing by right multiplication from the coset H·x gives the same
+    subgroup as closing all of H and x by left multiplication, or None in
+    the same cases: over every (H, gens, x) that `_regular_search` closes on
+    the group-cayley pool, a relabelled copy of it, K4,4 and 4K3."""
+    closure = autgroup._closure
+    calls = []
+
+    def recorded(base, gens, extra, n, semireg):
+        found = closure(base, gens, extra, n, semireg)
+        calls.append(((base, gens, extra, n, semireg), found))
+        return found
+
+    monkeypatch.setattr(autgroup, "_closure", recorded)
+    pool = bench_pools["group-cayley"]
+    graphs = [g for _, g in pool + relabelled(pool, 39)]
+    graphs += [graph_complete_bipartite(4, 4), graph_disjoint_complete(4, 3)]
+    for g in graphs:
+        list(autgroup._regular_search(automorphism_group(g), g.n))
+    for args, found in calls:
+        assert found == _closure_by_left_multiplication(*args)
+    closed = sum(found is not None for _, found in calls)
+    assert closed > 1000 and len(calls) - closed > 1000

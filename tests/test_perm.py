@@ -8,6 +8,7 @@ from conftest import graph_cycle
 from hamcompress.families import grid_rho
 from hamcompress.graph import remove_intra_orbit_edges
 from hamcompress.perm import (
+    _cycle_length,
     compose,
     identity,
     inverse,
@@ -197,13 +198,68 @@ def test_is_semiregular():
                 assert k * len(orbits(a)) == n
 
 
-def test_inverse_refuses_a_non_permutation():
+def test_non_permutations_are_refused():
     """A repeated image, an image >= n and a negative image each make a
-    non-permutation: inverse, and power with a negative exponent through it,
-    raise ValueError instead of returning some permutation."""
-    for a in ((1, 1, 0), (0, 0), (2, 0, 0, 3), (1, 5, 0), (-1, 0, 1), (0, -9)):
-        with pytest.raises(ValueError, match="not a permutation"):
-            inverse(a)
-        with pytest.raises(ValueError, match="not a permutation"):
-            power(a, -1)
+    non-permutation; Python's indexing would wrap a negative image around.
+    inverse, power with a negative exponent through it, orbits and order
+    raise ValueError, semiregular_order gives 0 and is_semiregular False,
+    instead of answering for some permutation."""
+    for a in ((1, 1, 0), (0, 0), (2, 0, 0, 3), (1, 5, 0), (-1, 0, 1), (0, -9), (-1, 0),
+              (0, -1, 1)):
+        for refuses in (inverse, lambda a: power(a, -1), orbits, order):
+            with pytest.raises(ValueError, match="not a permutation"):
+                refuses(a)
+        assert semiregular_order(a) == 0
+        assert not any(is_semiregular(a, k) for k in range(1, len(a) + 1))
     assert inverse(()) == () and inverse((0,)) == (0,)
+
+
+def _semiregular_order_walk(a) -> int:
+    """semiregular_order as one bounds-checked walk over every cycle: the
+    cycle of 0 gives k, a is rejected unless k divides n, and each other
+    cycle's walk stops once it passes k steps or closes at another length.
+    Exact on permutations only: it wraps a negative image around."""
+    n = len(a)
+    seen = bytearray(n)
+    k = 0
+    for v in range(n):
+        if seen[v]:
+            continue
+        seen[v] = 1
+        length, w = 1, a[v]
+        try:
+            while w != v and length != k and not seen[w]:  # seen: a repeats an image
+                seen[w] = 1
+                w = a[w]
+                length += 1
+        except IndexError:  # an image >= n
+            return 0
+        if w != v or n % length or k and length != k:
+            return 0
+        k = length
+    return k or 1
+
+
+def test_semiregular_order_and_its_kernel_match_the_checked_walk():
+    """`_cycle_length` walks 0's cycle bare and checks nothing, and
+    semiregular_order runs it only on a permutation. Both equal the checked
+    walk on every permutation, and semiregular_order is 0 on every other
+    map: all maps {0..n-1} -> {0..n-1} for n <= 6 (n = 0 included), maps
+    with images in -2..n+1 for n <= 4, and seeded random permutations, any
+    and semiregular, up to degree 80."""
+    maps = [a for n in range(7) for a in itertools.product(range(n), repeat=n)]
+    maps += [a for n in range(1, 5) for a in itertools.product(range(-2, n + 2), repeat=n)]
+    rng = random.Random(3906)
+    for _ in range(400):
+        n = rng.randrange(1, 81)
+        k = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        maps += [random_perm(rng, n), _random_semiregular(rng, n, k)]
+    accepted = 0
+    for a in maps:
+        if sorted(a) == list(range(len(a))):
+            k = _semiregular_order_walk(a)
+            assert semiregular_order(a) == _cycle_length(a) == k, a
+            accepted += k > 0
+        else:
+            assert semiregular_order(a) == 0, a
+    assert _cycle_length(()) == 1 and accepted > 500
