@@ -283,6 +283,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

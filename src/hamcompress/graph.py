@@ -9,7 +9,7 @@ ascending lexicographic order, LF line endings, no comments.
 
 from __future__ import annotations
 
-from .perm import Perm, orbits
+from .perm import Perm, is_permutation, orbits
 
 
 def bits(mask: int):
@@ -112,7 +112,7 @@ def is_automorphism(g: Graph, a: Perm) -> bool:
         return False
     # checked last: a non-bijection can match every row (the constant map on
     # an edgeless graph), but most calls have already failed above
-    return sorted(a) == list(range(n))
+    return is_permutation(a)
 
 
 def remove_intra_orbit_edges(g: Graph, a: Perm) -> Graph:

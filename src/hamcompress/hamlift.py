@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .graph import Graph, is_automorphism, reach
-from .perm import Perm, orbits, semiregular_order
+from .perm import Perm, is_permutation, orbits, semiregular_order
 
 HamCycle = tuple[int, ...]
 
@@ -51,7 +51,7 @@ def check_hamcycle(g: Graph, seq) -> HamCycle:
     seq = tuple(seq)
     if len(seq) < 3:
         raise ValueError("a Hamilton cycle needs at least 3 vertices")
-    if len(seq) != g.n or sorted(seq) != list(range(g.n)):
+    if len(seq) != g.n or not is_permutation(seq):
         raise ValueError("sequence does not visit every vertex exactly once")
     for i, u in enumerate(seq):
         if not g.has_edge(u, seq[(i + 1) % g.n]):
@@ -86,9 +86,12 @@ class QuotientGraph:
 
 
 def quotient_with_voltages(g: Graph, a: Perm) -> QuotientGraph:
+    """The quotient of g by a, a semiregular automorphism of order k >= 2. Its
+    ValueErrors, in order: "degree mismatch", "permutation is not semiregular
+    of order >= 2" (a non-permutation too), "permutation is not an automorphism"."""
     if len(a) != g.n:
         raise ValueError("degree mismatch")
-    k = semiregular_order(a)  # 0 on a non-permutation too
+    k = semiregular_order(a)
     if k < 2:
         raise ValueError("permutation is not semiregular of order >= 2")
     if not is_automorphism(g, a):
@@ -119,7 +122,7 @@ def lift(qg: QuotientGraph, orbit_cycle, voltages) -> HamCycle:
     orbit_cycle = list(orbit_cycle)
     voltages = list(voltages)
     k, q = qg.k, len(qg.orbit_lists)
-    if sorted(orbit_cycle) != list(range(q)) or len(voltages) != q:
+    if len(orbit_cycle) != q or not is_permutation(orbit_cycle) or len(voltages) != q:
         raise ValueError("not a closed quotient cycle visiting every orbit once")
     for i, a in enumerate(orbit_cycle):
         b = orbit_cycle[(i + 1) % q]

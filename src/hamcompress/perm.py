@@ -3,8 +3,8 @@
 A permutation is a plain tuple of images; ``compose(a, b)`` applies b first,
 then a, so ``compose(a, b)[x] == a[b[x]]``; ``precompose(b)`` is that map of
 a for one fixed b, its image getter built once. ``orbits(a)`` returns the
-cycles of a as vertex tuples; ``_cycle_length`` is ``semiregular_order``
-without its permutation check.
+cycles of a as vertex tuples. ``is_permutation`` is the one validity test;
+``_cycle_length`` is ``semiregular_order`` without it.
 """
 
 from __future__ import annotations
@@ -35,17 +35,18 @@ def precompose(b: Perm) -> Callable[[Perm], Perm]:
     return itemgetter(*b)
 
 
+def is_permutation(a) -> bool:
+    """True iff the sorted images of a are exactly 0..len(a)-1."""
+    return sorted(a) == list(range(len(a)))
+
+
 def inverse(a: Perm) -> Perm:
-    """The inverse of a; ValueError when a repeats an image or has one
-    outside 0..n-1, so a is no permutation."""
-    out = [-1] * len(a)
-    try:
-        for i, v in enumerate(a):
-            out[v] = i
-    except IndexError:  # an image >= n or < -n
-        raise ValueError("not a permutation") from None
-    if -1 in out or min(a, default=0) < 0:  # a repeat leaves a slot unset
+    """The inverse of a; ValueError when a is no permutation."""
+    if not is_permutation(a):
         raise ValueError("not a permutation")
+    out = [0] * len(a)
+    for i, v in enumerate(a):
+        out[v] = i
     return tuple(out)
 
 
@@ -63,28 +64,20 @@ def power(a: Perm, e: int) -> Perm:
 
 
 def orbits(a: Perm) -> tuple[tuple[int, ...], ...]:
-    """The cycles of a, each starting at its least vertex and following a,
-    in ascending order of that vertex; ValueError when an image is < 0, or a
-    walk reaches one >= n or does not close at its start: no permutation."""
-    if min(a, default=0) < 0:  # a[-1] would wrap around
+    """The cycles of a, each from its least vertex following a, ascending by
+    that vertex; ValueError when a is no permutation."""
+    if not is_permutation(a):
         raise ValueError("not a permutation")
     seen = bytearray(len(a))
     out = []
     for v in range(len(a)):
         if seen[v]:
             continue
-        seen[v] = 1
-        cyc = [v]
-        w = a[v]
-        try:
-            while not seen[w]:
-                seen[w] = 1
-                cyc.append(w)
-                w = a[w]
-        except IndexError:  # an image >= n
-            raise ValueError("not a permutation") from None
-        if w != v:
-            raise ValueError("not a permutation")
+        cyc, w = [v], a[v]
+        while w != v:
+            seen[w] = 1
+            cyc.append(w)
+            w = a[w]
         out.append(tuple(cyc))
     return tuple(out)
 
@@ -97,7 +90,7 @@ def order(a: Perm) -> int:
 def semiregular_order(a: Perm) -> int:
     """k when every cycle of a has length k, else 0 (1 for the identity, 0
     when a is no permutation)."""
-    return _cycle_length(a) if sorted(a) == list(range(len(a))) else 0
+    return _cycle_length(a) if is_permutation(a) else 0
 
 
 def _cycle_length(a: Perm) -> int:

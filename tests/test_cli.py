@@ -546,3 +546,17 @@ def test_search_deeper_than_recursion_limit_exit_2(tmp_path, capsys, command):
     assert captured.err == (f"error: automorphism search on 1102 vertices exceeds the "
                             f"recursion limit of {sys.getrecursionlimit()}\n")
     assert "Traceback" not in captured.err
+
+
+def test_construct_out_of_memory_exit_2(capsys, monkeypatch):
+    """A construction too large for memory, such as a circulant on 5*10^7
+    vertices under a small address-space limit, ends in one error line and
+    exit 2, not a traceback."""
+    def exhausted(*_):
+        raise MemoryError
+    monkeypatch.setattr(families, "_grid_graph", exhausted)
+    code = cli.main(["construct", "--family", "circulant", "--n", "50000000",
+                     "--connection", "1,49999999", "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: out of memory\n"

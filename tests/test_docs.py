@@ -1,8 +1,9 @@
 """README checks: the quickstart states true values, the package root exports
 exactly the documented Library API, the CLI section names every subcommand,
 the traced bench run can still find every function it wraps, every
-private name the docs mention exists, and each module imports only from the
-layers below it (Package layout)."""
+private name the docs mention exists, only perm.is_permutation tests
+permutation validity, and each module imports only from the layers below it
+(Package layout)."""
 
 import argparse
 import ast
@@ -260,6 +261,33 @@ def test_every_private_src_def_is_referenced_in_src():
                and node.name.startswith("_") and not node.name.startswith("__")]
     assert len(private) > 20 and [(module, node.name) for module, node in private
                                   if total[node.name] <= references(node)[node.name]] == []
+
+
+def test_only_is_permutation_compares_sorted_images_with_a_range():
+    """perm.is_permutation is the one permutation-validity test: no other
+    code of src/hamcompress compares sorted(...) with list(range(...)) by
+    == or !=; each such check calls it instead."""
+    def call_of(node, name):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name)
+
+    found = []
+    for path in sorted((ROOT / "src" / "hamcompress").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(n), fn.name) for n in ast.walk(fn))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Compare)
+                    and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)):
+                continue
+            sides = [node.left, *node.comparators]
+            if (any(call_of(side, "sorted") for side in sides)
+                    and any(call_of(side, "list") and side.args and call_of(side.args[0], "range")
+                            for side in sides)):
+                found.append((path.name, owner.get(id(node)), node.lineno))
+    assert [(module, fn) for module, fn, _ in found] == [("perm.py", "is_permutation")], found
 
 
 # Each module of src/hamcompress imports only from the layers below its own.

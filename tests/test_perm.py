@@ -6,12 +6,14 @@ import pytest
 from conftest import graph_cycle
 
 from hamcompress.families import grid_rho
-from hamcompress.graph import remove_intra_orbit_edges
+from hamcompress.graph import is_automorphism, remove_intra_orbit_edges
+from hamcompress.hamlift import check_hamcycle, lift, quotient_with_voltages
 from hamcompress.perm import (
     _cycle_length,
     compose,
     identity,
     inverse,
+    is_permutation,
     is_semiregular,
     orbits,
     order,
@@ -135,10 +137,10 @@ def test_orbits_identity_and_transposition():
 
 
 def test_orbits_refuses_a_non_permutation():
-    """A walk that stops at a vertex already seen, other than its start,
-    shows a repeated image, and a walk that reaches an image >= n shows an
-    image out of range: orbits, and order and the orbit-edge removal that
-    read it, raise ValueError instead of walking forever or IndexError."""
+    """A repeated image or one >= n makes a non-permutation, which
+    is_permutation refuses before any walk: orbits, and order and the
+    orbit-edge removal that read it, raise ValueError instead of walking
+    forever or IndexError."""
     for a in ((1, 1, 0), (0, 0), (1, 2, 1), (2, 0, 0, 3), (1, 5, 0)):
         with pytest.raises(ValueError, match="not a permutation"):
             orbits(a)
@@ -203,7 +205,9 @@ def test_non_permutations_are_refused():
     non-permutation; Python's indexing would wrap a negative image around.
     inverse, power with a negative exponent through it, orbits and order
     raise ValueError, semiregular_order gives 0 and is_semiregular False,
-    instead of answering for some permutation."""
+    instead of answering for some permutation. From length 3 on, the
+    checks that read is_permutation refuse one too: check_hamcycle and lift
+    raise their ValueError and is_automorphism is False."""
     for a in ((1, 1, 0), (0, 0), (2, 0, 0, 3), (1, 5, 0), (-1, 0, 1), (0, -9), (-1, 0),
               (0, -1, 1)):
         for refuses in (inverse, lambda a: power(a, -1), orbits, order):
@@ -211,6 +215,16 @@ def test_non_permutations_are_refused():
                 refuses(a)
         assert semiregular_order(a) == 0
         assert not any(is_semiregular(a, k) for k in range(1, len(a) + 1))
+        q = len(a)
+        if q < 3:
+            continue
+        with pytest.raises(ValueError, match="sequence does not visit every vertex exactly once"):
+            check_hamcycle(graph_cycle(q), a)
+        half_turn = tuple((v + q) % (2 * q) for v in range(2 * q))
+        qg = quotient_with_voltages(graph_cycle(2 * q), half_turn)  # q orbits of size 2
+        with pytest.raises(ValueError, match="not a closed quotient cycle visiting every orbit once"):
+            lift(qg, a, [0] * q)
+        assert is_automorphism(graph_cycle(q), a) is False
     assert inverse(()) == () and inverse((0,)) == (0,)
 
 
@@ -242,11 +256,12 @@ def _semiregular_order_walk(a) -> int:
 
 def test_semiregular_order_and_its_kernel_match_the_checked_walk():
     """`_cycle_length` walks 0's cycle bare and checks nothing, and
-    semiregular_order runs it only on a permutation. Both equal the checked
-    walk on every permutation, and semiregular_order is 0 on every other
-    map: all maps {0..n-1} -> {0..n-1} for n <= 6 (n = 0 included), maps
-    with images in -2..n+1 for n <= 4, and seeded random permutations, any
-    and semiregular, up to degree 80."""
+    semiregular_order runs it only on a permutation. is_permutation agrees
+    with the sorted-image comparison on every map. semiregular_order and
+    the kernel equal the checked walk on every permutation, and
+    semiregular_order is 0 on every other map: all maps {0..n-1} -> {0..n-1}
+    for n <= 6 (n = 0 included), maps with images in -2..n+1 for n <= 4,
+    and seeded random permutations, any and semiregular, up to degree 80."""
     maps = [a for n in range(7) for a in itertools.product(range(n), repeat=n)]
     maps += [a for n in range(1, 5) for a in itertools.product(range(-2, n + 2), repeat=n)]
     rng = random.Random(3906)
@@ -256,7 +271,8 @@ def test_semiregular_order_and_its_kernel_match_the_checked_walk():
         maps += [random_perm(rng, n), _random_semiregular(rng, n, k)]
     accepted = 0
     for a in maps:
-        if sorted(a) == list(range(len(a))):
+        assert is_permutation(a) == (sorted(a) == list(range(len(a)))), a
+        if is_permutation(a):
             k = _semiregular_order_walk(a)
             assert semiregular_order(a) == _cycle_length(a) == k, a
             accepted += k > 0
