@@ -210,10 +210,9 @@ def _search_one(g: Graph, path: list[Level], leaf: list[int], depth: int,
 @dataclass(frozen=True)
 class GroupData:
     """An automorphism group as its stabilizer chain, each level's entries
-    in path order, identity first, and whether it is above DEFAULT_CAP."""
+    in path order, identity first."""
 
     transversals: tuple[tuple[Perm, ...], ...]
-    capped: bool
 
     @property
     def generators(self) -> tuple[Perm, ...]:
@@ -222,6 +221,11 @@ class GroupData:
     @property
     def order(self) -> int:
         return prod(map(len, self.transversals))
+
+    @property
+    def capped(self) -> bool:
+        """Whether the group is above DEFAULT_CAP."""
+        return self.order > DEFAULT_CAP
 
     @property
     def elements(self) -> tuple[Perm, ...] | None:
@@ -319,7 +323,7 @@ def automorphism_group(g: Graph) -> GroupData:
         levels.append(transversal)
     # a discrete root partition leaves no level: the chain is the identity alone
     chain = tuple(tuple(t.values()) for t in reversed(levels)) or ((identity(n),),)
-    return GroupData(chain, prod(map(len, chain)) > DEFAULT_CAP)
+    return GroupData(chain)
 
 
 def cyclic_semiregular_reps(group: GroupData) -> dict[int, list[Perm]]:

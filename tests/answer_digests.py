@@ -9,7 +9,8 @@ repository root, with
 
 and says in CHANGES.md which classes moved and in how many entries (diff
 the file). Without --write the script prints the classes whose digests
-differ from the file and exits 1 when any does.
+differ from the file and exits 1 when any does. Both exit 2 without
+networkx, which the atlas corpus needs.
 
 Answer classes, each digested on its own:
 - group: generators in order, order, and the sorted element list (None
@@ -20,97 +21,42 @@ Answer classes, each digested on its own:
 - regular: the regular subgroups in the order the search yields them,
   each as its sorted element list (None when capped)
 - lift: lift-mode kappa, exact flag and certificate
-- ham: the full Ham array, with each value's certificate (enum-ham pool
-  and thm43)
+- ham: the full Ham array, with each value's certificate (enum-ham pool,
+  thm43 and the censuses; on the circulants and GP at their limit of
+  50 000)
 - ham-cut: Ham arrays cut at limits 1-11 (enum-ham pool, not relabelled)
 - claims: the records of each `verify --claim` run at its default options,
   in order, without `seconds` (keyed by claim, not by graph)
 
-Corpus: the three benchmark pools (hcbench/pools.py), one seeded relabelled
-copy of each (names prefixed "r:"), the thm43 claim's graphs, the capped
-graphs K7,7, K10, 4K4, 3K5, K12 and 3K6, and the large uncapped groups of
-K8, K4,4, 4K3, GP(50, 1) and 3K4 (group, sem, classes and regular subgroups
-only; 3K4, whose regular search takes seconds, without the last). Canonical
-JSON has sorted keys, tuples as lists and dict keys as strings, so a renamed
-field reads as a moved class, not a moved answer.
+Corpus (corpora.CORPORA, each graph labelled "<corpus>/<name>"): the three
+benchmark pools (hcbench/pools.py), each with one seeded relabelled copy
+(names prefixed "r:"); the thm43 claim's graphs; the capped graphs K7,7,
+K10, 4K4, 3K5, K12 and 3K6; the large uncapped groups of K8, K4,4, 4K3,
+GP(50, 1) and 3K4 (group, sem, classes and regular subgroups only; 3K4,
+whose regular search takes seconds, without the last); and the 1 584
+census graphs: the 1 253 atlas graphs, 110 random Cayley graphs, 72
+circulants, 56 GP(n, r), the 16-graph small corpus and the 77 p = 5
+triples. The answers come from one `corpora.AnswerTable`, which the census
+suites read too. Canonical JSON has sorted keys, tuples as lists and dict
+keys as strings, so a renamed field reads as a moved class, not a moved
+answer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
-import itertools
 import json
-import random
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from hamcompress import families, verify
-from hamcompress.autgroup import (
-    _regular_search,
-    _semiregular_classes,
-    automorphism_group,
-    sem_array,
-)
-from hamcompress.compression import ham_array, hamilton_compression
-from hamcompress.graph import Graph
+from corpora import CORPORA, AnswerTable
+from hamcompress import verify
 
-ROOT = Path(__file__).resolve().parents[1]
 DIGEST_FILE = Path(__file__).with_name("answer_digests.json")
-RELABEL_SEED = 7
-CUT_LIMITS = range(1, 12)
-
-
-def bench_pools() -> dict[str, list[tuple[str, Graph]]]:
-    """The (name, graph) pool of each benchmark workload."""
-    spec = importlib.util.spec_from_file_location("bench_pools", ROOT / "hcbench" / "pools.py")
-    pools = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pools)
-    return {w: pools.build_pool(w, families) for w in pools.WORKLOADS}
-
-
-def relabelled(pool: list[tuple[str, Graph]], seed: int) -> list[tuple[str, Graph]]:
-    """Each graph of the pool under a seeded random vertex permutation."""
-    rng = random.Random(seed)
-    out = []
-    for name, g in pool:
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        out.append((f"r:{name}", Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])))
-    return out
-
-
-def _cliques(copies: int, size: int) -> Graph:
-    return Graph.build(copies * size, [
-        (c * size + u, c * size + v)
-        for c in range(copies) for u, v in itertools.combinations(range(size), 2)])
-
-
-def _biclique(a: int) -> Graph:
-    return Graph.build(2 * a, [(u, a + v) for u in range(a) for v in range(a)])
-
-
-def capped_graphs() -> list[tuple[str, Graph]]:
-    return [("K7,7", _biclique(7)), ("K10", _cliques(1, 10)), ("4K4", _cliques(4, 4)),
-            ("3K5", _cliques(3, 5)), ("K12", _cliques(1, 12)), ("3K6", _cliques(3, 6))]
-
-
-def large_graphs() -> list[tuple[str, Graph]]:
-    """Uncapped groups far above the pools' orders (|Aut| 40 320, 1 152,
-    31 104, 200 and 82 944)."""
-    return [("K8", _cliques(1, 8)), ("K4,4", _biclique(4)), ("4K3", _cliques(4, 3)),
-            ("GP(50,1)", families.generalized_petersen(50, 1).graph), ("3K4", _cliques(3, 4))]
-
-
-def corpus() -> dict[str, list[tuple[str, Graph]]]:
-    """The graphs of each pool with its relabelled copy, the thm43 graphs,
-    the capped graphs and the large ones, each labelled "<pool>/<name>"."""
-    out = {w: pool + relabelled(pool, RELABEL_SEED) for w, pool in bench_pools().items()}
-    out["thm43"] = [(name, inst.graph) for name, inst in verify._thm43_corpus()]
-    out["capped"] = capped_graphs()
-    out["large"] = large_graphs()
-    return {w: [(f"{w}/{label}", g) for label, g in graphs] for w, graphs in out.items()}
+CLASSES = ("group", "sem", "classes", "regular", "lift", "ham", "ham-cut")
+NO_HAM = ("lift-xmnr", "group-cayley", "capped", "large")  # corpora without the ham class
 
 
 def _cert(c):
@@ -123,34 +69,31 @@ def _ham(arr):
             "certificates": sorted((k, _cert(c)) for k, c in arr.certificates.items())}
 
 
-def answers(pools: dict[str, list[tuple[str, Graph]]]) -> dict[str, dict[str, object]]:
-    """Every answer of every class, keyed by class and then by graph label."""
-    out: dict[str, dict[str, object]] = {c: {} for c in (
-        "group", "sem", "classes", "regular", "lift", "ham", "ham-cut")}
-    for workload, graphs in pools.items():
-        for label, g in graphs:
-            group = automorphism_group(g)
-            out["group"][label] = {"generators": group.generators, "order": group.order,
-                                   "elements": group.elements}
-            sem = sem_array(g, group=group)
-            out["sem"][label] = {"values": sem.values, "exact": sem.exact,
-                                 "witnesses": sorted(sem.witnesses.items())}
-            if group.capped:
-                out["regular"][label] = None
-            else:
-                out["classes"][label] = [
-                    (k, sorted(leaders.items())) for k, leaders in _semiregular_classes(group).items()]
-                if label != "large/3K4":  # its regular search alone takes about 2 s
-                    out["regular"][label] = [sorted(h) for h in _regular_search(group, g.n)]
-            if workload == "large":
-                continue
-            res = hamilton_compression(g)
-            out["lift"][label] = {"kappa": res.kappa, "exact": res.exact,
-                                  "certificate": _cert(res.certificate)}
-            if workload in ("enum-ham", "thm43"):
-                out["ham"][label] = _ham(ham_array(g))
-            if workload == "enum-ham" and "/r:" not in label:
-                out["ham-cut"][label] = [_ham(ham_array(g, limit)) for limit in CUT_LIMITS]
+def answers(table: AnswerTable, name: str) -> dict[str, dict[str, object]]:
+    """Every answer of every class over one corpus, keyed by class and then
+    by graph label."""
+    out: dict[str, dict[str, object]] = {c: {} for c in CLASSES}
+    for label, ans in table[name].items():
+        key = f"{name}/{label}"
+        group = ans.group
+        out["group"][key] = {"generators": group.generators, "order": group.order,
+                             "elements": ans.elements}
+        sem = ans.sem
+        out["sem"][key] = {"values": sem.values, "exact": sem.exact,
+                           "witnesses": sorted(sem.witnesses.items())}
+        if ans.classes is not None:
+            out["classes"][key] = [(k, sorted(leaders.items())) for k, leaders in ans.classes.items()]
+        if key != "large/3K4":  # its regular search alone takes about 2 s
+            out["regular"][key] = ans.regular
+        if name == "large":
+            continue
+        res = ans.lift
+        out["lift"][key] = {"kappa": res.kappa, "exact": res.exact,
+                            "certificate": _cert(res.certificate)}
+        if name not in NO_HAM:
+            out["ham"][key] = _ham(ans.ham)
+        if name == "enum-ham" and not label.startswith("r:"):
+            out["ham-cut"][key] = [_ham(arr) for arr in ans.ham_cut]
     return out
 
 
@@ -166,15 +109,31 @@ def short_hash(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def digests(pools: dict[str, list[tuple[str, Graph]]] | None = None) -> dict:
-    """{class: {"digest": hash of its entries, "entries": {label: hash}}}."""
-    out = {}
-    classes = answers(corpus() if pools is None else pools)
-    classes["claims"] = claim_records()
-    for cls, entries in classes.items():
-        hashed = {label: short_hash(value) for label, value in entries.items()}
-        out[cls] = {"digest": short_hash(hashed), "entries": hashed}
-    return out
+def hashed(entries: dict[str, dict[str, object]]) -> dict[str, dict[str, str]]:
+    """Each class's entries as {label: hash}, classes without entries left
+    out."""
+    return {cls: {label: short_hash(value) for label, value in values.items()}
+            for cls, values in entries.items() if values}
+
+
+def pinned_entries(pinned: dict, name: str) -> dict[str, dict[str, str]]:
+    """The committed {class: {label: hash}} of one corpus (the claims are
+    keyed by claim, not by graph)."""
+    out = {cls: {label: h for label, h in found["entries"].items()
+                 if label.split("/", 1)[0] == name}
+           for cls, found in pinned.items() if cls != "claims"}
+    return {cls: entries for cls, entries in out.items() if entries}
+
+
+def digests(table: AnswerTable) -> dict:
+    """{class: {"digest": hash of its entries, "entries": {label: hash}}}
+    over every corpus, with the claim records."""
+    classes: dict[str, dict[str, str]] = {"claims": hashed({"claims": claim_records()})["claims"]}
+    for name in CORPORA:
+        for cls, entries in hashed(answers(table, name)).items():
+            classes.setdefault(cls, {}).update(entries)
+    return {cls: {"digest": short_hash(entries), "entries": entries}
+            for cls, entries in classes.items()}
 
 
 def moved(found: dict, pinned: dict) -> dict[str, list[str]]:
@@ -190,7 +149,10 @@ def moved(found: dict, pinned: dict) -> dict[str, list[str]]:
 
 
 def main(argv: list[str]) -> int:
-    found = digests()
+    if importlib.util.find_spec("networkx") is None:
+        print("error: the atlas corpus needs networkx; no digests computed", file=sys.stderr)
+        return 2
+    found = digests(AnswerTable())
     if argv == ["--write"]:
         DIGEST_FILE.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
         return 0

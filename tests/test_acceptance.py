@@ -6,7 +6,7 @@ lines; every expected value and time bound is pinned here.
 
 import time
 
-from conftest import small_corpus
+from corpora import small_corpus
 from hamcompress.autgroup import automorphism_group, cyclic_semiregular_reps, sem_array
 from hamcompress.compression import (
     cycle_compression,

@@ -7,20 +7,17 @@ import tracemalloc
 
 import pytest
 
-from conftest import (
-    brute_automorphisms,
-    conjugacy_sources,
+from conftest import brute_automorphisms, conjugacy_sources
+from corpora import (
     graph_complete,
     graph_complete_bipartite,
     graph_cycle,
     graph_disjoint_complete,
-    graph_k4,
-    graph_k33,
     p5_triples,
     random_cayley_census,
+    relabelled,
     small_corpus,
 )
-from answer_digests import relabelled
 from hamcompress import autgroup
 from hamcompress.autgroup import (
     DEFAULT_CAP,
@@ -82,7 +79,7 @@ def test_is_automorphism_rejects_non_permutations():
 
 def test_group_matches_brute_force_on_tiny_graphs():
     rng = random.Random(77)
-    cases = [graph_k4(), graph_cycle(5), graph_cycle(6), graph_k33()]
+    cases = [graph_complete(4), graph_cycle(5), graph_cycle(6), graph_complete_bipartite(3, 3)]
     for _ in range(12):
         n = rng.randrange(2, 8)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
@@ -95,7 +92,7 @@ def test_group_matches_brute_force_on_tiny_graphs():
 
 
 def test_group_element_list_is_closed():
-    for g in (graph_k4(), petersen().graph, x_mnr(3, 7, 2).graph):
+    for g in (graph_complete(4), petersen().graph, x_mnr(3, 7, 2).graph):
         grp = automorphism_group(g)
         assert not grp.capped
         assert len(set(grp.elements)) == grp.order
@@ -390,12 +387,12 @@ def test_asymmetric_graph_rejects_every_target():
 def test_sem_array_values():
     assert sem_array(petersen().graph).values == (1, 5)
     assert sem_array(petersen().graph.complement()).values == (1, 5)
-    assert sem_array(graph_k4()).values == (1, 2, 4)
+    assert sem_array(graph_complete(4)).values == (1, 2, 4)
     assert sem_array(graph_cycle(15)).values == (1, 3, 5, 15)
 
 
 def test_sem_array_k4_matches_brute_force():
-    g = graph_k4()
+    g = graph_complete(4)
     expected = {1}
     for a in brute_automorphisms(g):
         k = order(a)
@@ -584,7 +581,7 @@ def test_regular_subgroups_match_two_sided_closure():
     (graph_complete_bipartite(4, 4), 168),
     (graph_disjoint_complete(3, 3), 36),
     (graph_disjoint_complete(4, 2), 64),
-    (graph_k33(), 8),
+    (graph_complete_bipartite(3, 3), 8),
     (x_mnr(2, 4, 3).graph, 10),  # the cube Q3
 ], ids=["2K4", "K4,4", "3K3", "4K2", "K3,3", "Q3"])
 def test_regular_subgroups_match_reference_on_fixed_point_free_rich_groups(g, count):
@@ -717,7 +714,7 @@ def test_regular_subgroup_tags():
     def flags(g):
         return sorted(_holds_n_cycle(s) for s in regular_subgroups(g))
 
-    assert flags(graph_k4()) == [False, True, True, True]
+    assert flags(graph_complete(4)) == [False, True, True, True]
     assert flags(graph_cycle(15)) == [True]
     k6 = Graph.build(6, list(itertools.combinations(range(6), 2)))
     assert flags(k6) == [False] * 20 + [True] * 60

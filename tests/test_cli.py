@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import graph_complete, graph_disjoint_complete
+from corpora import graph_complete, graph_disjoint_complete
 from hamcompress import cli, families
 from hamcompress.families import petersen
 from hamcompress.graph import parse_edgelist
@@ -147,7 +147,7 @@ def test_kappa_k2_is_zero(tmp_path, capsys):
 
 
 def test_ham_long_cycle(tmp_path, capsys):
-    from conftest import graph_cycle
+    from corpora import graph_cycle
     from hamcompress.graph import emit_edgelist
 
     n = 1100

@@ -2,14 +2,12 @@ import time
 
 import pytest
 
-from conftest import (
-    assert_plain_ham,
-    conjugacy_sources,
+from conftest import assert_plain_ham, conjugacy_sources
+from corpora import (
     graph_complete,
     graph_complete_bipartite,
     graph_cycle,
     graph_disjoint_complete,
-    graph_k4,
     small_corpus,
 )
 from hamcompress import autgroup, compression
@@ -66,7 +64,7 @@ def test_cycle_compression_cycle_graph():
 
 
 def test_cycle_compression_k4():
-    g = graph_k4()
+    g = graph_complete(4)
     cycles, exact = enumerate_hamcycles(g)
     assert exact
     for cycle in cycles:
@@ -124,7 +122,7 @@ def test_kappa_examples_lift():
     assert hamilton_compression(x_mnr(3, 7, 2).graph).kappa == 3
     assert hamilton_compression(circulant(15, {1, 14}).graph).kappa == 15
     assert hamilton_compression(x_mnr(2, 5, 4).graph).kappa == 2
-    assert hamilton_compression(graph_k4()).kappa == 4
+    assert hamilton_compression(graph_complete(4)).kappa == 4
 
 
 def test_kappa_complement_petersen():
@@ -134,7 +132,7 @@ def test_kappa_complement_petersen():
 
 def test_kappa_modes_agree_small():
     for g in (
-        graph_k4(),
+        graph_complete(4),
         graph_cycle(6),
         petersen().graph,
         x_mnr(2, 4, 3).graph,
@@ -216,7 +214,7 @@ def test_ham_array_values():
     assert ham_array(petersen().graph).values == (0,)
     comp = ham_array(petersen().graph.complement())
     assert comp.exact and comp.values == (1, 5)
-    k4 = ham_array(graph_k4())
+    k4 = ham_array(graph_complete(4))
     assert k4.values == (4,)
     assert ham_array(graph_cycle(15)).values == (15,)
 
@@ -291,7 +289,7 @@ def test_cycle_compression_reads_an_iterator_once():
 
 def test_lcf_k4_is_cubic_edge_case():
     # K4 is cubic; every chord points at the antipode
-    assert lcf(graph_k4(), (0, 1, 2, 3)) == (2, 2, 2, 2)
+    assert lcf(graph_complete(4), (0, 1, 2, 3)) == (2, 2, 2, 2)
 
 
 def test_lcf_rejects_non_cubic():
@@ -303,7 +301,7 @@ def test_is_petersen():
     assert is_petersen(petersen().graph)
     assert is_petersen(y_qp(2, 5, 2).graph)
     assert not is_petersen(generalized_petersen(5, 1).graph)
-    assert not is_petersen(graph_k4())
+    assert not is_petersen(graph_complete(4))
     pet = petersen().graph
     relabel = (3, 7, 0, 9, 1, 5, 8, 2, 6, 4)
     assert is_petersen(Graph.build(10, [(relabel[u], relabel[v]) for u, v in pet.edges()]))

@@ -1,9 +1,9 @@
 """README checks: the quickstart states true values, the package root exports
 exactly the documented Library API, the CLI section names every subcommand,
-the traced bench run can still find every function it wraps, every
-private name the docs mention exists, only perm.is_permutation tests
-permutation validity, and each module imports only from the layers below it
-(Package layout)."""
+the digest paragraph names every test corpus, the traced bench run can
+still find every function it wraps, every private name the docs mention
+exists, only perm.is_permutation tests permutation validity, and each
+module imports only from the layers below it (Package layout)."""
 
 import argparse
 import ast
@@ -17,6 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 import hamcompress
+from corpora import CORPORA
 from hamcompress import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +65,14 @@ def test_cli_section_names_every_subcommand():
               if isinstance(action, argparse._SubParsersAction))
     documented = set(re.findall(r"^hamcompress ([\w-]+)", _section("CLI"), re.M))
     assert set(sub.choices) == documented
+
+
+def test_digest_paragraph_names_every_corpus():
+    """The Install and test paragraph on the answer digests names, in
+    backticks, each corpus that tests/corpora.py registers."""
+    start = README.index("`tests/test_answer_digests.py`")
+    paragraph = README[start:README.index("\n\n", start)]
+    assert set(CORPORA) <= set(re.findall(r"`([\w-]+)`", paragraph))
 
 
 def test_traced_bench_run_finds_every_wrapped_function():

@@ -421,7 +421,7 @@ def test_metacirculant_orbit_rejects_loop():
 
 
 def test_circulant_15_is_the_cycle():
-    from conftest import graph_cycle
+    from corpora import graph_cycle
 
     assert circulant(15, {1, 14}).graph == graph_cycle(15)
 

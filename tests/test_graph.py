@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import graph_cycle, graph_k4
+from corpora import graph_complete, graph_cycle
 from hamcompress.families import petersen, x_mnr
 from hamcompress.graph import (
     Graph,
@@ -28,7 +28,7 @@ def test_build_rejects_bad_edges():
 
 
 def test_degrees_and_edges():
-    g = graph_k4()
+    g = graph_complete(4)
     assert g.degrees() == [3, 3, 3, 3]
     assert g.m == 6
     assert g.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -185,7 +185,7 @@ def test_edgelist_roundtrip_random():
 
 
 def test_emit_is_byte_exact():
-    g = graph_k4()
+    g = graph_complete(4)
     text = emit_edgelist(g)
     assert text == "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
     assert "\r" not in text and text.endswith("\n") and not text.endswith("\n\n")

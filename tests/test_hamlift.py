@@ -5,16 +5,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import (
-    acts_as_rotation,
-    conjugacy_sources,
-    cycle_edges,
-    graph_cycle,
-    graph_k4,
-    p5_triples,
-    project_cycle,
-    random_cayley_census,
-)
+from conftest import acts_as_rotation, conjugacy_sources, cycle_edges, project_cycle
+from corpora import graph_complete, graph_cycle, p5_triples, random_cayley_census
 from hamcompress import hamlift
 from hamcompress.autgroup import automorphism_group, cyclic_semiregular_reps, is_automorphism
 from hamcompress.families import (
@@ -62,7 +54,7 @@ def test_quotient_refuses_exactly_the_non_automorphisms():
     c6 = graph_cycle(6)
     with pytest.raises(ValueError, match="permutation is not an automorphism"):
         find_symmetric_hamcycle(c6, (5, 4, 3, 1, 0, 2))
-    graphs = [c6, generalized_petersen(3, 1).graph, graph_k4(),
+    graphs = [c6, generalized_petersen(3, 1).graph, graph_complete(4),
               Graph.build(6, [(u, v) for u in range(3) for v in range(3, 6)]),
               Graph.build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (0, 3), (2, 5)])]
     counts = [0, 0]
@@ -231,7 +223,7 @@ def test_symmetric_cycle_full_rotation():
 
 def test_find_hamcycle():
     assert find_hamcycle(petersen().graph) is None
-    assert find_hamcycle(graph_k4()) is not None
+    assert find_hamcycle(graph_complete(4)) is not None
     cycle = find_hamcycle(x_mnr(3, 7, 2).graph)
     check_hamcycle(x_mnr(3, 7, 2).graph, cycle)
     disconnected = Graph.build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -255,7 +247,7 @@ def test_long_cycle_needs_no_recursion():
 
 
 def test_enumerate_k4():
-    cycles, exact = enumerate_hamcycles(graph_k4())
+    cycles, exact = enumerate_hamcycles(graph_complete(4))
     assert exact
     assert len(cycles) == 3  # (4-1)!/2
 

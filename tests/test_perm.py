@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import graph_cycle
+from corpora import graph_cycle
 
 from hamcompress.families import grid_rho
 from hamcompress.graph import is_automorphism, remove_intra_orbit_edges

@@ -15,16 +15,13 @@ import pytest
 
 from conftest import (
     acts_as_rotation,
+    assert_ham_is,
     assert_plain_ham,
     cycle_edges,
-    graph_complete,
-    graph_complete_bipartite,
-    graph_disjoint_complete,
-    graph_star,
     plain_ham,
     project_cycle,
-    random_cayley_census,
 )
+from corpora import graph_complete, graph_complete_bipartite, graph_disjoint_complete, graph_star
 from hamcompress.autgroup import (
     DEFAULT_CAP,
     _refine,
@@ -33,17 +30,14 @@ from hamcompress.autgroup import (
     automorphism_group,
     cyclic_semiregular_reps,
     is_automorphism,
-    is_cayley,
-    regular_subgroups,
-    sem_array,
 )
 from hamcompress.compression import (
     cycle_compression,
-    ham_array,
     hamilton_compression,
     predict_kappa_circulant,
+    predict_kappa_metapq,
 )
-from hamcompress.families import circulant, generalized_petersen
+from hamcompress.families import generalized_petersen
 from hamcompress.graph import Graph, bits
 from hamcompress.hamlift import (
     canonical_cycle,
@@ -55,7 +49,7 @@ from hamcompress.hamlift import (
     symmetric_hamcycles,
 )
 from hamcompress.numth import factorize
-from hamcompress.perm import is_semiregular, order
+from hamcompress.perm import is_semiregular, order, power
 
 
 def _random_voltage_cover(rng: random.Random):
@@ -152,25 +146,24 @@ def test_project_inverts_lift_random():
         assert [v % k for v in vs] == [v % k for v in volts]
 
 
-def test_symmetric_search_completeness_small(corpus):
+def test_symmetric_search_completeness_small(answer_table):
     """Wherever some Hamilton cycle admits the candidate automorphism as a
     rotation, the quotient search must succeed, and vice versa. The lifts
     are the rotational cycles as a multiset: each comes twice, once per
     direction, when a has at most two orbits, and once otherwise."""
-    for name, g in corpus:
+    for name, ans in answer_table["small"].items():
+        g = ans.graph
         if g.n > 16:
             continue
-        grp = automorphism_group(g)
         cycles, exact = enumerate_hamcycles(g)
         assert exact, name
-        reps = cyclic_semiregular_reps(grp)
+        reps = cyclic_semiregular_reps(ans.group)
         for k, gens in sorted(reps.items()):
             for a in gens:
                 found = find_symmetric_hamcycle(g, a)
-                rotational = [
-                    c for c in cycles
-                    if any(acts_as_rotation(p, c) for p in _subgroup_generators(a, k))
-                ]
+                generators = _subgroup_generators(a, k)
+                rotational = [c for c in cycles
+                              if any(acts_as_rotation(p, c) for p in generators)]
                 lifts = Counter(canonical_cycle(c) for c in symmetric_hamcycles(g, a))
                 copies = 2 if g.n // k <= 2 else 1
                 assert lifts == Counter(rotational * copies), name
@@ -184,17 +177,15 @@ def test_symmetric_search_completeness_small(corpus):
 
 
 def _subgroup_generators(a, k):
-    from hamcompress.perm import power
-
     return [power(a, e) for e in range(1, k) if math.gcd(e, k) == 1]
 
 
-def test_oracle_equivalence_lift_vs_exhaustive(corpus):
-    for name, g in corpus:
+def test_oracle_equivalence_lift_vs_exhaustive(answer_table):
+    for name, ans in answer_table["small"].items():
+        g = ans.graph
         if g.n > 16:
             continue
-        lift_res = hamilton_compression(g, "lift")
-        exh_res = hamilton_compression(g, "exhaustive")
+        lift_res, exh_res = ans.lift, ans.exhaustive
         assert exh_res.exact, name
         assert lift_res.kappa == exh_res.kappa, name
         # exhaustive mode lifts too: both answer to the plain oracle
@@ -205,66 +196,52 @@ def test_oracle_equivalence_lift_vs_exhaustive(corpus):
             assert exh_res.certificate.cycle == least[exh_res.kappa].cycle, name
 
 
-def test_certificate_replay_everywhere(corpus):
-    for name, g in corpus:
-        for mode in ("lift", "exhaustive"):
-            res = hamilton_compression(g, mode)
+def test_certificate_replay_everywhere(answer_table):
+    for name, ans in answer_table["small"].items():
+        g = ans.graph
+        for res in (ans.lift, ans.exhaustive):
             if res.certificate is not None:
                 replay = cycle_compression(g, res.certificate.cycle)
                 assert replay.k == res.certificate.k == res.kappa, name
-        arr = ham_array(g)
+        arr = ans.ham
         for k, cert in arr.certificates.items():
             assert cycle_compression(g, cert.cycle).k == k, name
         assert_plain_ham(g, arr, name)
 
 
-def test_ham_subset_of_sem(corpus):
-    for name, g in corpus:
-        arr = ham_array(g)
-        sem = sem_array(g)
+def test_ham_subset_of_sem(answer_table):
+    for name, ans in answer_table["small"].items():
+        arr, sem = ans.ham, ans.sem
         assert sem.exact and arr.exact, name
         if arr.values != (0,):
             assert set(arr.values) <= set(sem.values), name
 
 
-def test_sem_values_divide_vertex_count(corpus):
-    for name, g in corpus:
-        for k in sem_array(g).values:
-            assert g.n % k == 0, name
+def test_sem_values_divide_vertex_count(answer_table):
+    for name, ans in answer_table["small"].items():
+        for k in ans.sem.values:
+            assert ans.graph.n % k == 0, name
 
 
-def test_order_pq_prediction_differential_p5():
+def test_order_pq_prediction_differential_p5(answer_table):
     """Every valid 10-vertex triple instance (all symmetric step sets, spoke
     sets up to size 3) gets the same value from the case-split predictor and
     from exhaustive enumeration, and lists |Aut| distinct elements, |Aut| as
     counted by networkx's VF2++."""
-    import itertools
-
     nx = pytest.importorskip("networkx")
 
-    from hamcompress.compression import predict_kappa_metapq
-    from hamcompress.families import metacirculant_triple_2p
-
-    sym_sets = [frozenset({1, 4}), frozenset({2, 3}), frozenset({1, 2, 3, 4})]
     checked = 0
-    for s_outer, s_inner in itertools.product(sym_sets, repeat=2):
-        for tsize in (1, 2, 3):
-            for spokes in itertools.combinations(range(5), tsize):
-                inst = metacirculant_triple_2p(5, set(s_outer), set(s_inner), set(spokes))
-                if inst.sigma is None or not inst.graph.is_connected():
-                    continue
-                pred = predict_kappa_metapq(inst)
-                assert pred.kappa is not None
-                res = hamilton_compression(inst.graph, "exhaustive")
-                assert res.exact
-                assert pred.kappa == res.kappa, (
-                    sorted(s_outer), sorted(s_inner), sorted(spokes), pred, res.kappa)
-                group = automorphism_group(inst.graph)
-                h = nx.Graph(inst.graph.edges())
-                isos = sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h))
-                assert group.order == isos == len(set(group.elements)), (
-                    sorted(s_outer), sorted(s_inner), sorted(spokes))
-                checked += 1
+    for name, ans in answer_table["p5"].items():
+        inst = ans.source
+        pred = predict_kappa_metapq(inst)
+        assert pred.kappa is not None
+        res = ans.exhaustive
+        assert res.exact
+        assert pred.kappa == res.kappa, (name, pred, res.kappa)
+        h = nx.Graph(inst.graph.edges())
+        isos = sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h))
+        assert ans.group.order == isos == len(set(ans.elements)), name
+        checked += 1
     assert checked >= 70
 
 
@@ -281,83 +258,61 @@ def test_modes_agree_on_midsize_cubic_graphs():
         assert lift_res.kappa == exh_res.kappa == expected, (n, r)
 
 
-def test_atlas_census():
+def test_atlas_census(answer_table):
     """Every graph of networkx's atlas (all 1253 graphs on at most 7
     vertices): lift and exhaustive compression agree, the Ham array equals
     the plain oracle, |Aut| equals the
     number of self-isomorphisms VF2 finds, and the graph is Cayley exactly
     when Aut moves 0 to every vertex (every vertex-transitive graph on fewer
     than 10 vertices is Cayley)."""
-    nx = pytest.importorskip("networkx")
+    pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
-    atlas = nx.graph_atlas_g()
+    atlas = answer_table["atlas"]
     assert len(atlas) == 1253
     # K_n: sum of n!/(n |Aut H|) over the groups H of order n
     complete_regular = {4: 4, 5: 6, 6: 80}
     counts = {}
-    for index, h in enumerate(atlas):
-        n = h.number_of_nodes()
-        g = Graph.build(n, h.edges())
-        lift_res = hamilton_compression(g, "lift")
-        exh_res = hamilton_compression(g, "exhaustive")
-        assert lift_res.exact and exh_res.exact, index
-        assert lift_res.kappa == exh_res.kappa, index
-        assert_plain_ham(g, ham_array(g), index)
+    for label, ans in atlas.items():
+        g, h = ans.graph, ans.source
+        n = g.n
+        lift_res, exh_res = ans.lift, ans.exhaustive
+        assert lift_res.exact and exh_res.exact, label
+        assert lift_res.kappa == exh_res.kappa, label
+        assert_plain_ham(g, ans.ham, label)
         isos = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
-        group = automorphism_group(g)
-        assert group.order == isos, index
+        assert ans.group.order == isos, label
         if n:
-            transitive = len({a[0] for a in group.elements}) == n
-            assert (is_cayley(g, group=group) == "yes") == transitive, index
+            transitive = len({a[0] for a in ans.elements}) == n
+            assert (ans.is_cayley == "yes") == transitive, label
         if n in complete_regular and h.number_of_edges() == n * (n - 1) // 2:
-            counts[n] = len(regular_subgroups(g, group=group))
+            counts[n] = len(ans.regular)
     assert counts == complete_regular
 
 
-def test_random_cayley_census():
+def test_random_cayley_census(answer_table):
     """Seeded random connected Cayley graphs of small groups, ten per group
     (`random_cayley_census`): lift and exhaustive kappa and the Ham array
     equal the plain oracle, which uses no group, and every graph is Cayley.
     Random graphs are almost never symmetric; here the lifts supply every
     value above 1 on a quarter of the graphs."""
+    census = answer_table["random-cayley"]
+    assert len(census) == 110
     mixed = 0  # arrays holding 1 and a larger value: the larger ones came from lifts
-    for label, g in random_cayley_census():
-        least, exhaustive = plain_ham(g)
+    for label, ans in census.items():
+        least, exhaustive = plain = plain_ham(ans.graph)
         assert exhaustive, label
-        lift_res = hamilton_compression(g, "lift")
-        exh_res = hamilton_compression(g, "exhaustive")
+        lift_res, exh_res = ans.lift, ans.exhaustive
         assert lift_res.exact and exh_res.exact, label
         assert lift_res.kappa == exh_res.kappa == max(least, default=0), label
-        arr = ham_array(g)
-        assert_plain_ham(g, arr, label)
+        arr = ans.ham
+        assert_ham_is(arr, plain, label)
         mixed += arr.values[0] == 1 < len(arr.values)
-        assert is_cayley(g) == "yes", label
+        assert ans.is_cayley == "yes", label
     assert mixed >= 20, mixed  # 30 of the 110 with this seed
 
 
-def _circulant_census():
-    """(n, connection set) for the connected circulants on 5 to 18 vertices
-    of degree at most 4, one per multiplier class: the least image of the
-    connection set under multiplication by the units of Z_n."""
-    out = []
-    for n in range(5, 19):
-        units = [a for a in range(1, n) if math.gcd(a, n) == 1]
-        pairs = sorted({frozenset({s, n - s}) for s in range(1, n)}, key=min)
-        seen = set()
-        for size in (1, 2):
-            for combo in itertools.combinations(pairs, size):
-                conn = frozenset().union(*combo)
-                if len(conn) > 4 or math.gcd(n, *conn) != 1:
-                    continue
-                key = min(tuple(sorted(a * s % n for s in conn)) for a in units)
-                if key not in seen:
-                    seen.add(key)
-                    out.append((n, key))
-    return out
-
-
-def test_circulant_census():
+def test_circulant_census(answer_table):
     """The vertex-transitive gate for the automorphism search: on every
     census circulant, lift and exhaustive compression agree, and the listed
     elements are |Aut| distinct automorphisms, |Aut| counted by VF2 as n
@@ -370,30 +325,29 @@ def test_circulant_census():
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
-    census = _circulant_census()
+    census = answer_table["circulants"]
     assert len(census) == 72
     odd_pq = 0
-    for n, conn in census:
-        g = circulant(n, set(conn)).graph
-        lift_res = hamilton_compression(g, "lift")
-        exh_res = hamilton_compression(g, "exhaustive", limit=50_000)
-        assert lift_res.exact and exh_res.exact, (n, conn)
-        assert lift_res.kappa == exh_res.kappa, (n, conn)
+    for label, ans in census.items():
+        (n, conn), g = ans.source, ans.graph
+        lift_res, exh_res = ans.lift, ans.exhaustive
+        assert lift_res.exact and exh_res.exact, label
+        assert lift_res.kappa == exh_res.kappa, label
         h = nx.circulant_graph(n, conn)
         h.nodes[0]["fixed"] = True
         matcher = GraphMatcher(h, h, node_match=lambda a, b: a.get("fixed") == b.get("fixed"))
-        group = automorphism_group(g)
-        assert group.order == n * sum(1 for _ in matcher.isomorphisms_iter()), (n, conn)
-        assert len(set(group.elements)) == group.order, (n, conn)
-        assert all(is_automorphism(g, a) for a in group.elements), (n, conn)
-        assert is_cayley(g, group=group) == "yes", (n, conn)
+        order, elements = ans.group.order, ans.elements
+        assert order == n * sum(1 for _ in matcher.isomorphisms_iter()), label
+        assert len(set(elements)) == order, label
+        assert all(is_automorphism(g, a) for a in elements), label
+        assert ans.is_cayley == "yes", label
         if n % 2 and list(factorize(n).values()) == [1, 1]:
-            assert predict_kappa_circulant(n, conn) == lift_res.kappa, (n, conn)
+            assert predict_kappa_circulant(n, conn) == lift_res.kappa, label
             odd_pq += 1
     assert odd_pq == 7  # the seven circulants on 15 vertices
 
 
-def test_generalized_petersen_census():
+def test_generalized_petersen_census(answer_table):
     """GP(n, r) for 3 <= n <= 16 and every 1 <= r < n/2: lift and exhaustive
     compression agree, and for n <= 10 the listed elements are |Aut| distinct
     automorphisms, |Aut| counted by VF2 (most GP(n, r) are not
@@ -404,36 +358,32 @@ def test_generalized_petersen_census():
     from networkx.algorithms.isomorphism import GraphMatcher
 
     count = 0
-    for n in range(3, 17):
-        for r in range(1, (n + 1) // 2):
-            g = generalized_petersen(n, r).graph
-            lift_res = hamilton_compression(g, "lift")
-            exh_res = hamilton_compression(g, "exhaustive", limit=50_000)
-            assert lift_res.exact and exh_res.exact, (n, r)
-            assert lift_res.kappa == exh_res.kappa, (n, r)
-            count += 1
-            if n > 10:
-                continue
-            h = nx.Graph(g.edges())
-            group = automorphism_group(g)
-            assert group.order == sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter()), (n, r)
-            assert len(set(group.elements)) == group.order, (n, r)
-            assert all(is_automorphism(g, a) for a in group.elements), (n, r)
+    for label, ans in answer_table["gp"].items():
+        (n, r), g = ans.source, ans.graph
+        lift_res, exh_res = ans.lift, ans.exhaustive
+        assert lift_res.exact and exh_res.exact, label
+        assert lift_res.kappa == exh_res.kappa, label
+        count += 1
+        if n > 10:
+            continue
+        h = nx.Graph(g.edges())
+        order, elements = ans.group.order, ans.elements
+        assert order == sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter()), label
+        assert len(set(elements)) == order, label
+        assert all(is_automorphism(g, a) for a in elements), label
     assert count == 56
 
 
-def test_complement_census_has_the_same_group():
+def test_complement_census_has_the_same_group(answer_table):
     """A graph and its complement have the same automorphisms; the
     complement of a sparse census graph (every circulant-census graph and
     GP(n, r) with n <= 16) is dense, where refinement does most of the
     work."""
-    census = ([circulant(n, set(conn)).graph for n, conn in _circulant_census()]
-              + [generalized_petersen(n, r).graph
-                 for n in range(3, 17) for r in range(1, (n + 1) // 2)])
-    for g in census:
-        grp, grp_c = automorphism_group(g), automorphism_group(g.complement())
-        assert (grp_c.order, grp_c.capped) == (grp.order, False), g.rows
-        assert grp_c.elements == grp.elements, g.rows
+    for ans in [*answer_table["circulants"].values(), *answer_table["gp"].values()]:
+        g = ans.graph
+        grp_c = automorphism_group(g.complement())
+        assert (grp_c.order, grp_c.capped) == (ans.group.order, False), g.rows
+        assert grp_c.elements == ans.elements, g.rows
 
 
 # (graph, |Aut|) from the closed forms |Aut K_n| = n!,
